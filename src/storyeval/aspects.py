@@ -351,12 +351,6 @@ class TextClassifier:
         pred = self.predict_batch(texts)
         return float(np.mean(pred == np.asarray(labels)))
 
-    def per_class_accuracy(self, texts: list[str], labels) -> dict[int, float]:
-        pred = self.predict_batch(texts)
-        labels = np.asarray(labels)
-        return {int(c): float(np.mean(pred[labels == c] == c))
-                for c in np.unique(labels)}
-
 
 def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
                       vocab: Vocabulary | None, epochs: int, lr: float,
@@ -442,19 +436,6 @@ def train_sentiment_scorer(records: list[CommentRecord],
         raise ContractViolation(f"sentiment classes without examples: {missing}")
     return _train_classifier(texts, labels, 5, vocab, epochs, lr,
                              batch_size, seed, config=config)
-
-
-SENTIMENT_GROUPS = {1: "negative", 2: "negative", 3: "neutral",
-                    4: "positive", 5: "positive"}
-
-
-def grouped_accuracy(scorer: TextClassifier, texts: list[str], classes) -> float:
-    """Accuracy after folding 1-5 predictions into neg/neutral/pos groups."""
-    pred = scorer.predict_batch(texts) + 1
-    want = np.asarray(classes)
-    got_groups = np.asarray([SENTIMENT_GROUPS[int(c)] for c in pred])
-    want_groups = np.asarray([SENTIMENT_GROUPS[int(c)] for c in want])
-    return float(np.mean(got_groups == want_groups))
 
 
 # -- augmentation -----------------------------------------------------------

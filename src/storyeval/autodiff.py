@@ -6,20 +6,40 @@ scalar loss walks the graph in reverse topological order and accumulates
 gradients into ``Tensor.grad``.
 
 Dtype follows the arrays you pass in: build parameters in float32 for
-training, float64 when running finite-difference checks.
+training, float64 when running finite-difference checks.  Inference runs
+inside ``with no_grad():``, where ops compute values but record no graph.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractViolation, NumericFailure
 
 _nan_checks = False
+_grad_enabled = True
 
 
 def set_nan_checks(enabled: bool) -> None:
     """Toggle per-op finite-value checks (off by default; costs time)."""
     global _nan_checks
     _nan_checks = enabled
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op returns a parentless leaf.
+
+    Parameters keep their ``requires_grad`` flags; nesting is allowed and
+    the previous mode comes back on exit, also when the block raises.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def _checked(out: np.ndarray, node: str) -> np.ndarray:
@@ -157,7 +177,7 @@ def as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str) -> Tensor:
     out = Tensor(_checked(data, name))
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         grads_into = tuple(p for p in parents if p.requires_grad or p._parents)
         out._parents = grads_into

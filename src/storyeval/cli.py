@@ -14,7 +14,6 @@ import copy
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +63,7 @@ from .metrics import (
     score_distance,
     spearman,
 )
-from .model import Model, ModelConfig, frozen, predict_aspects, predict_preference
+from .model import Model, ModelConfig
 from .training import TrainConfig, TrainData, Trainer, score_texts
 from .vocab import Vocabulary, build_vocab, tokenize
 
@@ -190,6 +189,13 @@ def _load_pairs(path) -> list[RankedPair]:
 
 def _load_comment_records(path) -> list[CommentRecord]:
     return [CommentRecord.from_record(r) for r in data_records(path)]
+
+
+def _story(stories: dict[str, Story], story_id: str, path) -> Story:
+    """The story a record in ``path`` names; an unknown id is a data error."""
+    if story_id not in stories:
+        raise DataError(f"{path}: unknown story id '{story_id}'")
+    return stories[story_id]
 
 
 # -- prepare-pairs -----------------------------------------------------------
@@ -420,31 +426,31 @@ def cmd_score(args) -> int:
                 "max_new_tokens": args.max_new_tokens, "beam": args.beam,
                 "seed": args.seed}
     records = data_records(args.stories)
-    outputs, failures = [], 0
+    record_errors = (KeyError, EmptyTextError, ContractViolation, DataError)
+    outputs, seqs = [], []
     for rec in records:
-        sid = rec.get("id", "")
+        out = {"id": rec.get("id", "")}
         try:
-            ids = tokenize(rec["text"], model.vocab, model.config.max_len)
-            with frozen(model.params):
-                v_s, _, _ = model.encode_stories([ids])
-                p_s = float(predict_preference(model.params, v_s).data[0])
-                a_c_t, a_r_t = predict_aspects(model.params, v_s)
-                a_c = a_c_t.data[0]
-                a_r = a_r_t.data[0]
-            top = np.argsort(-a_c, kind="stable")[: args.top_aspects]
-            comments = {}
+            seqs.append(tokenize(rec["text"], model.vocab, model.config.max_len))
+        except record_errors as exc:
+            out["error"] = f"{type(exc).__name__}: {exc}"
+        outputs.append(out)
+    scored = [out for out in outputs if "error" not in out]
+    for out, ids, p_s, a_c, a_r in zip(scored, seqs, *model.infer(seqs)):
+        top = np.argsort(-a_c, kind="stable")[: args.top_aspects]
+        comments = {}
+        try:
             for k in top.tolist():
                 toks = model.generate_comment(ids, k,
                                               max_new_tokens=args.max_new_tokens,
                                               beam=args.beam)
                 comments[str(k)] = model.vocab.decode(toks)
-            outputs.append({"id": sid, "p_s": p_s,
-                            "a_c": [float(x) for x in a_c],
-                            "a_r": [float(x) for x in a_r],
-                            "comments": comments})
-        except (KeyError, EmptyTextError, ContractViolation, DataError) as exc:
-            outputs.append({"id": sid, "error": f"{type(exc).__name__}: {exc}"})
-            failures += 1
+        except record_errors as exc:
+            out["error"] = f"{type(exc).__name__}: {exc}"
+            continue
+        out.update(p_s=float(p_s), a_c=[float(x) for x in a_c],
+                   a_r=[float(x) for x in a_r], comments=comments)
+    failures = sum("error" in out for out in outputs)
     write_artifact_jsonl(args.out, outputs, settings, args.seed,
                          extra_meta={"failures": failures})
     print(f"scored {len(outputs) - failures}/{len(records)} stories -> {args.out}")
@@ -520,9 +526,10 @@ def cmd_evaluate(args) -> int:
             skipped.append("ranking (needs 'stories' alongside 'pairs')")
         else:
             stories = _load_stories(spec["stories"])
-            pairs = _load_pairs(spec["pairs"])
-            hi = score_texts(model, [stories[p.high_id].text for p in pairs])
-            lo = score_texts(model, [stories[p.low_id].text for p in pairs])
+            path = spec["pairs"]
+            pairs = _load_pairs(path)
+            hi = score_texts(model, [_story(stories, p.high_id, path).text for p in pairs])
+            lo = score_texts(model, [_story(stories, p.low_id, path).text for p in pairs])
             report.acc = pairwise_accuracy(zip(hi, lo))
             report.dis = score_distance(zip(hi, lo))
     elif spec.get("stories"):
@@ -545,39 +552,38 @@ def cmd_evaluate(args) -> int:
             skipped.append("aspect recall (needs 'stories')")
         else:
             stories = _load_stories(spec["stories"])
-            recs = data_records(spec["aspect_annotations"])
+            path = spec["aspect_annotations"]
+            recs = data_records(path)
             ks = [int(k) for k in spec.get("recall_ks", (1, 3, 5))]
-            sums = {k: 0.0 for k in ks}
-            for r in recs:
-                ids = tokenize(stories[r["story_id"]].text, model.vocab,
-                               model.config.max_len)
-                with frozen(model.params):
-                    v_s, _, _ = model.encode_stories([ids])
-                    a_c = predict_aspects(model.params, v_s)[0].data[0]
-                for k in ks:
-                    sums[k] += recall_at_k(a_c, r["aspects"], k)
-            report.recall = {k: sums[k] / len(recs) for k in ks}
+            _, a_c, _ = model.infer([tokenize(_story(stories, r["story_id"], path).text,
+                                              model.vocab, model.config.max_len)
+                                     for r in recs])
+            report.recall = {k: sum(recall_at_k(c, r["aspects"], k)
+                                    for c, r in zip(a_c, recs)) / len(recs)
+                             for k in ks}
 
     if spec.get("comment_references"):
         if not spec.get("stories"):
             skipped.append("generation (needs 'stories')")
         else:
             stories = _load_stories(spec["stories"])
-            recs = data_records(spec["comment_references"])
+            path = spec["comment_references"]
+            recs = data_records(path)
             refs_by_key: dict[tuple, list[str]] = {}
             for r in recs:
                 refs_by_key.setdefault((r["story_id"], int(r["aspect"])),
                                        []).append(r["text"])
             bleus, rouges, ppl_items = [], [], []
             for (sid, k), refs in sorted(refs_by_key.items()):
-                ids = tokenize(stories[sid].text, model.vocab,
+                ids = tokenize(_story(stories, sid, path).text, model.vocab,
                                model.config.max_len)
                 toks = model.generate_comment(ids, k,
                                               max_new_tokens=args.max_new_tokens)
                 hyp = model.vocab.decode(toks).split()
                 ref_tokens = [t.split() for t in refs]
-                bleus.append(bleu_avg(hyp, ref_tokens))
-                rouges.append(max(rouge(hyp, rt) for rt in ref_tokens))
+                # an empty generation (<eos> first) matches nothing: 0, not an error
+                bleus.append(bleu_avg(hyp, ref_tokens) if hyp else 0.0)
+                rouges.append(max(rouge(hyp, rt) for rt in ref_tokens) if hyp else 0.0)
                 for t in refs:
                     body = [model.vocab.id_of(w) for w in t.split()]
                     comment_ids = np.asarray(

@@ -31,24 +31,6 @@ def read_jsonl(path) -> list[dict]:
     return out
 
 
-def read_jsonl_lenient(path) -> tuple[list[dict], list[dict]]:
-    """Reader that skips malformed lines, returning (records, rejects)."""
-    records, rejects = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record is not an object")
-                records.append(obj)
-            except ValueError as e:
-                rejects.append({"line": lineno, "reason": f"unparseable: {e}"})
-    return records, rejects
-
-
 def write_json(path, obj) -> None:
     Path(path).write_text(
         json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n",

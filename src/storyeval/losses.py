@@ -42,10 +42,8 @@ def margin_rank_loss(p_high, p_low, margin: float = 0.3) -> Tensor:
     return _batch_mean(ad.relu(p_low - p_high + margin))
 
 
-def coherence_rank_loss(p_low, p_neg, margin: float = 0.3, enabled: bool = True) -> Tensor:
+def coherence_rank_loss(p_low, p_neg, margin: float = 0.3) -> Tensor:
     """Second hinge: even the low story must beat a corrupted one."""
-    if not enabled:
-        raise ContractViolation("coherence loss requires negative samples to be enabled")
     return margin_rank_loss(p_low, p_neg, margin)
 
 
@@ -53,22 +51,14 @@ def confidence_loss(a_c, y_a_c) -> Tensor:
     """Multi-hot cross-entropy over aspect confidences.
 
     Targets stay unnormalized: each selected aspect contributes its own
-    -log a_c[k] term.  ``normalize_targets=True`` on ``confidence_loss_ex``
-    divides targets by their count instead.
+    -log a_c[k] term.
     """
-    return confidence_loss_ex(a_c, y_a_c, normalize_targets=False)
-
-
-def confidence_loss_ex(a_c, y_a_c, normalize_targets: bool = False) -> Tensor:
     a_c = _wrap(a_c)
     y = np.asarray(y_a_c, dtype=np.float64)
     if y.shape != a_c.data.shape:
         raise ContractViolation("confidence targets must match a_c shape")
-    counts = y.sum(axis=-1)
-    if np.any(counts < 1):
+    if np.any(y.sum(axis=-1) < 1):
         raise ContractViolation("each item needs at least one selected aspect")
-    if normalize_targets:
-        y = y / counts[..., None] if y.ndim > 1 else y / counts
     per_item = -(Tensor(y.astype(a_c.data.dtype)) * _log_clamped(a_c)).sum(axis=-1)
     return _batch_mean(per_item)
 

@@ -3,6 +3,8 @@
 Rank correlations delegate to scipy for the point statistics; the
 significance test is a seeded two-sided permutation test because the
 desk-scale samples are small enough to make parametric p-values shaky.
+Perplexity batches its items through ``Model.comment_nll`` under
+``autodiff.no_grad``.
 """
 
 import math
@@ -12,10 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
+from . import autodiff as ad
 from . import rng as rng_mod
 from .errors import ContractViolation, UndefinedCorrelationError
 
 SIGNIFICANCE_LEVEL = 0.01
+PERPLEXITY_BATCH = 64
 
 
 def pairwise_accuracy(paired_scores) -> float:
@@ -185,11 +189,12 @@ def corpus_perplexity(model, items) -> float:
     if not items:
         raise ContractViolation("empty comment corpus")
     total_nll = 0.0
-    total_tokens = 0
-    for story_ids, aspect_k, comment_ids in items:
-        nll = model.teacher_forced_nll(story_ids, aspect_k, comment_ids, reduce="sum")
-        total_nll += float(nll.data)
-        total_tokens += len(comment_ids) - 1
+    with ad.no_grad():
+        for start in range(0, len(items), PERPLEXITY_BATCH):
+            stories, aspects, comments = zip(*items[start: start + PERPLEXITY_BATCH])
+            total_nll += float(model.comment_nll(stories, aspects, comments,
+                                                 reduce="sum").data)
+    total_tokens = sum(len(comment_ids) - 1 for _, _, comment_ids in items)
     return math.exp(total_nll / total_tokens)
 
 

@@ -7,17 +7,21 @@ heads: a sigmoid preference score, a softmax over K aspect confidences,
 and K sigmoid ratings.  A causal decoder with cross-attention generates
 aspect-conditioned comments.
 
+``Model.infer`` (run under ``autodiff.no_grad``) is the one batched
+inference path for the heads, ``Model.comment_nll`` the one batched
+teacher-forced comment loss.
+
 Heads are bias-free linear maps so each one is a single named tensor.
 """
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractViolation
+from .losses import sequence_nll
 from .vocab import Vocabulary, conditioned_ids, pad_batch
 
 NEG_INF = -1e30
@@ -44,24 +48,6 @@ class ModelConfig:
             raise ConfigError("n_aspects must be >= 1")
         if self.vocab_size < 7:
             raise ConfigError("vocab_size too small for reserved tokens")
-
-
-@dataclass
-class EvaluationOutput:
-    """Everything the evaluator says about one story."""
-
-    p_s: float
-    a_c: np.ndarray
-    a_r: np.ndarray
-    comments: dict[int, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_s <= 1.0:
-            raise ContractViolation(f"p_s {self.p_s} outside [0,1]")
-        if abs(float(self.a_c.sum()) - 1.0) > 1e-5:
-            raise ContractViolation("aspect confidences do not sum to 1")
-        if np.any(self.a_r < 0.0) or np.any(self.a_r > 1.0):
-            raise ContractViolation("aspect rating outside [0,1]")
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator,
@@ -120,19 +106,6 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     w("w_ar", d, k)
     w("w_out", d, v)
     return params
-
-
-@contextmanager
-def frozen(params: dict[str, Tensor]):
-    """Temporarily drop requires_grad so inference skips graph building."""
-    flags = {n: p.requires_grad for n, p in params.items()}
-    for p in params.values():
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for n, p in params.items():
-            p.requires_grad = flags[n]
 
 
 # -- attention masks (additive, 0 = allowed) ------------------------------
@@ -284,19 +257,23 @@ class Model:
                              n_global=n_global, train=train, rng=rng)
         return v_s, states, lengths
 
-    def evaluate_story(self, story_ids: np.ndarray, aspect_ids=(),
-                       max_new_tokens: int = 40) -> EvaluationOutput:
-        """Score one story and optionally comment on chosen aspects."""
-        with frozen(self.params):
-            v_s, _, _ = self.encode_stories([story_ids])
-            p_s = float(predict_preference(self.params, v_s).data[0])
-            a_c, a_r = predict_aspects(self.params, v_s)
-            comments = {}
-            for k in aspect_ids:
-                out = self.generate_comment(story_ids, k, max_new_tokens=max_new_tokens)
-                comments[int(k)] = self.vocab.decode(out)
-        return EvaluationOutput(p_s=p_s, a_c=a_c.data[0].copy(),
-                                a_r=a_r.data[0].copy(), comments=comments)
+    def infer(self, id_seqs: list[np.ndarray], batch_size: int = 64):
+        """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order.
+
+        Stories are encoded in padded chunks of ``batch_size`` without
+        building a graph; the results are plain numpy arrays.
+        """
+        chunks = []
+        with ad.no_grad():
+            for start in range(0, len(id_seqs), batch_size):
+                v_s, _, _ = self.encode_stories(id_seqs[start: start + batch_size])
+                a_c, a_r = predict_aspects(self.params, v_s)
+                chunks.append((predict_preference(self.params, v_s).data,
+                               a_c.data, a_r.data))
+        if not chunks:
+            k = self.config.n_aspects
+            return np.zeros(0), np.zeros((0, k)), np.zeros((0, k))
+        return tuple(np.concatenate(part) for part in zip(*chunks))
 
     def comment_encoder_states(self, story_id_seqs: list[np.ndarray],
                                aspect_ks: list[int], train: bool = False, rng=None):
@@ -316,30 +293,30 @@ class Model:
         return decoder_logits(self.params, self.config, comment_in, comment_lengths,
                               states, enc_lengths, train=train, rng=rng)
 
+    def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
+                    comment_seqs: list[np.ndarray], reduce: str = "mean",
+                    train: bool = False, rng=None) -> Tensor:
+        """Teacher-forced NLL of a batch of (story, aspect, comment) triples.
+
+        Each comment must be <bos> ... <eos>.  Comments are right-padded
+        to one batch and padded targets are masked out, so ``mean``
+        divides by the number of predicted tokens in the whole batch.
+        """
+        comment_seqs = [np.asarray(c, dtype=np.int64) for c in comment_seqs]
+        for c in comment_seqs:
+            if len(c) < 2 or c[0] != self.vocab.bos_id or c[-1] != self.vocab.eos_id:
+                raise ContractViolation("comment ids must be <bos> ... <eos>")
+        inputs, lengths = pad_batch([c[:-1] for c in comment_seqs], self.vocab.pad_id)
+        targets, _ = pad_batch([c[1:] for c in comment_seqs], 0)
+        mask = np.arange(inputs.shape[1])[None, :] < lengths[:, None]
+        logits = self.comment_logits(story_id_seqs, aspect_ks, inputs, lengths,
+                                     train=train, rng=rng)
+        return sequence_nll(logits, targets, mask, reduce=reduce)
+
     def teacher_forced_nll(self, story_ids: np.ndarray, aspect_k: int,
                            comment_ids: np.ndarray, reduce: str = "mean") -> Tensor:
-        """Summed-NLL MLE loss for one (story, aspect, comment) triple.
-
-        ``comment_ids`` must start with <bos> and end with <eos>; the
-        mean variant divides by the number of predicted tokens.
-        """
-        comment_ids = np.asarray(comment_ids, dtype=np.int64)
-        if len(comment_ids) < 2:
-            raise ContractViolation("comment must contain at least <bos> and <eos>")
-        if comment_ids[0] != self.vocab.bos_id or comment_ids[-1] != self.vocab.eos_id:
-            raise ContractViolation("comment ids must be <bos> ... <eos>")
-        inputs = comment_ids[:-1][None, :]
-        targets = comment_ids[1:][None, :]
-        lengths = np.asarray([inputs.shape[1]])
-        logits = self.comment_logits([story_ids], [aspect_k], inputs, lengths)
-        logp = ad.log_softmax(logits, axis=-1)
-        picked = ad.gather_last(logp, targets)
-        total = -picked.sum()
-        if reduce == "sum":
-            return total
-        if reduce == "mean":
-            return total / float(targets.size)
-        raise ContractViolation(f"unknown reduce '{reduce}'")
+        """``comment_nll`` of a single (story, aspect, comment) triple."""
+        return self.comment_nll([story_ids], [aspect_k], [comment_ids], reduce=reduce)
 
     def generate_comment(self, story_ids: np.ndarray, aspect_k: int,
                          max_new_tokens: int = 40, beam: int = 1) -> np.ndarray:
@@ -348,7 +325,7 @@ class Model:
             raise ContractViolation(f"aspect id {aspect_k} outside [0, {self.config.n_aspects})")
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
-        with frozen(self.params):
+        with ad.no_grad():
             states, enc_lengths = self.comment_encoder_states([story_ids], [aspect_k])
             if beam == 1:
                 out = self._greedy(states, enc_lengths, max_new_tokens)

@@ -4,7 +4,8 @@ One step encodes a batch of ranked pairs, adds whichever loss
 components the run enables (preference ranking, aspect heads, comment
 generation, coherence negatives), and takes one AdamW step.  Everything
 is deterministic for a fixed seed: batch order, comment sampling and
-dropout all draw from named substreams.
+dropout all draw from named substreams.  Validation and ``score_texts``
+score stories through ``Model.infer``.
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +26,11 @@ from .losses import (
     joint_loss,
     margin_rank_loss,
     rating_loss,
-    sequence_nll,
 )
 from .losses import confidence_loss as conf_loss
-from .model import Model, frozen, predict_aspects, predict_preference
+from .model import Model, predict_aspects, predict_preference
 from .optim import AdamW, LrSchedule, lr_at, steps_per_epoch
-from .vocab import pad_batch, tokenize
+from .vocab import tokenize
 
 LOG_HEADER = "step,lr,L_ps,L_ac,L_ar,L_c,L_total"
 
@@ -97,20 +97,10 @@ class TrainResult:
     checkpoint_path: str | None = None
 
 
-def _scores_for(model: Model, id_seqs, batch_size: int = 64) -> np.ndarray:
-    out = []
-    for start in range(0, len(id_seqs), batch_size):
-        chunk = id_seqs[start: start + batch_size]
-        v_s, _, _ = model.encode_stories(chunk)
-        out.append(predict_preference(model.params, v_s).data)
-    return np.concatenate(out) if out else np.zeros(0)
-
-
 def score_texts(model: Model, texts: list[str], batch_size: int = 64) -> np.ndarray:
     """Preference scores for raw story texts, in input order."""
     seqs = [tokenize(t, model.vocab, model.config.max_len) for t in texts]
-    with frozen(model.params):
-        return _scores_for(model, seqs, batch_size)
+    return model.infer(seqs, batch_size)[0]
 
 
 def evaluate_pairs(model: Model, stories: dict[str, Story],
@@ -126,9 +116,8 @@ def evaluate_pairs(model: Model, stories: dict[str, Story],
                                        model.config.max_len)
         return cache[story_id]
 
-    with frozen(model.params):
-        hi = _scores_for(model, [ids(p.high_id) for p in pairs], batch_size)
-        lo = _scores_for(model, [ids(p.low_id) for p in pairs], batch_size)
+    hi = model.infer([ids(p.high_id) for p in pairs], batch_size)[0]
+    lo = model.infer([ids(p.low_id) for p in pairs], batch_size)[0]
     return float(np.mean(hi > lo))
 
 
@@ -266,21 +255,8 @@ class Trainer:
                 comments.append(ids)
         if not stories:
             return None
-        max_len = max(len(c) for c in comments)
-        b = len(comments)
-        inp = np.full((b, max_len - 1), self.model.vocab.pad_id, dtype=np.int64)
-        tgt = np.zeros((b, max_len - 1), dtype=np.int64)
-        mask = np.zeros((b, max_len - 1), dtype=np.float64)
-        lengths = np.zeros(b, dtype=np.int64)
-        for i, c in enumerate(comments):
-            n = len(c) - 1
-            inp[i, :n] = c[:-1]
-            tgt[i, :n] = c[1:]
-            mask[i, :n] = 1.0
-            lengths[i] = n
-        logits = self.model.comment_logits(stories, aspects, inp, lengths,
-                                           train=train, rng=rng)
-        return sequence_nll(logits, tgt, mask, reduce="mean")
+        return self.model.comment_nll(stories, aspects, comments, reduce="mean",
+                                      train=train, rng=rng)
 
     def train_step(self, batch: list[RankedPair]) -> LossBreakdown:
         cfg = self.config

@@ -1,6 +1,9 @@
-"""Shared test utilities, chiefly the finite-difference gradient oracle."""
+"""Shared test utilities: the finite-difference gradient oracle and the
+per-story reference that batched inference is checked against."""
 
 import numpy as np
+
+from storyeval.model import predict_aspects, predict_preference
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -58,6 +61,21 @@ def check_sampled_grads(make_loss, params: dict, rng, n_per_tensor: int = 3,
             assert err <= tol, f"{name}[{i}]: rel err {err:.2e}"
             worst = max(worst, err)
     return worst
+
+
+def reference_heads(model, id_seqs):
+    """(p_s, a_c, a_r) from one unpadded encode per story, in input order.
+
+    This is the per-story scoring loop that ``Model.infer`` replaced.
+    """
+    rows = []
+    for ids in id_seqs:
+        v_s, _, _ = model.encode_stories([ids])
+        a_c, a_r = predict_aspects(model.params, v_s)
+        rows.append((predict_preference(model.params, v_s).data[0],
+                     a_c.data[0], a_r.data[0]))
+    p_s, a_c, a_r = zip(*rows)
+    return np.asarray(p_s), np.stack(a_c), np.stack(a_r)
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -8,10 +8,8 @@ from storyeval.aspects import (
     AspectTaxonomy,
     CommentRecord,
     LdaModel,
-    TextClassifier,
     augment_comments,
     class_from_rating,
-    grouped_accuracy,
     lda_fit,
     prepare_comment_docs,
     rating_from_class,
@@ -279,19 +277,6 @@ class TestClassifiers:
         records = _aspect_fixture()  # only ratings 0.75 and 0.5 present
         with pytest.raises(ContractViolation):
             train_sentiment_scorer(records)
-
-    def test_sentiment_grouped_accuracy(self):
-        # predicting 4 when truth is 5 still counts inside the positive group
-        class Stub(TextClassifier):
-            def __init__(self):
-                pass
-
-            def predict_batch(self, texts):
-                return np.array([3] * len(texts))  # class 4, zero based
-
-        stub = Stub()
-        assert grouped_accuracy(stub, ["x", "y"], [5, 4]) == 1.0
-        assert grouped_accuracy(stub, ["x", "y"], [1, 4]) == 0.5
 
 
 class _StubClassifier:

@@ -63,6 +63,30 @@ def test_nan_check_off_by_default():
     assert np.isnan(out.data).all()
 
 
+def test_no_grad_ops_have_no_parents():
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    with ad.no_grad():
+        out = ad.sigmoid(ad.relu(w @ w) + w).sum()
+    assert out._parents == () and out._backward is None
+    assert not out.requires_grad
+    assert np.isclose(out.data, 4.0 / (1.0 + np.exp(-3.0)))
+
+
+def test_no_grad_keeps_flags_through_nesting_and_errors():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 4.0]))
+    with pytest.raises(RuntimeError), ad.no_grad():
+        with ad.no_grad():
+            assert w.requires_grad and not c.requires_grad
+        # leaving the inner block must not switch graph building back on
+        assert (w * c)._parents == ()
+        raise RuntimeError("inside no_grad")
+    assert w.requires_grad and not c.requires_grad
+    loss = (w * c).sum()
+    loss.backward()
+    assert np.allclose(w.grad, c.data)
+
+
 def test_three_layer_mlp_exhaustive():
     rng = np.random.default_rng(7)
     params = {

@@ -8,8 +8,10 @@ import pytest
 
 from storyeval import cli
 from storyeval.aspects import AspectTaxonomy
+from storyeval.checkpoint import load_checkpoint, save_checkpoint
 from storyeval.jsonl import read_jsonl, write_json, write_jsonl
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
+from storyeval.vocab import Vocabulary
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "prepare"
@@ -358,6 +360,53 @@ class TestEvaluate:
                     "recall@1", "recall@3", "bleu", "rouge_l", "ppl"):
             assert key in report, key
         assert report["ppl"] > 1.0
+
+    def test_empty_generation_scores_zero_overlap(self, smoke, tmp_path):
+        # every decoder state becomes the all-ones vector and only <eos>
+        # reads it, so greedy decoding stops before the first word
+        ck = load_checkpoint(smoke / "run" / "model.ckpt")
+        eos = Vocabulary.load(smoke / "run" / "vocab.txt").eos_id
+        ck.params["dec_ln.g"].data[:] = 0.0
+        ck.params["dec_ln.b"].data[:] = 1.0
+        ck.params["w_out"].data[:] = 0.0
+        ck.params["w_out"].data[:, eos] = 1.0
+        save_checkpoint(tmp_path / "eos.ckpt", ck.params, ck.config,
+                        seed=ck.seed, step=ck.step)
+        comments = [r for r in read_jsonl(smoke / "comments.jsonl")
+                    if "meta" not in r][:4]
+        write_jsonl(tmp_path / "refs.jsonl",
+                    [{"story_id": c["story_id"], "aspect": c["aspect"],
+                      "text": c["text"]} for c in comments])
+        write_json(tmp_path / "spec.json", {
+            "stories": str(smoke / "prep" / "stories.jsonl"),
+            "comment_references": str(tmp_path / "refs.jsonl")})
+        assert run(["evaluate", tmp_path / "spec.json",
+                    "--checkpoint", tmp_path / "eos.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt",
+                    "--out", tmp_path / "report.json"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["bleu"] == report["rouge_l"] == 0.0
+        assert np.isfinite(report["ppl"])
+
+    @pytest.mark.parametrize("section", ["pairs", "aspect_annotations",
+                                         "comment_references"])
+    def test_unknown_story_id_is_data_error(self, smoke, tmp_path, capsys,
+                                            section):
+        known = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                 if "meta" not in r][0]["id"]
+        record = {"pairs": {"prompt_id": "p", "high_id": known, "low_id": "nope"},
+                  "aspect_annotations": {"story_id": "nope", "aspects": [0]},
+                  "comment_references": {"story_id": "nope", "aspect": 0,
+                                         "text": "a fine ending"}}[section]
+        write_jsonl(tmp_path / "recs.jsonl", [record])
+        write_json(tmp_path / "spec.json", {
+            "stories": str(smoke / "prep" / "stories.jsonl"),
+            section: str(tmp_path / "recs.jsonl")})
+        assert run(["evaluate", tmp_path / "spec.json",
+                    "--checkpoint", smoke / "run" / "model.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'recs.jsonl'}: unknown story id 'nope'" in err
 
     def test_bad_spec_is_config_error(self, smoke, tmp_path):
         (tmp_path / "spec.json").write_text("{not json", encoding="utf-8")

@@ -9,7 +9,6 @@ from storyeval.losses import (
     LossBreakdown,
     coherence_rank_loss,
     confidence_loss,
-    confidence_loss_ex,
     discrimination_loss,
     joint_loss,
     margin_rank_loss,
@@ -76,10 +75,6 @@ class TestCoherenceRank:
         total = val(margin_rank_loss(0.5, 0.5, 0.3)) + val(coherence_rank_loss(0.5, 0.5, 0.3))
         assert abs(total - 0.6) < TOL
 
-    def test_disabled_is_a_contract_violation(self):
-        with pytest.raises(ContractViolation):
-            coherence_rank_loss(0.5, 0.1, 0.3, enabled=False)
-
 
 class TestConfidence:
     def test_one_hot_match_is_near_zero(self):
@@ -110,12 +105,6 @@ class TestConfidence:
     def test_no_selection_rejected(self):
         with pytest.raises(ContractViolation):
             confidence_loss(np.full(4, 0.25), np.zeros(4))
-
-    def test_normalized_target_mode(self):
-        y = np.zeros(10)
-        y[[1, 4, 7]] = 1.0
-        got = val(confidence_loss_ex(np.full(10, 0.1), y, normalize_targets=True))
-        assert abs(got - np.log(10.0)) < TOL
 
 
 class TestRating:

@@ -267,9 +267,10 @@ class _FixedNllModel:
     def __init__(self, per_token_nll):
         self.per_token_nll = per_token_nll
 
-    def teacher_forced_nll(self, story_ids, aspect_k, comment_ids, reduce="sum"):
+    def comment_nll(self, story_seqs, aspect_ks, comment_seqs, reduce="mean"):
         assert reduce == "sum"
-        return Tensor(np.array(self.per_token_nll * (len(comment_ids) - 1)))
+        n_tokens = sum(len(c) - 1 for c in comment_seqs)
+        return Tensor(np.array(self.per_token_nll * n_tokens))
 
 
 class TestCorpusPerplexity:

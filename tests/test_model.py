@@ -5,6 +5,7 @@ import pytest
 
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation
+from storyeval.metrics import corpus_perplexity
 from storyeval.model import (
     Model,
     ModelConfig,
@@ -14,6 +15,8 @@ from storyeval.model import (
     predict_preference,
 )
 from storyeval.vocab import build_vocab, pad_batch, tokenize
+
+from helpers import reference_heads
 
 TEXTS = [
     "the knight rode through the silent forest at dawn",
@@ -113,6 +116,14 @@ def test_padding_does_not_change_heads(setup):
     c2, r2 = predict_aspects(model.params, v2)
     assert np.max(np.abs(c1.data - c2.data)) <= 1e-5
     assert np.max(np.abs(r1.data - r2.data)) <= 1e-5
+    # batched inference pads a mixed-length batch; chunks of 2 split it
+    seqs = [story_ids(vocab, t) for t in TEXTS + [TEXTS[0] + " and then it ended"]]
+    assert len({len(s) for s in seqs}) > 1
+    want = reference_heads(model, seqs)
+    for batch_size in (64, 2):
+        for got, ref in zip(model.infer(seqs, batch_size=batch_size), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-5
 
 
 def test_zero_preference_head_gives_half(setup):
@@ -228,10 +239,29 @@ def test_nll_requires_bos_eos(setup):
 
 def test_evaluate_story_output_contract(setup):
     model, vocab, cfg = setup
-    ids = story_ids(vocab, TEXTS[0])
-    out = model.evaluate_story(ids, aspect_ids=[0, 2], max_new_tokens=5)
-    assert 0.0 <= out.p_s <= 1.0
-    assert out.a_c.shape == (cfg.n_aspects,)
-    assert abs(out.a_c.sum() - 1.0) <= 1e-5
-    assert set(out.comments) == {0, 2}
-    assert all(isinstance(c, str) for c in out.comments.values())
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    p_s, a_c, a_r = model.infer(seqs)
+    assert p_s.shape == (len(TEXTS),)
+    assert a_c.shape == a_r.shape == (len(TEXTS), cfg.n_aspects)
+    assert np.all((p_s >= 0.0) & (p_s <= 1.0))
+    assert np.max(np.abs(a_c.sum(axis=1) - 1.0)) <= 1e-5
+    assert np.all((a_r >= 0.0) & (a_r <= 1.0))
+    # inference leaves the parameters trainable
+    assert all(p.requires_grad for p in model.params.values())
+    assert [x.shape for x in model.infer([])] == [(0,), (0, cfg.n_aspects),
+                                                 (0, cfg.n_aspects)]
+
+
+def test_batched_perplexity_matches_per_item_nll(setup):
+    model, vocab, _ = setup
+    words = [vocab.id_of(w) for w in "the rain fell on the key in the garden".split()]
+    items = []
+    for i in range(7):
+        body = words[: 1 + i % 5]
+        items.append((story_ids(vocab, TEXTS[i % 3]), i % 3,
+                      np.asarray([vocab.bos_id] + body + [vocab.eos_id])))
+    assert len({len(c) for _, _, c in items}) > 1
+    total = sum(float(model.teacher_forced_nll(s, k, c, reduce="sum").data)
+                for s, k, c in items)
+    tokens = sum(len(c) - 1 for _, _, c in items)
+    assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
