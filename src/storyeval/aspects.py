@@ -334,8 +334,9 @@ class TextClassifier:
         return v_s
 
     def predict_proba_batch(self, texts: list[str]) -> np.ndarray:
-        logits = self._encode(texts) @ self.params[self.head]
-        return ad.softmax(logits, axis=-1).data.copy()
+        with ad.no_grad():
+            logits = self._encode(texts) @ self.params[self.head]
+            return ad.softmax(logits, axis=-1).data
 
     def predict_proba(self, text: str) -> np.ndarray:
         return self.predict_proba_batch([text])[0]

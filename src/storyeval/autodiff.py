@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ContractViolation, NumericFailure
 
+NEG_INF = -1e30      # additive mask value: exp() of it underflows to exactly 0
 _nan_checks = False
 _grad_enabled = True
 
@@ -471,12 +472,154 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _node(out_data, (x, gain, bias), backward, "layer_norm")
 
 
+class WindowLayout:
+    """Chunked key layout and additive masks of sliding-window attention.
+
+    Row i may read key j when |i - j| <= window or either one lies in the
+    ``n_global`` prefix, and j < its sequence's length.  Queries are split
+    into chunks of ``window`` rows; chunk n reads the span of three chunks
+    centred on it, keys n*window - window ... n*window + 2*window - 1, from
+    zero-padded keys.  When the sequence fits in one span (T <= 3*window)
+    the layout is one chunk of all T rows over all T keys.  Every row also
+    reads the prefix keys as a second segment of the same softmax, so the
+    band masks them out; the prefix rows attend densely.  Built once per
+    batch, it is shared by every layer.
+    """
+
+    def __init__(self, lengths: np.ndarray, seq_len: int, window: int,
+                 n_global: int, dtype):
+        t = seq_len
+        self.n_global = g = max(0, min(n_global, t))
+        self.n_seg = 1 if t <= 3 * window else 3
+        self.chunk = c = t if self.n_seg == 1 else window
+        self.n_chunks = n = -(-t // c)
+        self.left = c * (self.n_seg - 1) // 2
+        starts = np.arange(n)[:, None] * c
+        i = starts + np.arange(c)                                  # (n, c) query rows
+        j = starts + np.arange(c * self.n_seg) - self.left         # (n, span) key rows
+        near = np.abs(i[:, :, None] - j[:, None, :]) <= window
+        key_ok = (j >= g) & (j[None] < lengths[:, None, None])     # (B, n, span)
+        band = near[None] & key_ok[:, :, None, :]
+        self.band = np.where(band, 0.0, NEG_INF).astype(dtype)[:, None]   # (B,1,n,c,span)
+        key_pad = np.where(np.arange(t) < lengths[:, None], 0.0, NEG_INF).astype(dtype)
+        self.prefix_keys = key_pad[:, None, None, :g]              # (B,1,1,G)
+        self.prefix_rows = key_pad[:, None, None, :]               # (B,1,1,T)
+
+
+def _spans(x: np.ndarray, chunk: int, n_chunks: int, span: int) -> np.ndarray:
+    """Read-only (B,H,n_chunks,span,dk) view of (B,H,Tp,dk): chunk n is rows n*chunk ..."""
+    b, h, _, dk = x.shape
+    s = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (b, h, n_chunks, span, dk), (s[0], s[1], chunk * s[2], s[2], s[3]),
+        writeable=False)
+
+
+def _fold(dst: np.ndarray, win: np.ndarray, chunk: int, n_seg: int) -> None:
+    """Add window grads (B,H,n,span,dk) into padded rows: one shifted add per segment."""
+    b, h, n, _, dk = win.shape
+    rows = dst.reshape(b, h, n + n_seg - 1, chunk, dk)
+    for s in range(n_seg):
+        rows[:, :, s: s + n] += win[:, :, :, s * chunk: (s + 1) * chunk]
+
+
+def _drop(p: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray | None]:
+    if rate <= 0.0:
+        return p, None
+    keep = (rng.random(p.shape) >= rate).astype(p.dtype) / (1.0 - rate)
+    return p * keep, keep
+
+
+def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
+                     rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(dk) + mask) v over ``layout``'s band, as one node.
+
+    q, k, v and the result are (B,T,H,dk).  ``rate`` > 0 applies inverted
+    dropout to the attention probabilities.  The backward reuses the
+    stored exponentials: with P = E / z, dS = P * (dP - rowsum(dO * O)).
+    """
+    b, t, h, dk = q.shape
+    c, n, ns, g, left = layout.chunk, layout.n_chunks, layout.n_seg, layout.n_global, layout.left
+    rows, dtype, scale = n * c, q.dtype, 1.0 / float(np.sqrt(dk))
+
+    def heads_first(x, pad_before, n_rows):
+        out = np.zeros((b, h, n_rows, dk), dtype)
+        out[:, :, pad_before: pad_before + t] = x.transpose(0, 2, 1, 3)
+        return out
+
+    qp = heads_first(q.data, 0, rows)
+    qp *= scale
+    kp = heads_first(k.data, left, (n + ns - 1) * c)
+    vp = heads_first(v.data, left, (n + ns - 1) * c)
+    kw, vw = (_spans(x, c, n, c * ns) for x in (kp, vp))
+    kt, vt = kp[:, :, left: left + t], vp[:, :, left: left + t]
+    kg, vg = kt[:, :, :g], vt[:, :, :g]
+    qc = qp.reshape(b, h, n, c, dk)
+    # every row: its band segment (B,H,n,c,span) and its prefix-key segment
+    # (B,H,rows,G) share one softmax, kept unnormalised as E; z is its sum
+    e_band = qc @ kw.swapaxes(-1, -2)
+    e_band += layout.band
+    e_glob = qp @ kg.swapaxes(-1, -2) + layout.prefix_keys
+    top = np.maximum(e_band.max(-1).reshape(b, h, rows, 1),
+                     e_glob.max(-1, keepdims=True, initial=NEG_INF))
+    e_band -= top.reshape(b, h, n, c, 1)
+    e_glob -= top
+    np.exp(e_band, out=e_band)
+    np.exp(e_glob, out=e_glob)
+    z = e_band.sum(-1).reshape(b, h, rows, 1) + e_glob.sum(-1, keepdims=True)
+    d_band, keep_band = _drop(e_band, rate, rng)
+    d_glob, keep_glob = _drop(e_glob, rate, rng)
+    o = (d_band @ vw).reshape(b, h, rows, dk)
+    o += d_glob @ vg
+    o /= z
+    # the prefix rows attend densely over all keys
+    s_rows = qp[:, :, :g] @ kt.swapaxes(-1, -2) + layout.prefix_rows
+    p_rows = np.exp(s_rows - s_rows.max(-1, keepdims=True))
+    p_rows /= p_rows.sum(-1, keepdims=True)
+    d_rows, keep_rows = _drop(p_rows, rate, rng)
+    o[:, :, :g] = d_rows @ vt
+
+    def backward(grad):
+        go = heads_first(grad, 0, rows)
+        dot = (go * o).sum(-1, keepdims=True)                      # rowsum(dP * P)
+        go_rows, dot_rows = go[:, :, :g].copy(), dot[:, :, :g].copy()
+        go[:, :, :g] = 0.0
+        dot[:, :, :g] = 0.0
+        go /= z                                                    # P = E / z
+        dot /= z
+        goc = go.reshape(b, h, n, c, dk)
+        dp_band = goc @ vw.swapaxes(-1, -2)
+        dp_glob = go @ vg.swapaxes(-1, -2)
+        dp_rows = go_rows @ vt.swapaxes(-1, -2)
+        for dp, keep in ((dp_band, keep_band), (dp_glob, keep_glob), (dp_rows, keep_rows)):
+            if keep is not None:
+                dp *= keep
+        ds_band = e_band * (dp_band - dot.reshape(b, h, n, c, 1))
+        ds_glob = e_glob * (dp_glob - dot)
+        ds_rows = p_rows * (dp_rows - dot_rows)
+        dq = (ds_band @ kw).reshape(b, h, rows, dk) + ds_glob @ kg
+        dq[:, :, :g] += ds_rows @ kt
+        dkp, dvp = np.zeros_like(kp), np.zeros_like(vp)
+        _fold(dkp, ds_band.swapaxes(-1, -2) @ qc, c, ns)
+        _fold(dvp, d_band.swapaxes(-1, -2) @ goc, c, ns)
+        dkt, dvt = dkp[:, :, left: left + t], dvp[:, :, left: left + t]
+        dkt[:, :, :g] += ds_glob.swapaxes(-1, -2) @ qp
+        dvt[:, :, :g] += d_glob.swapaxes(-1, -2) @ go
+        dkt += ds_rows.swapaxes(-1, -2) @ qp[:, :, :g]
+        dvt += d_rows.swapaxes(-1, -2) @ go_rows
+        for x, gx in ((q, dq[:, :, :t] * scale), (k, dkt), (v, dvt)):
+            if x.requires_grad or x._parents:
+                x._accumulate(gx.transpose(0, 2, 1, 3))
+
+    return _node(o[:, :, :t].transpose(0, 2, 1, 3).copy(), (q, k, v), backward,
+                 "window_attention")
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0."""
     if rate <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    out_data = x.data * keep
+    out_data, keep = _drop(x.data, rate, rng)
 
     def backward(g):
         x._accumulate(g * keep)

@@ -198,6 +198,14 @@ def _story(stories: dict[str, Story], story_id: str, path) -> Story:
     return stories[story_id]
 
 
+def _nonempty_records(path) -> list[dict]:
+    """``data_records`` of an evaluation file that must hold at least one record."""
+    recs = data_records(path)
+    if not recs:
+        raise DataError(f"{path}: no records")
+    return recs
+
+
 # -- prepare-pairs -----------------------------------------------------------
 
 def cmd_prepare(args) -> int:
@@ -553,7 +561,7 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["aspect_annotations"]
-            recs = data_records(path)
+            recs = _nonempty_records(path)
             ks = [int(k) for k in spec.get("recall_ks", (1, 3, 5))]
             _, a_c, _ = model.infer([tokenize(_story(stories, r["story_id"], path).text,
                                               model.vocab, model.config.max_len)
@@ -568,9 +576,12 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["comment_references"]
-            recs = data_records(path)
+            recs = _nonempty_records(path)
             refs_by_key: dict[tuple, list[str]] = {}
             for r in recs:
+                if not r["text"].split():
+                    raise DataError(f"{path}: empty reference text for story "
+                                    f"'{r['story_id']}' aspect {r['aspect']}")
                 refs_by_key.setdefault((r["story_id"], int(r["aspect"])),
                                        []).append(r["text"])
             bleus, rouges, ppl_items = [], [], []

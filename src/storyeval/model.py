@@ -1,8 +1,9 @@
 """Compact windowed-attention encoder-decoder for story evaluation.
 
-The encoder reads a [CLS]-prefixed story with sliding-window
-self-attention (the [CLS] token, and in the comment path the aspect
-prefix, attends globally).  Its position-0 state v_s feeds three linear
+The encoder reads a [CLS]-prefixed story with banded sliding-window
+self-attention, one ``autodiff.window_attention`` node per layer (the
+[CLS] token, and in the comment path the aspect prefix, attends
+globally).  Its position-0 state v_s feeds three linear
 heads: a sigmoid preference score, a softmax over K aspect confidences,
 and K sigmoid ratings.  A causal decoder with cross-attention generates
 aspect-conditioned comments.
@@ -19,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NEG_INF, Tensor, WindowLayout
 from .errors import ConfigError, ContractViolation
 from .losses import sequence_nll
 from .vocab import Vocabulary, conditioned_ids, pad_batch
-
-NEG_INF = -1e30
 
 
 @dataclass
@@ -108,18 +107,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     return params
 
 
-# -- attention masks (additive, 0 = allowed) ------------------------------
-
-def window_mask(lengths: np.ndarray, seq_len: int, window: int, n_global: int,
-                dtype) -> np.ndarray:
-    """(B,1,T,T) sliding-window mask with global prefix rows and columns."""
-    i = np.arange(seq_len)[:, None]
-    j = np.arange(seq_len)[None, :]
-    local = (np.abs(i - j) <= window) | (i < n_global) | (j < n_global)
-    base = np.where(local, 0.0, NEG_INF).astype(dtype)
-    key_pad = np.where(np.arange(seq_len)[None, :] < lengths[:, None], 0.0, NEG_INF)
-    return base[None, None, :, :] + key_pad.astype(dtype)[:, None, None, :]
-
+# -- decoder attention masks (additive, 0 = allowed) ----------------------
 
 def causal_mask(lengths: np.ndarray, seq_len: int, dtype) -> np.ndarray:
     """(B,1,T,T) lower-triangular mask with key padding."""
@@ -152,6 +140,15 @@ def _mha(params, prefix, xq: Tensor, xkv: Tensor, mask: np.ndarray,
     return ctx @ params[f"{prefix}.wo"]
 
 
+def _window_attention(params, prefix, x: Tensor, layout: WindowLayout,
+                      n_heads: int, rate: float, rng) -> Tensor:
+    b, t, d = x.shape
+    q, k, v = ((x @ params[f"{prefix}.{m}"]).reshape(b, t, n_heads, d // n_heads)
+               for m in ("wq", "wk", "wv"))
+    ctx = ad.window_attention(q, k, v, layout, rate, rng)
+    return ctx.reshape(b, t, d) @ params[f"{prefix}.wo"]
+
+
 def _ff(params, prefix, x: Tensor) -> Tensor:
     hidden = ad.relu(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
     return hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
@@ -175,12 +172,12 @@ def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
     pos = np.broadcast_to(np.arange(t), (b, t))
     x = ad.embedding(params["tok_emb"], ids) + ad.embedding(params["pos_emb"], pos)
     x = _maybe_dropout(x, rate, rng)
-    mask = window_mask(lengths, t, config.window, n_global, dtype)
+    layout = WindowLayout(lengths, t, config.window, n_global, dtype)
     for i in range(config.n_enc_layers):
         p = f"enc{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
         x = x + _maybe_dropout(
-            _mha(params, f"{p}.attn", normed, normed, mask, config.n_heads, rate, rng),
+            _window_attention(params, f"{p}.attn", normed, layout, config.n_heads, rate, rng),
             rate, rng)
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         x = x + _maybe_dropout(_ff(params, f"{p}.ff", normed), rate, rng)

@@ -1,9 +1,12 @@
-"""Shared test utilities: the finite-difference gradient oracle and the
-per-story reference that batched inference is checked against."""
+"""Shared test utilities: the finite-difference gradient oracle, the
+per-story reference that batched inference is checked against, and the
+dense masked attention that banded window attention is checked against."""
 
 import numpy as np
 
-from storyeval.model import predict_aspects, predict_preference
+from storyeval import autodiff as ad
+from storyeval.autodiff import NEG_INF
+from storyeval.model import _ff, _mha, predict_aspects, predict_preference
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -88,3 +91,43 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     b = np.asarray(numeric, dtype=np.float64)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def window_mask(lengths: np.ndarray, seq_len: int, window: int, n_global: int,
+                dtype) -> np.ndarray:
+    """(B,1,T,T) sliding-window mask with global prefix rows and columns."""
+    i = np.arange(seq_len)[:, None]
+    j = np.arange(seq_len)[None, :]
+    local = (np.abs(i - j) <= window) | (i < n_global) | (j < n_global)
+    base = np.where(local, 0.0, NEG_INF).astype(dtype)
+    key_pad = np.where(np.arange(seq_len)[None, :] < lengths[:, None], 0.0, NEG_INF)
+    return base[None, None, :, :] + key_pad.astype(dtype)[:, None, None, :]
+
+
+def dense_window_attention(q, k, v, mask: np.ndarray) -> np.ndarray:
+    """(B,T,H,dk) attention as a full T x T softmax under an additive mask."""
+    q, k, v = (np.swapaxes(x, 1, 2) for x in (q, k, v))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(q.shape[-1])) + mask
+    e = np.exp(scores - scores.max(-1, keepdims=True))
+    return np.swapaxes((e / e.sum(-1, keepdims=True)) @ v, 1, 2)
+
+
+def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray,
+                 n_global: int = 1):
+    """``model.encode`` (no dropout) with masked dense T x T self-attention.
+
+    This is the encoder that banded ``window_attention`` replaced.
+    """
+    b, t = ids.shape
+    dtype = params["tok_emb"].dtype
+    pos = np.broadcast_to(np.arange(t), (b, t))
+    x = ad.embedding(params["tok_emb"], ids) + ad.embedding(params["pos_emb"], pos)
+    mask = window_mask(lengths, t, config.window, n_global, dtype)
+    for i in range(config.n_enc_layers):
+        p = f"enc{i}"
+        normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        x = x + _mha(params, f"{p}.attn", normed, normed, mask, config.n_heads, 0.0, None)
+        normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        x = x + _ff(params, f"{p}.ff", normed)
+    states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+    return states[:, 0, :], states

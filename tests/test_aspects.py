@@ -252,7 +252,7 @@ def _aspect_fixture():
 
 
 class TestClassifiers:
-    def test_aspect_classifier_learns_separable(self):
+    def test_aspect_classifier_learns_separable(self, monkeypatch):
         records = _aspect_fixture()
         clf = train_aspect_classifier(records, n_aspects=2, epochs=40,
                                       lr=3e-3, seed=0)
@@ -262,6 +262,17 @@ class TestClassifiers:
         probs = clf.predict_proba(records[0].text)
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-5)
+        # the encoder still builds a graph for training; a prediction builds none
+        assert clf._encode(texts)._parents
+        encoded, plain = [], clf._encode
+
+        def spy(batch):
+            encoded.append(plain(batch))
+            return encoded[-1]
+
+        monkeypatch.setattr(clf, "_encode", spy)
+        clf.predict_proba_batch(texts)
+        assert encoded[0]._parents == () and not encoded[0].requires_grad
 
     def test_missing_aspect_rejected(self):
         records = [r for r in _aspect_fixture() if r.aspect == 0]

@@ -240,6 +240,23 @@ def _op_configs():
     register("concat", lambda rng: (
         {"a": leaf(rng, 2, 3), "b": leaf(rng, 4, 3)},
         lambda p: (ad.concat([p["a"], p["b"]]) ** 2.0).sum()))
+    # window 2 < length 11 (chunks of 2, T not a multiple), second row padded
+    register("window_attention", lambda rng: (
+        {n: leaf(rng, 2, 11, 2, 3) for n in "qkv"},
+        lambda p: (ad.window_attention(p["q"], p["k"], p["v"],
+                                       ad.WindowLayout(np.array([11, 7]), 11, 2, 1, np.float64))
+                   * c(np.random.default_rng(96), 2, 11, 2, 3)).sum()))
+    register("window_attention_prefix3", lambda rng: (
+        {n: leaf(rng, 2, 9, 2, 3) for n in "qkv"},
+        lambda p: (ad.window_attention(p["q"], p["k"], p["v"],
+                                       ad.WindowLayout(np.array([6, 9]), 9, 2, 3, np.float64))
+                   * c(np.random.default_rng(95), 2, 9, 2, 3)).sum()))
+    register("window_attention_dropout", lambda rng: (   # same keep mask on every call
+        {n: leaf(rng, 2, 11, 2, 3) for n in "qkv"},
+        lambda p: (ad.window_attention(p["q"], p["k"], p["v"],
+                                       ad.WindowLayout(np.array([11, 8]), 11, 2, 1, np.float64),
+                                       0.3, np.random.default_rng(5))
+                   * c(np.random.default_rng(94), 2, 11, 2, 3)).sum()))
     register("concat_axis1", lambda rng: (
         {"a": leaf(rng, 3, 2), "b": leaf(rng, 3, 5)},
         lambda p: (ad.concat([p["a"], p["b"]], axis=1) * 0.5).sum()))

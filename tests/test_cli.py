@@ -408,6 +408,27 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'recs.jsonl'}: unknown story id 'nope'" in err
 
+    @pytest.mark.parametrize("section,records,message", [
+        ("aspect_annotations", [], "no records"),
+        ("comment_references", [], "no records"),
+        ("comment_references", [{"aspect": 0, "text": " "}],
+         "empty reference text for story"),
+    ])
+    def test_empty_evaluation_input_is_data_error(self, smoke, tmp_path, capsys,
+                                                  section, records, message):
+        known = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                 if "meta" not in r][0]["id"]
+        write_jsonl(tmp_path / "recs.jsonl", [{"story_id": known, **r} for r in records])
+        write_json(tmp_path / "spec.json", {
+            "stories": str(smoke / "prep" / "stories.jsonl"),
+            section: str(tmp_path / "recs.jsonl")})
+        assert run(["evaluate", tmp_path / "spec.json",
+                    "--checkpoint", smoke / "run" / "model.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'recs.jsonl'}: {message}" in err
+        assert "Traceback" not in err
+
     def test_bad_spec_is_config_error(self, smoke, tmp_path):
         (tmp_path / "spec.json").write_text("{not json", encoding="utf-8")
         assert run(["evaluate", tmp_path / "spec.json",

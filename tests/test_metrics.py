@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from storyeval import rng as rng_mod
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation, UndefinedCorrelationError
 from storyeval.metrics import (
@@ -58,6 +59,20 @@ def kendall_oracle(x, y):
                     disc += 1
     n0 = n * (n - 1) / 2
     return float((conc - disc) / np.sqrt((n0 - tied_x) * (n0 - tied_y)))
+
+
+def loop_pvalue(x, y, statistic, n_perm, seed):
+    """One scipy call per shuffle of y: the loop the batched p-value replaced."""
+    x = np.asarray(x, dtype=np.float64)
+    shuffled = np.asarray(y, dtype=np.float64).copy()
+    observed = abs(statistic(x, shuffled))
+    rng = rng_mod.stream(seed, "correlation_pvalue")
+    hits = 0
+    for _ in range(n_perm):
+        rng.shuffle(shuffled)
+        if abs(statistic(x, shuffled)) >= observed - 1e-12:
+            hits += 1
+    return (1 + hits) / (n_perm + 1)
 
 
 class TestPairwiseAccuracy:
@@ -181,6 +196,38 @@ class TestPermutationPvalue:
     def test_small_n_rejected(self):
         with pytest.raises(ContractViolation):
             correlation_pvalue([1, 2, 3], [1, 2, 3], "spearman")
+
+    def test_batched_equals_loop_oracle(self):
+        rng = np.random.default_rng(17)
+        for trial in range(24):
+            n = int(rng.integers(5, 21))
+            while True:
+                if trial % 2:   # tied integer data
+                    x, y = rng.integers(0, 4, n), rng.integers(0, 3, n)
+                else:
+                    x, y = rng.standard_normal(n), rng.standard_normal(n) + 0.5 * np.arange(n)
+                if np.ptp(x) and np.ptp(y):
+                    break
+            for stat in (spearman, kendall):
+                assert correlation_pvalue(x, y, stat, n_perm=300, seed=trial) \
+                    == loop_pvalue(x, y, stat, 300, trial), (trial, stat.__name__)
+
+    def test_exact_reversal_counts_as_hit(self):
+        # 5 points give 120 orders: the identity and its reversal both reach
+        # |rho| = 1 exactly, so every draw of either counts, rounding or not
+        x = np.arange(5.0)
+        rng = rng_mod.stream(0, "correlation_pvalue")
+        order, extreme = np.arange(5), 0
+        for _ in range(400):
+            rng.shuffle(order)
+            extreme += bool(np.all(np.diff(order) == 1) or np.all(np.diff(order) == -1))
+        assert extreme > 0
+        assert correlation_pvalue(x, x, "spearman", n_perm=400, seed=0) == (1 + extreme) / 401
+        assert correlation_pvalue(x, x, kendall, n_perm=400, seed=0) == (1 + extreme) / 401
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ContractViolation):
+            correlation_pvalue(np.arange(6.0), np.arange(6.0), lambda a, b: 0.0)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(5)

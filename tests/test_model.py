@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from storyeval.autodiff import Tensor
+from storyeval import autodiff as ad
+from storyeval.autodiff import Tensor, WindowLayout
 from storyeval.errors import ContractViolation
 from storyeval.metrics import corpus_perplexity
 from storyeval.model import (
@@ -16,7 +17,7 @@ from storyeval.model import (
 )
 from storyeval.vocab import build_vocab, pad_batch, tokenize
 
-from helpers import reference_heads
+from helpers import dense_encode, dense_window_attention, reference_heads, window_mask
 
 TEXTS = [
     "the knight rode through the silent forest at dawn",
@@ -53,6 +54,53 @@ def test_encode_deterministic(setup):
     a = model.encode_stories(ids)[0].data
     b = model.encode_stories(ids)[0].data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-10)])
+def test_banded_encoder_equals_dense_oracle(dtype, tol):
+    # window 4, so one chunk spans 12 keys: T=10 runs as one chunk over all
+    # keys, T=23 and T=37 as chunks of 4 (neither a multiple of 4); each
+    # batch mixes lengths, so most rows carry key padding
+    cfg = ModelConfig(vocab_size=40, d_model=16, n_enc_layers=2, n_dec_layers=1,
+                      n_heads=2, window=4, max_len=40, n_aspects=3, dropout=0.0)
+    rng = np.random.default_rng(11)
+    params = init_params(cfg, rng, dtype=dtype)
+    for name, p in params.items():
+        if ".attn.w" in name:   # O(1) scores, so the softmax is far from uniform
+            p.data[:] = rng.normal(0.0, 0.4, p.shape)
+    checked = 0
+    for t in (10, 23, 37):
+        for n_global in (1, 3):
+            lengths = np.array([t, t - 6, 4, t - 1])
+            seqs = [rng.integers(7, 40, size=n) for n in lengths]
+            ids, lengths = pad_batch(seqs, 0)
+            v_s, states = encode(params, cfg, ids, lengths, n_global=n_global)
+            ref_v, ref_states = dense_encode(params, cfg, ids, lengths, n_global=n_global)
+            assert states.dtype == dtype
+            assert np.max(np.abs(states.data - ref_states.data)) <= tol
+            heads = (predict_preference(params, v_s), *predict_aspects(params, v_s))
+            ref = (predict_preference(params, ref_v), *predict_aspects(params, ref_v))
+            for got, want in zip(heads, ref):
+                assert np.max(np.abs(got.data - want.data)) <= tol
+            checked += 1
+    assert checked == 6
+
+
+def test_window_attention_equals_dense_oracle_on_random_layouts():
+    # windows from 1 up to past the length, prefixes longer than a chunk,
+    # single-token sequences and padded rows
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        b, t = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        window, n_global = int(rng.integers(1, 14)), int(rng.integers(1, 5))
+        lengths = rng.integers(1, t + 1, size=b)
+        lengths[0] = t
+        q, k, v = (rng.standard_normal((b, t, 2, 3)) for _ in range(3))
+        layout = WindowLayout(lengths, t, window, n_global, np.float64)
+        got = ad.window_attention(Tensor(q), Tensor(k), Tensor(v), layout).data
+        want = dense_window_attention(q, k, v, window_mask(lengths, t, window, n_global,
+                                                           np.float64))
+        assert np.max(np.abs(got - want)) <= 1e-10, (b, t, window, n_global, lengths)
 
 
 def test_oversize_input_rejected(setup):
