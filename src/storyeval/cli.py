@@ -48,6 +48,7 @@ from .errors import (
     EmptyTextError,
     NumericFailure,
     StoryTooShortError,
+    UndefinedCorrelationError,
 )
 from .jsonl import dumps, read_jsonl, write_json, write_jsonl
 from .metrics import (
@@ -182,9 +183,9 @@ def _load_stories(path) -> dict[str, Story]:
     return {s.id: s for s in stories}
 
 
-def _load_pairs(path) -> list[RankedPair]:
+def _load_pairs(path, read=data_records) -> list[RankedPair]:
     return [RankedPair(prompt_id=r["prompt_id"], high_id=r["high_id"],
-                       low_id=r["low_id"]) for r in data_records(path)]
+                       low_id=r["low_id"]) for r in read(path)]
 
 
 def _load_comment_records(path) -> list[CommentRecord]:
@@ -535,7 +536,7 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["pairs"]
-            pairs = _load_pairs(path)
+            pairs = _load_pairs(path, _nonempty_records)
             hi = score_texts(model, [_story(stories, p.high_id, path).text for p in pairs])
             lo = score_texts(model, [_story(stories, p.low_id, path).text for p in pairs])
             report.acc = pairwise_accuracy(zip(hi, lo))
@@ -544,16 +545,23 @@ def cmd_evaluate(args) -> int:
         skipped.append("ranking (needs 'pairs')")
 
     if spec.get("judgments"):
-        recs = data_records(spec["judgments"])
+        path = spec["judgments"]
+        recs = data_records(path)
+        if len(recs) < 5:
+            raise DataError(f"{path}: {len(recs)} judged records; the permutation "
+                            f"test needs at least 5")
         human = np.asarray([float(r["human"]) for r in recs])
         pred = score_texts(model, [r["text"] for r in recs])
-        report.rho = spearman(pred, human)
-        report.tau = kendall(pred, human)
         n_perm = int(spec.get("n_permutations", 2000))
-        report.rho_p = correlation_pvalue(pred, human, statistic="spearman",
-                                          n_perm=n_perm, seed=args.seed)
-        report.tau_p = correlation_pvalue(pred, human, statistic="kendall",
-                                          n_perm=n_perm, seed=args.seed)
+        try:
+            report.rho = spearman(pred, human)
+            report.tau = kendall(pred, human)
+            report.rho_p = correlation_pvalue(pred, human, statistic="spearman",
+                                              n_perm=n_perm, seed=args.seed)
+            report.tau_p = correlation_pvalue(pred, human, statistic="kendall",
+                                              n_perm=n_perm, seed=args.seed)
+        except UndefinedCorrelationError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     if spec.get("aspect_annotations"):
         if not spec.get("stories"):

@@ -8,6 +8,8 @@ on.
 import json
 from pathlib import Path
 
+from .errors import DataError
+
 
 def dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
@@ -21,13 +23,22 @@ def write_jsonl(path, records) -> None:
 
 
 def read_jsonl(path) -> list[dict]:
-    """Strict reader: raises on the first malformed line."""
+    """Strict reader: a line that is not a JSON object is a ``DataError``
+    naming the path and the 1-based line number."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{number}: not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{number}: expected a JSON object, "
+                                f"got {type(record).__name__}")
+            out.append(record)
     return out
 
 

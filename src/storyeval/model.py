@@ -317,17 +317,14 @@ class Model:
 
     def generate_comment(self, story_ids: np.ndarray, aspect_k: int,
                          max_new_tokens: int = 40, beam: int = 1) -> np.ndarray:
-        """Greedy (or beam-search) comment token ids, <bos>/<eos> stripped."""
+        """Beam-search comment token ids, <bos>/<eos> stripped; width 1 is greedy."""
         if not 0 <= aspect_k < self.config.n_aspects:
             raise ContractViolation(f"aspect id {aspect_k} outside [0, {self.config.n_aspects})")
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
         with ad.no_grad():
             states, enc_lengths = self.comment_encoder_states([story_ids], [aspect_k])
-            if beam == 1:
-                out = self._greedy(states, enc_lengths, max_new_tokens)
-            else:
-                out = self._beam(states, enc_lengths, max_new_tokens, beam)
+            out = self._beam(states, enc_lengths, max_new_tokens, beam)
         return np.asarray(out, dtype=np.int64)
 
     def _step_logits(self, prefix: list[int], states: Tensor,
@@ -338,20 +335,11 @@ class Model:
                                 states, enc_lengths)
         return logits.data[0, -1]
 
-    def _greedy(self, states, enc_lengths, max_new_tokens: int) -> list[int]:
-        seq = [self.vocab.bos_id]
-        out: list[int] = []
-        for _ in range(max_new_tokens):
-            nxt = int(np.argmax(self._step_logits(seq, states, enc_lengths)))
-            if nxt == self.vocab.eos_id:
-                break
-            out.append(nxt)
-            seq.append(nxt)
-        return out
-
     def _beam(self, states, enc_lengths, max_new_tokens: int, width: int) -> list[int]:
-        # hypotheses: (score, ids, finished); ties resolve to the earliest
-        # expansion so width 1 reproduces greedy exactly
+        # hypotheses: (score, ids, finished).  Tokens are ranked by logits,
+        # not by float32 log-probabilities that can round distinct logits
+        # into ties; ties resolve to the earliest expansion, so width 1 is
+        # exactly argmax
         beams = [(0.0, [self.vocab.bos_id], False)]
         for _ in range(max_new_tokens):
             if all(done for _, _, done in beams):
@@ -363,7 +351,7 @@ class Model:
                     continue
                 logits = self._step_logits(seq, states, enc_lengths)
                 logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
-                order = np.argsort(-logp, kind="stable")[:width]
+                order = np.argsort(-logits, kind="stable")[:width]
                 for tok in order:
                     tok = int(tok)
                     candidates.append((score + float(logp[tok]), seq + [tok],

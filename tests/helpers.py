@@ -1,10 +1,14 @@
-"""Shared test utilities: the finite-difference gradient oracle, the
-per-story reference that batched inference is checked against, and the
-dense masked attention that banded window attention is checked against."""
+"""Shared test utilities: the finite-difference gradient oracle, and the
+simple versions that faster code is checked against: per-story scoring
+for batched inference, dense masked attention for banded window
+attention, the numpy-array Gibbs sampler and pair-scan UMass coherence
+for the list-based LDA, and the greedy loop for width-1 beam search."""
 
 import numpy as np
 
 from storyeval import autodiff as ad
+from storyeval import rng as rng_mod
+from storyeval.aspects import LdaModel
 from storyeval.autodiff import NEG_INF
 from storyeval.model import _ff, _mha, predict_aspects, predict_preference
 
@@ -131,3 +135,101 @@ def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray,
         x = x + _ff(params, f"{p}.ff", normed)
     states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
     return states[:, 0, :], states
+
+
+def _reference_gibbs_sweep(word_ids, doc_ids, z, n_tw, n_t, n_dt, alpha, beta,
+                           uniforms, cum):
+    n_topics, vsize = n_tw.shape
+    for i in range(word_ids.shape[0]):
+        w = word_ids[i]
+        d = doc_ids[i]
+        t = z[i]
+        n_tw[t, w] -= 1
+        n_t[t] -= 1
+        n_dt[d, t] -= 1
+        total = 0.0
+        for k in range(n_topics):
+            p = (n_dt[d, k] + alpha) * (n_tw[k, w] + beta) / (n_t[k] + beta * vsize)
+            total += p
+            cum[k] = total
+        u = uniforms[i] * total
+        k = 0
+        while cum[k] < u:
+            k += 1
+        z[i] = k
+        n_tw[k, w] += 1
+        n_t[k] += 1
+        n_dt[d, k] += 1
+
+
+def reference_lda_fit(docs, vocab, n_topics: int, alpha: float | None = None,
+                      beta: float = 0.01, iterations: int = 500,
+                      seed: int = 0) -> LdaModel:
+    """``aspects.lda_fit`` with the Gibbs sweep over numpy arrays.
+
+    This is the kernel the list-based sweep replaced; both must walk the
+    same chain from the same stream.
+    """
+    if alpha is None:
+        alpha = 50.0 / n_topics
+    word_ids = np.concatenate(docs)
+    doc_ids = np.concatenate([np.full(len(d), i, dtype=np.int64)
+                              for i, d in enumerate(docs)])
+    total = len(word_ids)
+    rng = rng_mod.stream(seed, f"lda:T={n_topics}")
+    z = rng.integers(0, n_topics, size=total).astype(np.int64)
+    n_tw = np.zeros((n_topics, len(vocab)), dtype=np.float64)
+    n_t = np.zeros(n_topics, dtype=np.float64)
+    n_dt = np.zeros((len(docs), n_topics), dtype=np.float64)
+    np.add.at(n_tw, (z, word_ids), 1.0)
+    np.add.at(n_t, z, 1.0)
+    np.add.at(n_dt, (doc_ids, z), 1.0)
+    cum = np.zeros(n_topics, dtype=np.float64)
+    for _ in range(iterations):
+        _reference_gibbs_sweep(word_ids, doc_ids, z, n_tw, n_t, n_dt, float(alpha),
+                               float(beta), rng.random(total), cum)
+    return LdaModel(topic_word=n_tw, doc_topic=n_dt, alpha=alpha, beta=beta,
+                    n_topics=n_topics, vocab=list(vocab))
+
+
+def reference_umass_coherence(model: LdaModel, docs, top_n: int = 10) -> float:
+    """UMass coherence by scanning every document for every top-word pair."""
+    doc_sets = [set(d.tolist()) for d in docs]
+    doc_freq: dict[int, int] = {}
+    for s in doc_sets:
+        for w in s:
+            doc_freq[w] = doc_freq.get(w, 0) + 1
+    dist = model.topic_word_dist()
+    scores = []
+    for t in range(model.n_topics):
+        top = np.argsort(-dist[t], kind="stable")[:top_n].tolist()
+        score = 0.0
+        for i in range(1, len(top)):
+            for j in range(i):
+                wi, wj = top[i], top[j]
+                co = sum(1 for s in doc_sets if wi in s and wj in s)
+                denom = doc_freq.get(wj, 0)
+                if denom == 0:
+                    continue
+                score += np.log((co + 1.0) / denom)
+        scores.append(score)
+    return float(np.mean(scores))
+
+
+def greedy_comment(model, story_ids, aspect_k: int, max_new_tokens: int = 40) -> np.ndarray:
+    """Comment ids by argmax decoding, one token at a time.
+
+    This is the greedy loop that width-1 beam search replaced.
+    """
+    vocab = model.vocab
+    with ad.no_grad():
+        states, enc_lengths = model.comment_encoder_states([story_ids], [aspect_k])
+        seq = [vocab.bos_id]
+        out: list[int] = []
+        for _ in range(max_new_tokens):
+            nxt = int(np.argmax(model._step_logits(seq, states, enc_lengths)))
+            if nxt == vocab.eos_id:
+                break
+            out.append(nxt)
+            seq.append(nxt)
+    return np.asarray(out, dtype=np.int64)

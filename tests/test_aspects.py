@@ -20,6 +20,8 @@ from storyeval.aspects import (
 )
 from storyeval.errors import ContractViolation, DataError
 
+from helpers import reference_lda_fit, reference_umass_coherence
+
 
 class TestTaxonomy:
     def test_default_has_ten_aspects(self):
@@ -188,6 +190,52 @@ class TestLda:
                                    atol=1e-12)
 
 
+class _TiedUniforms:
+    """A stream whose every uniform is 0.5: a lone token in a 2-topic
+    model then sees two equal weights, and u lands exactly on cum[0]."""
+
+    def __init__(self, gen):
+        self.gen = gen
+
+    def integers(self, *args, **kwargs):
+        return self.gen.integers(*args, **kwargs)
+
+    def random(self, n):
+        return np.full(n, 0.5)
+
+
+def _oracle_corpus(kind):
+    if kind == "ties":
+        return [np.array([0])], ["a", "b"]
+    texts, _ = _planted_corpus(n_topics=3, docs_per=6, doc_len=10)
+    docs, vocab = prepare_comment_docs(texts)
+    if kind == "one_token_doc":
+        docs = docs + [np.array([len(vocab) - 1])]
+    elif kind == "unused_words":
+        vocab = vocab + ["zzunused", "zzunusedtoo"]
+    return docs, vocab
+
+
+class TestLdaOracle:
+    """The list-based sweep walks the chain of the array kernel it replaced."""
+
+    @pytest.mark.parametrize("kind,n_topics,seed", [
+        ("planted", 1, 0), ("planted", 3, 0), ("planted", 3, 4),
+        ("planted", 15, 0), ("planted", 15, 4), ("one_token_doc", 3, 1),
+        ("unused_words", 3, 2), ("ties", 2, 0),
+    ])
+    def test_chain_equals_array_kernel(self, monkeypatch, kind, n_topics, seed):
+        if kind == "ties":
+            stream = rng_mod.stream
+            monkeypatch.setattr(rng_mod, "stream",
+                                lambda *a: _TiedUniforms(stream(*a)))
+        docs, vocab = _oracle_corpus(kind)
+        got = lda_fit(docs, vocab, n_topics, iterations=12, seed=seed)
+        want = reference_lda_fit(docs, vocab, n_topics, iterations=12, seed=seed)
+        assert np.array_equal(got.topic_word, want.topic_word)
+        assert np.array_equal(got.doc_topic, want.doc_topic)
+
+
 class TestUmass:
     def test_hand_computed_pair_score(self):
         # docs as id-arrays over vocab [a, b, c]; topic top-2 = [a, b]
@@ -210,6 +258,27 @@ class TestUmass:
                               n_topics=1, vocab=list("abcd"))
         assert umass_coherence(coherent, docs, top_n=2) > \
             umass_coherence(incoherent, docs, top_n=2)
+
+    def test_incidence_matches_pair_scan(self):
+        # the top word of the hand-built topic is in no document
+        cases = [(LdaModel(topic_word=np.array([[9.0, 4.0, 2.0, 0.0]]),
+                           doc_topic=np.zeros((3, 1)), alpha=1.0, beta=0.01,
+                           n_topics=1, vocab=list("abcd")),
+                  [np.array([1, 2]), np.array([2, 2, 3]), np.array([1])], 3)]
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n_words, n_docs, n_topics = (int(rng.integers(lo, hi))
+                                         for lo, hi in ((3, 30), (1, 25), (1, 6)))
+            docs = [rng.integers(0, n_words, size=int(rng.integers(1, 12)))
+                    for _ in range(n_docs)]
+            model = LdaModel(topic_word=rng.integers(0, 6, size=(n_topics, n_words)) * 1.0,
+                             doc_topic=np.zeros((n_docs, n_topics)), alpha=1.0,
+                             beta=0.01, n_topics=n_topics,
+                             vocab=[f"w{i}" for i in range(n_words)])
+            cases.append((model, docs, int(rng.integers(2, 12))))
+        for model, docs, top_n in cases:
+            want = reference_umass_coherence(model, docs, top_n=top_n)
+            assert abs(umass_coherence(model, docs, top_n=top_n) - want) <= 1e-12
 
     def test_select_prefers_planted_count(self):
         texts, _ = _planted_corpus(n_topics=3, docs_per=30, doc_len=15,

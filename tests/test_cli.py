@@ -413,6 +413,11 @@ class TestEvaluate:
         ("comment_references", [], "no records"),
         ("comment_references", [{"aspect": 0, "text": " "}],
          "empty reference text for story"),
+        ("pairs", [], "no records"),
+        ("judgments", [{"text": f"story number {i}", "human": float(i)}
+                       for i in range(4)], "4 judged records"),
+        ("judgments", [{"text": f"story number {i}", "human": 1.0}
+                       for i in range(5)], "zero variance input"),
     ])
     def test_empty_evaluation_input_is_data_error(self, smoke, tmp_path, capsys,
                                                   section, records, message):
@@ -434,3 +439,30 @@ class TestEvaluate:
         assert run(["evaluate", tmp_path / "spec.json",
                     "--checkpoint", smoke / "run" / "model.ckpt",
                     "--vocab", smoke / "run" / "vocab.txt"]) == cli.EXIT_CONFIG
+
+
+class TestMalformedJsonl:
+    @pytest.mark.parametrize("line", ['{"id": "a"', "[1, 2]", "5"],
+                             ids=["bad_json", "array", "number"])
+    @pytest.mark.parametrize("command", ["prepare-pairs", "make-negatives",
+                                         "evaluate"])
+    def test_exits_with_data_error_naming_the_line(self, smoke, tmp_path, capsys,
+                                                   command, line):
+        bad = tmp_path / "bad.jsonl"
+        if command == "evaluate":
+            first = json.dumps({"prompt_id": "p", "high_id": "a", "low_id": "b"})
+            write_json(tmp_path / "spec.json", {
+                "stories": str(smoke / "prep" / "stories.jsonl"), "pairs": str(bad)})
+            argv = ["evaluate", tmp_path / "spec.json",
+                    "--checkpoint", smoke / "run" / "model.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt"]
+        else:
+            first = FIXTURE.read_text(encoding="utf-8").splitlines()[0]
+            out = ["--out-dir", tmp_path / "out"] if command == "prepare-pairs" \
+                else ["--out", tmp_path / "neg.jsonl"]
+            argv = [command, bad, *out]
+        bad.write_text(f"{first}\n{line}\n", encoding="utf-8")
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err
+        assert "Traceback" not in err

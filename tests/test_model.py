@@ -17,7 +17,13 @@ from storyeval.model import (
 )
 from storyeval.vocab import build_vocab, pad_batch, tokenize
 
-from helpers import dense_encode, dense_window_attention, reference_heads, window_mask
+from helpers import (
+    dense_encode,
+    dense_window_attention,
+    greedy_comment,
+    reference_heads,
+    window_mask,
+)
 
 TEXTS = [
     "the knight rode through the silent forest at dawn",
@@ -244,13 +250,27 @@ def test_greedy_generation_deterministic(setup):
 
 
 def test_beam_width_one_equals_greedy(setup):
-    model, vocab, _ = setup
-    ids = story_ids(vocab, TEXTS[0])
-    greedy = model.generate_comment(ids, 0, max_new_tokens=8, beam=1)
-    beam = model.generate_comment(ids, 0, max_new_tokens=8, beam=2)
-    width1 = model.generate_comment(ids, 0, max_new_tokens=8, beam=1)
-    assert np.array_equal(greedy, width1)
-    assert beam.dtype == greedy.dtype
+    model, vocab, cfg = setup
+    # every decoder state becomes the all-ones vector and only <eos> reads
+    # it, so decoding stops before the first word
+    eos_first = Model(cfg, vocab, rng=np.random.default_rng(5), dtype=np.float64)
+    eos_first.params["dec_ln.g"].data[:] = 0.0
+    eos_first.params["dec_ln.b"].data[:] = 1.0
+    eos_first.params["w_out"].data[:] = 0.0
+    eos_first.params["w_out"].data[:, vocab.eos_id] = 1.0
+    cases = [(model, TEXTS[0], 0), (model, TEXTS[1], 2), (model, TEXTS[2], 1),
+             (eos_first, TEXTS[0], 1)]
+    lengths = []
+    for m, text, k in cases:
+        ids = story_ids(vocab, text)
+        want = greedy_comment(m, ids, k, max_new_tokens=8)
+        got = m.generate_comment(ids, k, max_new_tokens=8, beam=1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        lengths.append(len(got))
+    assert lengths[-1] == 0 and max(lengths) > 0
+    beam = model.generate_comment(story_ids(vocab, TEXTS[0]), 0, max_new_tokens=8, beam=2)
+    assert beam.dtype == np.int64
 
 
 def test_invalid_aspect_rejected(setup):
