@@ -40,7 +40,7 @@ def main():
     # each topic's top two words rather than the default ten
     candidates = (5, 10, 15)
     best = select_num_topics(docs, vocab, candidates, seed=0, iterations=150,
-                             top_n=2)
+                             top_n=2).n_topics
     print(f"coherence picks {best} topics from {candidates} "
           f"(the corpus plants {len(ASPECT_BANKS)})")
 

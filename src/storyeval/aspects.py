@@ -263,24 +263,26 @@ def umass_coherence(model: LdaModel, docs: list[np.ndarray], top_n: int = 10) ->
 
 def select_num_topics(docs: list[np.ndarray], vocab: list[str], candidates,
                       seed: int = 0, iterations: int = 200,
-                      top_n: int = 10) -> int:
-    """Pick the candidate topic count with the best mean UMass coherence.
+                      top_n: int = 10) -> LdaModel:
+    """The fitted model of the candidate topic count with the best mean
+    UMass coherence.
 
-    Ties break toward the smaller count; a single candidate is returned
-    as-is without fitting.
+    Ties break toward the smaller count; a single candidate is fitted
+    without scoring.  Each fit is ``lda_fit`` with ``seed`` and
+    ``iterations``, so the winner needs no refit.
     """
     cands = sorted(set(int(c) for c in candidates))
     if not cands:
         raise ContractViolation("no candidate topic counts")
     if len(cands) == 1:
-        return cands[0]
-    best_t, best_score = None, -np.inf
+        return lda_fit(docs, vocab, cands[0], iterations=iterations, seed=seed)
+    best, best_score = None, -np.inf
     for t in cands:
         model = lda_fit(docs, vocab, t, iterations=iterations, seed=seed)
         score = umass_coherence(model, docs, top_n=top_n)
         if score > best_score:
-            best_t, best_score = t, score
-    return best_t
+            best, best_score = model, score
+    return best
 
 
 # -- encoder classifiers ----------------------------------------------------

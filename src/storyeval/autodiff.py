@@ -615,6 +615,54 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
                  "window_attention")
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = None,
+              causal: bool = False, rate: float = 0.0,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(dk) + mask) v over all keys, as one node.
+
+    q and the result are (B,Tq,H,dk), k and v (B,Tk,H,dk).  Key j of
+    batch row b is hidden when j >= ``key_lengths[b]``; with ``causal``,
+    query row i reads key j only when j <= i + Tk - Tq, so Tq = Tk is
+    causal self-attention and a single query row reads every key.  The
+    matmuls read k and v through (B,H,dk,Tk) and (B,H,Tk,dk) views, so
+    keys kept in that layout (a decoder cache) are never copied.
+    ``rate`` > 0 applies inverted dropout to the probabilities; the
+    backward uses dS = P * (dP - rowsum(dO * O)).
+    """
+    b, tq, h, dk = q.shape
+    tk = k.shape[1]
+    scale = 1.0 / float(np.sqrt(dk))
+    qh = q.data.transpose(0, 2, 1, 3) * scale                      # (B,H,Tq,dk)
+    kt, vh = k.data.transpose(0, 2, 3, 1), v.data.transpose(0, 2, 1, 3)
+    s = qh @ kt                                                    # (B,H,Tq,Tk)
+    hidden = np.zeros((1, tk), dtype=bool)
+    if key_lengths is not None:
+        hidden = np.arange(tk) >= np.asarray(key_lengths)[:, None]
+    hidden = hidden[:, None, None, :]
+    if causal:
+        hidden = hidden | (np.arange(tk) > np.arange(tq)[:, None] + (tk - tq))
+    s += np.where(hidden, NEG_INF, 0.0).astype(s.dtype)
+    s -= s.max(-1, keepdims=True)
+    p = np.exp(s, out=s)
+    p /= p.sum(-1, keepdims=True)
+    d, keep = _drop(p, rate, rng)
+    o = d @ vh                                                     # (B,H,Tq,dk)
+
+    def backward(grad):
+        go = grad.transpose(0, 2, 1, 3)
+        dp = go @ vh.swapaxes(-1, -2)
+        if keep is not None:
+            dp *= keep
+        ds = p * (dp - (go * o).sum(-1, keepdims=True))
+        for x, gx in ((q, (ds @ kt.swapaxes(-1, -2)) * scale),
+                      (k, ds.swapaxes(-1, -2) @ qh), (v, d.swapaxes(-1, -2) @ go)):
+            if x.requires_grad or x._parents:
+                x._accumulate(gx.transpose(0, 2, 1, 3))
+
+    return _node(np.ascontiguousarray(o.transpose(0, 2, 1, 3)), (q, k, v), backward,
+                 "attention")
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate is 0."""
     if rate <= 0.0:

@@ -64,7 +64,7 @@ from .metrics import (
     score_distance,
     spearman,
 )
-from .model import Model, ModelConfig
+from .model import INFER_BATCH, Model, ModelConfig
 from .training import TrainConfig, TrainData, Trainer, score_texts
 from .vocab import Vocabulary, build_vocab, tokenize
 
@@ -123,12 +123,13 @@ def write_artifact_jsonl(path, records, settings: dict, seed: int,
     write_jsonl(path, [{"meta": meta}] + list(records))
 
 
-def data_records(path) -> list[dict]:
-    """JSONL records with any leading meta entries stripped."""
+def data_records(path, required: tuple[str, ...] = ()) -> list[dict]:
+    """JSONL records with any leading meta entries stripped; a record
+    without one of the ``required`` fields is a data error."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file missing: {path}")
-    return [r for r in read_jsonl(path) if "meta" not in r]
+    return [r for r in read_jsonl(path, required) if "meta" not in r]
 
 
 def _deep_update(dst: dict, src: dict) -> dict:
@@ -185,11 +186,12 @@ def _load_stories(path) -> dict[str, Story]:
 
 def _load_pairs(path, read=data_records) -> list[RankedPair]:
     return [RankedPair(prompt_id=r["prompt_id"], high_id=r["high_id"],
-                       low_id=r["low_id"]) for r in read(path)]
+                       low_id=r["low_id"])
+            for r in read(path, ("prompt_id", "high_id", "low_id"))]
 
 
 def _load_comment_records(path) -> list[CommentRecord]:
-    return [CommentRecord.from_record(r) for r in data_records(path)]
+    return [CommentRecord.from_record(r) for r in data_records(path, ("story_id", "text"))]
 
 
 def _story(stories: dict[str, Story], story_id: str, path) -> Story:
@@ -199,9 +201,9 @@ def _story(stories: dict[str, Story], story_id: str, path) -> Story:
     return stories[story_id]
 
 
-def _nonempty_records(path) -> list[dict]:
+def _nonempty_records(path, required: tuple[str, ...] = ()) -> list[dict]:
     """``data_records`` of an evaluation file that must hold at least one record."""
-    recs = data_records(path)
+    recs = data_records(path, required)
     if not recs:
         raise DataError(f"{path}: no records")
     return recs
@@ -279,7 +281,7 @@ def cmd_make_negatives(args) -> int:
 # -- extract-aspects ---------------------------------------------------------
 
 def cmd_extract_aspects(args) -> int:
-    texts = [r["text"] for r in data_records(args.input)]
+    texts = [r["text"] for r in data_records(args.input, ("text",))]
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
         raise DataError("no usable comments after tokenization")
@@ -287,13 +289,13 @@ def cmd_extract_aspects(args) -> int:
                 "candidates": args.candidates, "iterations": args.iterations,
                 "min_count": args.min_count, "seed": args.seed}
     if args.topics:
-        n_topics = args.topics
+        model = lda_fit(docs, words, args.topics, iterations=args.iterations,
+                        seed=args.seed)
     else:
         candidates = [int(c) for c in args.candidates.split(",")]
-        n_topics = select_num_topics(docs, words, candidates, seed=args.seed,
-                                     iterations=args.iterations)
-    model = lda_fit(docs, words, n_topics, iterations=args.iterations,
-                    seed=args.seed)
+        model = select_num_topics(docs, words, candidates, seed=args.seed,
+                                  iterations=args.iterations)
+    n_topics = model.n_topics
     top = model.top_words(args.top_words)
     coherence = umass_coherence(model, docs, top_n=args.top_words)
     out = Path(args.out_dir)
@@ -316,7 +318,7 @@ def cmd_extract_aspects(args) -> int:
 
 def cmd_augment(args) -> int:
     crowd = _load_comment_records(args.crowd)
-    raw = data_records(args.raw)
+    raw = data_records(args.raw, ("text",))
     n_aspects = args.n_aspects
     if args.taxonomy:
         n_aspects = len(AspectTaxonomy.load(args.taxonomy))
@@ -378,7 +380,7 @@ def cmd_train(args) -> int:
             raise DataError(f"comment aspect ids outside taxonomy: {bad}")
     negatives: dict[str, list[str]] = {}
     if data_cfg.get("negatives"):
-        for r in data_records(data_cfg["negatives"]):
+        for r in data_records(data_cfg["negatives"], ("source_story_id", "text")):
             negatives.setdefault(r["source_story_id"], []).append(r["text"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -428,6 +430,16 @@ def _load_model(checkpoint_path, vocab_path) -> Model:
     return Model(ck.config, vocab, params=ck.params)
 
 
+def _generate(model: Model, pairs, max_new_tokens: int, beam: int = 1) -> list[np.ndarray]:
+    """``Model.generate_comments`` of (story ids, aspect) pairs, one
+    inference batch of pairs at a time."""
+    out = []
+    for start in range(0, len(pairs), INFER_BATCH):
+        seqs, ks = zip(*pairs[start: start + INFER_BATCH])
+        out += model.generate_comments(list(seqs), list(ks), max_new_tokens, beam)
+    return out
+
+
 def cmd_score(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
     settings = {"command": "score", "checkpoint": str(args.checkpoint),
@@ -445,20 +457,21 @@ def cmd_score(args) -> int:
             out["error"] = f"{type(exc).__name__}: {exc}"
         outputs.append(out)
     scored = [out for out in outputs if "error" not in out]
-    for out, ids, p_s, a_c, a_r in zip(scored, seqs, *model.infer(seqs)):
-        top = np.argsort(-a_c, kind="stable")[: args.top_aspects]
-        comments = {}
-        try:
-            for k in top.tolist():
-                toks = model.generate_comment(ids, k,
-                                              max_new_tokens=args.max_new_tokens,
-                                              beam=args.beam)
-                comments[str(k)] = model.vocab.decode(toks)
-        except record_errors as exc:
+    p_s, a_c, a_r = model.infer(seqs)
+    jobs = [(i, k) for i, conf in enumerate(a_c)
+            for k in np.argsort(-conf, kind="stable")[: args.top_aspects].tolist()]
+    try:
+        toks = _generate(model, [(seqs[i], k) for i, k in jobs], args.max_new_tokens,
+                         args.beam)
+    except record_errors as exc:
+        for out in scored:
             out["error"] = f"{type(exc).__name__}: {exc}"
-            continue
-        out.update(p_s=float(p_s), a_c=[float(x) for x in a_c],
-                   a_r=[float(x) for x in a_r], comments=comments)
+    else:
+        for i, out in enumerate(scored):
+            out.update(p_s=float(p_s[i]), a_c=[float(x) for x in a_c[i]],
+                       a_r=[float(x) for x in a_r[i]], comments={})
+        for (i, k), ids in zip(jobs, toks):
+            scored[i]["comments"][str(k)] = model.vocab.decode(ids)
     failures = sum("error" in out for out in outputs)
     write_artifact_jsonl(args.out, outputs, settings, args.seed,
                          extra_meta={"failures": failures})
@@ -470,7 +483,7 @@ def cmd_score(args) -> int:
 
 def _prompt_texts(path) -> dict[str, str]:
     table = {}
-    for r in data_records(path):
+    for r in data_records(path, ("prompt_id", "text")):
         pid = r["prompt_id"]
         if pid in table:
             raise DataError(f"{path}: duplicate prompt_id '{pid}'")
@@ -546,7 +559,7 @@ def cmd_evaluate(args) -> int:
 
     if spec.get("judgments"):
         path = spec["judgments"]
-        recs = data_records(path)
+        recs = data_records(path, ("text", "human"))
         if len(recs) < 5:
             raise DataError(f"{path}: {len(recs)} judged records; the permutation "
                             f"test needs at least 5")
@@ -569,7 +582,7 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["aspect_annotations"]
-            recs = _nonempty_records(path)
+            recs = _nonempty_records(path, ("story_id", "aspects"))
             ks = [int(k) for k in spec.get("recall_ks", (1, 3, 5))]
             _, a_c, _ = model.infer([tokenize(_story(stories, r["story_id"], path).text,
                                               model.vocab, model.config.max_len)
@@ -584,7 +597,7 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["comment_references"]
-            recs = _nonempty_records(path)
+            recs = _nonempty_records(path, ("story_id", "aspect", "text"))
             refs_by_key: dict[tuple, list[str]] = {}
             for r in recs:
                 if not r["text"].split():
@@ -592,12 +605,14 @@ def cmd_evaluate(args) -> int:
                                     f"'{r['story_id']}' aspect {r['aspect']}")
                 refs_by_key.setdefault((r["story_id"], int(r["aspect"])),
                                        []).append(r["text"])
+            keys = sorted(refs_by_key)
+            story_ids = {sid: tokenize(_story(stories, sid, path).text, model.vocab,
+                                       model.config.max_len) for sid, _ in keys}
+            hyps = _generate(model, [(story_ids[sid], k) for sid, k in keys],
+                             args.max_new_tokens)
             bleus, rouges, ppl_items = [], [], []
-            for (sid, k), refs in sorted(refs_by_key.items()):
-                ids = tokenize(_story(stories, sid, path).text, model.vocab,
-                               model.config.max_len)
-                toks = model.generate_comment(ids, k,
-                                              max_new_tokens=args.max_new_tokens)
+            for (sid, k), toks in zip(keys, hyps):
+                refs = refs_by_key[(sid, k)]
                 hyp = model.vocab.decode(toks).split()
                 ref_tokens = [t.split() for t in refs]
                 # an empty generation (<eos> first) matches nothing: 0, not an error
@@ -607,7 +622,7 @@ def cmd_evaluate(args) -> int:
                     body = [model.vocab.id_of(w) for w in t.split()]
                     comment_ids = np.asarray(
                         [model.vocab.bos_id] + body + [model.vocab.eos_id])
-                    ppl_items.append((ids, k, comment_ids))
+                    ppl_items.append((story_ids[sid], k, comment_ids))
             report.bleu = float(np.mean(bleus))
             report.rouge_l = float(np.mean(rouges))
             report.ppl = corpus_perplexity(model, ppl_items)

@@ -22,9 +22,11 @@ def write_jsonl(path, records) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    """Strict reader: a line that is not a JSON object is a ``DataError``
-    naming the path and the 1-based line number."""
+def read_jsonl(path, required: tuple[str, ...] = ()) -> list[dict]:
+    """Strict reader: a line that is not a JSON object, or an object
+    without one of the ``required`` fields, is a ``DataError`` naming the
+    path and the 1-based line number.  An artifact's ``{"meta": ...}``
+    record needs no fields."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -38,6 +40,9 @@ def read_jsonl(path) -> list[dict]:
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{number}: expected a JSON object, "
                                 f"got {type(record).__name__}")
+            missing = [f for f in required if f not in record]
+            if missing and "meta" not in record:
+                raise DataError(f"{path}:{number}: missing field '{missing[0]}'")
             out.append(record)
     return out
 

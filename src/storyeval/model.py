@@ -5,12 +5,12 @@ self-attention, one ``autodiff.window_attention`` node per layer (the
 [CLS] token, and in the comment path the aspect prefix, attends
 globally).  Its position-0 state v_s feeds three linear
 heads: a sigmoid preference score, a softmax over K aspect confidences,
-and K sigmoid ratings.  A causal decoder with cross-attention generates
-aspect-conditioned comments.
+and K sigmoid ratings.  A causal decoder with cross-attention (each an
+``autodiff.attention`` node) generates aspect-conditioned comments.
 
 ``Model.infer`` (run under ``autodiff.no_grad``) is the one batched
 inference path for the heads, ``Model.comment_nll`` the one batched
-teacher-forced comment loss.
+teacher-forced comment loss, ``Model.generate_comments`` the one search.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -20,10 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NEG_INF, Tensor, WindowLayout
+from .autodiff import Tensor, WindowLayout
 from .errors import ConfigError, ContractViolation
 from .losses import sequence_nll
 from .vocab import Vocabulary, conditioned_ids, pad_batch
+
+INFER_BATCH = 64    # stories (or story x aspect comments) per batched inference call
 
 
 @dataclass
@@ -107,55 +109,31 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     return params
 
 
-# -- decoder attention masks (additive, 0 = allowed) ----------------------
-
-def causal_mask(lengths: np.ndarray, seq_len: int, dtype) -> np.ndarray:
-    """(B,1,T,T) lower-triangular mask with key padding."""
-    i = np.arange(seq_len)[:, None]
-    j = np.arange(seq_len)[None, :]
-    base = np.where(j <= i, 0.0, NEG_INF).astype(dtype)
-    key_pad = np.where(np.arange(seq_len)[None, :] < lengths[:, None], 0.0, NEG_INF)
-    return base[None, None, :, :] + key_pad.astype(dtype)[:, None, None, :]
-
-
-def cross_mask(enc_lengths: np.ndarray, enc_len: int, dtype) -> np.ndarray:
-    """(B,1,1,Tk) mask hiding encoder padding from the decoder."""
-    key_pad = np.where(np.arange(enc_len)[None, :] < enc_lengths[:, None], 0.0, NEG_INF)
-    return key_pad.astype(dtype)[:, None, None, :]
-
-
-def _mha(params, prefix, xq: Tensor, xkv: Tensor, mask: np.ndarray,
-         n_heads: int, rate: float, rng) -> Tensor:
-    b, tq, d = xq.shape
-    tk = xkv.shape[1]
-    dk = d // n_heads
-    q = (xq @ params[f"{prefix}.wq"]).reshape(b, tq, n_heads, dk).swapaxes(1, 2)
-    k = (xkv @ params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
-    v = (xkv @ params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dk)) + Tensor(mask)
-    probs = ad.softmax(scores, axis=-1)
-    if rate > 0.0:
-        probs = ad.dropout(probs, rate, rng)
-    ctx = (probs @ v).swapaxes(1, 2).reshape(b, tq, d)
-    return ctx @ params[f"{prefix}.wo"]
+def _heads(params, name: str, x: Tensor, n_heads: int) -> Tensor:
+    """Project (B,T,d) by ``params[name]`` and split into (B,T,H,dk)."""
+    b, t, d = x.shape
+    return (x @ params[name]).reshape(b, t, n_heads, d // n_heads)
 
 
 def _window_attention(params, prefix, x: Tensor, layout: WindowLayout,
                       n_heads: int, rate: float, rng) -> Tensor:
-    b, t, d = x.shape
-    q, k, v = ((x @ params[f"{prefix}.{m}"]).reshape(b, t, n_heads, d // n_heads)
-               for m in ("wq", "wk", "wv"))
+    q, k, v = (_heads(params, f"{prefix}.{m}", x, n_heads) for m in ("wq", "wk", "wv"))
     ctx = ad.window_attention(q, k, v, layout, rate, rng)
+    return ctx.reshape(x.shape) @ params[f"{prefix}.wo"]
+
+
+def _attend(params, prefix, x: Tensor, k: Tensor, v: Tensor, key_lengths,
+            causal: bool, n_heads: int, rate: float, rng) -> Tensor:
+    """Decoder attention; x's rows that share k's batch row (a story's beams) query it."""
+    b, t, d = x.shape
+    q = (x @ params[f"{prefix}.wq"]).reshape(k.shape[0], -1, n_heads, d // n_heads)
+    ctx = ad.attention(q, k, v, key_lengths, causal, rate, rng)
     return ctx.reshape(b, t, d) @ params[f"{prefix}.wo"]
 
 
 def _ff(params, prefix, x: Tensor) -> Tensor:
     hidden = ad.relu(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
     return hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-
-
-def _maybe_dropout(x: Tensor, rate: float, rng) -> Tensor:
-    return ad.dropout(x, rate, rng) if rate > 0.0 else x
 
 
 def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
@@ -168,22 +146,20 @@ def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
     if t > config.max_len:
         raise ContractViolation(f"sequence length {t} exceeds max_len {config.max_len}")
     rate = config.dropout if train else 0.0
-    dtype = params["tok_emb"].dtype
     pos = np.broadcast_to(np.arange(t), (b, t))
     x = ad.embedding(params["tok_emb"], ids) + ad.embedding(params["pos_emb"], pos)
-    x = _maybe_dropout(x, rate, rng)
-    layout = WindowLayout(lengths, t, config.window, n_global, dtype)
+    x = ad.dropout(x, rate, rng)
+    layout = WindowLayout(lengths, t, config.window, n_global, x.dtype)
     for i in range(config.n_enc_layers):
         p = f"enc{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = x + _maybe_dropout(
+        x = x + ad.dropout(
             _window_attention(params, f"{p}.attn", normed, layout, config.n_heads, rate, rng),
             rate, rng)
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        x = x + _maybe_dropout(_ff(params, f"{p}.ff", normed), rate, rng)
+        x = x + ad.dropout(_ff(params, f"{p}.ff", normed), rate, rng)
     states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
-    v_s = states[:, 0, :]
-    return v_s, states
+    return states[:, 0, :], states
 
 
 def predict_preference(params: dict[str, Tensor], v_s: Tensor) -> Tensor:
@@ -198,34 +174,72 @@ def predict_aspects(params: dict[str, Tensor], v_s: Tensor) -> tuple[Tensor, Ten
     return a_c, a_r
 
 
+class DecoderCache:
+    """Keys and values that incremental decoding keeps between steps: cross-
+    attention K/V projected once, as views of contiguous (R,H,dk,Tk) and
+    (R,H,Tk,dk) arrays, the layouts ``autodiff.attention`` multiplies in;
+    self-attention K/V one step at a time in buffers of ``size`` positions,
+    whose rows ``reorder`` moves to beam parents."""
+
+    def __init__(self, size: int):
+        self.size, self.length = size, 0
+        self.cross: dict[str, tuple[Tensor, Tensor]] = {}
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def keep_cross(self, name: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        kt = np.ascontiguousarray(k.data.transpose(0, 2, 3, 1))
+        vh = np.ascontiguousarray(v.data.transpose(0, 2, 1, 3))
+        self.cross[name] = (Tensor(kt.transpose(0, 3, 1, 2)), Tensor(vh.transpose(0, 2, 1, 3)))
+        return self.cross[name]
+
+    def append(self, name: str, x: Tensor) -> Tensor:
+        """Write (R,t,...) after the cached positions; return all of them."""
+        r, t = x.shape[:2]
+        if name not in self.buffers:
+            self.buffers[name] = np.empty((r, self.size, *x.shape[2:]), x.dtype)
+        self.buffers[name][:, self.length: self.length + t] = x.data
+        return Tensor(self.buffers[name][:, :self.length + t])
+
+    def reorder(self, rows: np.ndarray) -> None:
+        self.buffers = {name: buf[rows] for name, buf in self.buffers.items()}
+
+
 def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
-                   comment_in: np.ndarray, comment_lengths: np.ndarray,
+                   comment_in: np.ndarray, comment_lengths: np.ndarray | None,
                    enc_states: Tensor, enc_lengths: np.ndarray,
-                   train: bool = False,
-                   rng: np.random.Generator | None = None) -> Tensor:
-    """Causal decoder over teacher-forced inputs; returns (B,Tc,V) logits."""
+                   train: bool = False, rng: np.random.Generator | None = None,
+                   cache: DecoderCache | None = None) -> Tensor:
+    """Causal decoder logits (B,Tc,V) of the comment positions ``comment_in``:
+    teacher-forced comments (keys past ``comment_lengths`` hidden), or with
+    a ``DecoderCache`` the positions after its ``length`` cached ones.  B
+    may be a multiple of the encoder batch, each story's rows adjacent."""
     b, t = comment_in.shape
-    if t > config.max_len:
-        raise ContractViolation(f"comment length {t} exceeds max_len {config.max_len}")
-    rate = config.dropout if train else 0.0
-    dtype = params["tok_emb"].dtype
-    pos = np.broadcast_to(np.arange(t), (b, t))
+    start = cache.length if cache is not None else 0
+    if start + t > config.max_len:
+        raise ContractViolation(f"comment length {start + t} exceeds max_len {config.max_len}")
+    rate, heads = (config.dropout if train else 0.0), config.n_heads
+    pos = np.broadcast_to(np.arange(start, start + t), (b, t))
     x = ad.embedding(params["tok_emb"], comment_in) + ad.embedding(params["dec_pos_emb"], pos)
-    x = _maybe_dropout(x, rate, rng)
-    self_mask = causal_mask(comment_lengths, t, dtype)
-    xmask = cross_mask(enc_lengths, enc_states.shape[1], dtype)
+    x = ad.dropout(x, rate, rng)
     for i in range(config.n_dec_layers):
         p = f"dec{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = x + _maybe_dropout(
-            _mha(params, f"{p}.self", normed, normed, self_mask, config.n_heads, rate, rng),
-            rate, rng)
+        k, v = (_heads(params, f"{p}.self.{m}", normed, heads) for m in ("wk", "wv"))
+        if cache is not None:
+            k, v = cache.append(f"{p}.k", k), cache.append(f"{p}.v", v)
+        x = x + ad.dropout(_attend(params, f"{p}.self", normed, k, v, comment_lengths,
+                                       True, heads, rate, rng), rate, rng)
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
-        x = x + _maybe_dropout(
-            _mha(params, f"{p}.cross", normed, enc_states, xmask, config.n_heads, rate, rng),
-            rate, rng)
+        kv = cache.cross.get(p) if cache is not None else None
+        if kv is None:
+            kv = tuple(_heads(params, f"{p}.cross.{m}", enc_states, heads) for m in ("wk", "wv"))
+            kv = cache.keep_cross(p, *kv) if cache is not None else kv
+        x = x + ad.dropout(_attend(params, f"{p}.cross", normed, *kv, enc_lengths,
+                                       False, heads, rate, rng), rate, rng)
         normed = ad.layer_norm(x, params[f"{p}.ln3.g"], params[f"{p}.ln3.b"])
-        x = x + _maybe_dropout(_ff(params, f"{p}.ff", normed), rate, rng)
+        x = x + ad.dropout(_ff(params, f"{p}.ff", normed), rate, rng)
+    if cache is not None:
+        cache.length += t
     states = ad.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
     return states @ params["w_out"]
 
@@ -241,11 +255,9 @@ class Model:
                 f"vocab has {len(vocab)} tokens but config says {config.vocab_size}")
         if vocab.n_aspects != config.n_aspects:
             raise ConfigError("vocab and config disagree on aspect count")
-        self.config = config
-        self.vocab = vocab
-        if params is None:
-            params = init_params(config, rng or np.random.default_rng(0), dtype=dtype)
-        self.params = params
+        self.config, self.vocab = config, vocab
+        self.params = params if params is not None else init_params(
+            config, rng or np.random.default_rng(0), dtype=dtype)
 
     def encode_stories(self, id_seqs: list[np.ndarray], n_global: int = 1,
                        train: bool = False, rng=None):
@@ -254,7 +266,7 @@ class Model:
                              n_global=n_global, train=train, rng=rng)
         return v_s, states, lengths
 
-    def infer(self, id_seqs: list[np.ndarray], batch_size: int = 64):
+    def infer(self, id_seqs: list[np.ndarray], batch_size: int = INFER_BATCH):
         """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order.
 
         Stories are encoded in padded chunks of ``batch_size`` without
@@ -277,18 +289,8 @@ class Model:
         """Encode aspect-conditioned stories for the comment path."""
         conds = [conditioned_ids(s, k, self.vocab, self.config.max_len)
                  for s, k in zip(story_id_seqs, aspect_ks)]
-        ids, lengths = pad_batch(conds, self.vocab.pad_id)
-        _, states = encode(self.params, self.config, ids, lengths,
-                           n_global=3, train=train, rng=rng)
+        _, states, lengths = self.encode_stories(conds, n_global=3, train=train, rng=rng)
         return states, lengths
-
-    def comment_logits(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
-                       comment_in: np.ndarray, comment_lengths: np.ndarray,
-                       train: bool = False, rng=None) -> Tensor:
-        states, enc_lengths = self.comment_encoder_states(
-            story_id_seqs, aspect_ks, train=train, rng=rng)
-        return decoder_logits(self.params, self.config, comment_in, comment_lengths,
-                              states, enc_lengths, train=train, rng=rng)
 
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                     comment_seqs: list[np.ndarray], reduce: str = "mean",
@@ -306,8 +308,10 @@ class Model:
         inputs, lengths = pad_batch([c[:-1] for c in comment_seqs], self.vocab.pad_id)
         targets, _ = pad_batch([c[1:] for c in comment_seqs], 0)
         mask = np.arange(inputs.shape[1])[None, :] < lengths[:, None]
-        logits = self.comment_logits(story_id_seqs, aspect_ks, inputs, lengths,
-                                     train=train, rng=rng)
+        states, enc_lengths = self.comment_encoder_states(
+            story_id_seqs, aspect_ks, train=train, rng=rng)
+        logits = decoder_logits(self.params, self.config, inputs, lengths,
+                                states, enc_lengths, train=train, rng=rng)
         return sequence_nll(logits, targets, mask, reduce=reduce)
 
     def teacher_forced_nll(self, story_ids: np.ndarray, aspect_k: int,
@@ -317,49 +321,44 @@ class Model:
 
     def generate_comment(self, story_ids: np.ndarray, aspect_k: int,
                          max_new_tokens: int = 40, beam: int = 1) -> np.ndarray:
-        """Beam-search comment token ids, <bos>/<eos> stripped; width 1 is greedy."""
-        if not 0 <= aspect_k < self.config.n_aspects:
-            raise ContractViolation(f"aspect id {aspect_k} outside [0, {self.config.n_aspects})")
+        """``generate_comments`` of a single (story, aspect) pair."""
+        return self.generate_comments([story_ids], [aspect_k], max_new_tokens, beam)[0]
+
+    def generate_comments(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
+                          max_new_tokens: int = 40, beam: int = 1) -> list[np.ndarray]:
+        """Beam-search comment ids per (story, aspect) pair, <bos>/<eos> stripped.
+
+        The stories are encoded as one batch; each step feeds every hypothesis
+        one position through a ``DecoderCache``.  Tokens are ranked by logits,
+        not by float32 log-probabilities that can round distinct logits into
+        ties; scores add up in float64 and equal scores keep the expansion
+        order, so width 1 is exactly argmax."""
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
+        n, eos = len(story_id_seqs), self.vocab.eos_id
+        rows = np.arange(n)[:, None]
+        scores, done = np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
+        seqs = np.full((n, 1, 1), self.vocab.bos_id)
         with ad.no_grad():
-            states, enc_lengths = self.comment_encoder_states([story_ids], [aspect_k])
-            out = self._beam(states, enc_lengths, max_new_tokens, beam)
-        return np.asarray(out, dtype=np.int64)
-
-    def _step_logits(self, prefix: list[int], states: Tensor,
-                     enc_lengths: np.ndarray) -> np.ndarray:
-        ids = np.asarray(prefix, dtype=np.int64)[None, :]
-        lengths = np.asarray([len(prefix)])
-        logits = decoder_logits(self.params, self.config, ids, lengths,
-                                states, enc_lengths)
-        return logits.data[0, -1]
-
-    def _beam(self, states, enc_lengths, max_new_tokens: int, width: int) -> list[int]:
-        # hypotheses: (score, ids, finished).  Tokens are ranked by logits,
-        # not by float32 log-probabilities that can round distinct logits
-        # into ties; ties resolve to the earliest expansion, so width 1 is
-        # exactly argmax
-        beams = [(0.0, [self.vocab.bos_id], False)]
-        for _ in range(max_new_tokens):
-            if all(done for _, _, done in beams):
-                break
-            candidates = []
-            for score, seq, done in beams:
-                if done:
-                    candidates.append((score, seq, True))
-                    continue
-                logits = self._step_logits(seq, states, enc_lengths)
-                logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
-                order = np.argsort(-logits, kind="stable")[:width]
-                for tok in order:
-                    tok = int(tok)
-                    candidates.append((score + float(logp[tok]), seq + [tok],
-                                       tok == self.vocab.eos_id))
-            candidates.sort(key=lambda c: -c[0])
-            beams = candidates[:width]
-        best = beams[0][1]
-        body = best[1:]
-        if body and body[-1] == self.vocab.eos_id:
-            body = body[:-1]
-        return body
+            states, enc_lengths = self.comment_encoder_states(story_id_seqs, aspect_ks)
+            cache = DecoderCache(max_new_tokens)
+            while cache.length < max_new_tokens and not done.all():
+                logits = decoder_logits(self.params, self.config, seqs[:, :, -1].reshape(-1, 1),
+                                        None, states, enc_lengths, cache=cache).data[:, 0]
+                top = logits.max(-1, keepdims=True)
+                logp = logits - np.log(np.exp(logits - top).sum(-1, keepdims=True)) - top
+                order = np.argsort(-logits, axis=-1, kind="stable")[:, :beam]
+                h, w = done.shape[1], order.shape[1]
+                cand = scores[..., None] + np.take_along_axis(logp, order, -1).reshape(n, h, w)
+                # a finished hypothesis stays as its first candidate only
+                cand[done] = -np.inf
+                cand[..., 0][done] = scores[done]
+                pick = np.argsort(-cand.reshape(n, h * w), axis=1, kind="stable")[:, :beam]
+                parent, rank = np.divmod(pick, w)
+                scores, was_done = cand.reshape(n, h * w)[rows, pick], done[rows, parent]
+                tokens = np.where(was_done, eos, order.reshape(n, h, w)[rows, parent, rank])
+                done = was_done | (tokens == eos) | np.isneginf(scores)
+                seqs = np.concatenate([seqs[rows, parent], tokens[..., None]], axis=2)
+                cache.reorder((rows * h + parent).reshape(-1))
+        return [best[: np.append(np.flatnonzero(best == eos), len(best))[0]]
+                for best in seqs[:, 0, 1:]]

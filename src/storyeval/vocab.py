@@ -80,9 +80,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, self.unk_id)
 
-    def token_of(self, idx: int) -> str:
-        return self.tokens[idx]
-
     def decode(self, ids) -> str:
         """Ids back to a space-joined string, dropping control tokens."""
         skip = {self.cls_id, self.sep_id, self.pad_id, self.bos_id, self.eos_id}

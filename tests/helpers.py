@@ -1,8 +1,10 @@
 """Shared test utilities: the finite-difference gradient oracle, and the
 simple versions that faster code is checked against: per-story scoring
 for batched inference, dense masked attention for banded window
-attention, the numpy-array Gibbs sampler and pair-scan UMass coherence
-for the list-based LDA, and the greedy loop for width-1 beam search."""
+attention and for the fused decoder attention, the numpy-array Gibbs
+sampler and pair-scan UMass coherence for the list-based LDA, and the
+full-prefix decoding loops (greedy and per-hypothesis beam search) for
+cached, batched comment generation."""
 
 import numpy as np
 
@@ -10,7 +12,62 @@ from storyeval import autodiff as ad
 from storyeval import rng as rng_mod
 from storyeval.aspects import LdaModel
 from storyeval.autodiff import NEG_INF
-from storyeval.model import _ff, _mha, predict_aspects, predict_preference
+from storyeval.model import _ff, decoder_logits, predict_aspects, predict_preference
+
+
+def causal_mask(lengths: np.ndarray, seq_len: int, dtype) -> np.ndarray:
+    """(B,1,T,T) lower-triangular mask with key padding."""
+    i = np.arange(seq_len)[:, None]
+    j = np.arange(seq_len)[None, :]
+    base = np.where(j <= i, 0.0, NEG_INF).astype(dtype)
+    key_pad = np.where(np.arange(seq_len)[None, :] < lengths[:, None], 0.0, NEG_INF)
+    return base[None, None, :, :] + key_pad.astype(dtype)[:, None, None, :]
+
+
+def cross_mask(enc_lengths: np.ndarray, enc_len: int, dtype) -> np.ndarray:
+    """(B,1,1,Tk) mask hiding encoder padding from the decoder."""
+    key_pad = np.where(np.arange(enc_len)[None, :] < enc_lengths[:, None], 0.0, NEG_INF)
+    return key_pad.astype(dtype)[:, None, None, :]
+
+
+def mha(params, prefix, xq, xkv, mask: np.ndarray, n_heads: int, rate: float, rng):
+    """Multi-head attention as generic tape nodes under a dense additive mask.
+
+    This is the attention that ``ad.attention`` replaced in the decoder.
+    """
+    b, tq, d = xq.shape
+    tk = xkv.shape[1]
+    dk = d // n_heads
+    q = (xq @ params[f"{prefix}.wq"]).reshape(b, tq, n_heads, dk).swapaxes(1, 2)
+    k = (xkv @ params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
+    v = (xkv @ params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dk)) + ad.Tensor(mask)
+    probs = ad.softmax(scores, axis=-1)
+    if rate > 0.0:
+        probs = ad.dropout(probs, rate, rng)
+    ctx = (probs @ v).swapaxes(1, 2).reshape(b, tq, d)
+    return ctx @ params[f"{prefix}.wo"]
+
+
+def dense_decoder_logits(params, config, comment_in: np.ndarray,
+                         comment_lengths: np.ndarray, enc_states, enc_lengths: np.ndarray):
+    """``model.decoder_logits`` (no dropout, no cache) with ``mha`` and dense masks."""
+    b, t = comment_in.shape
+    dtype = params["tok_emb"].dtype
+    pos = np.broadcast_to(np.arange(t), (b, t))
+    x = ad.embedding(params["tok_emb"], comment_in) + ad.embedding(params["dec_pos_emb"], pos)
+    self_mask = causal_mask(comment_lengths, t, dtype)
+    xmask = cross_mask(enc_lengths, enc_states.shape[1], dtype)
+    for i in range(config.n_dec_layers):
+        p = f"dec{i}"
+        normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
+        x = x + mha(params, f"{p}.self", normed, normed, self_mask, config.n_heads, 0.0, None)
+        normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
+        x = x + mha(params, f"{p}.cross", normed, enc_states, xmask, config.n_heads, 0.0, None)
+        normed = ad.layer_norm(x, params[f"{p}.ln3.g"], params[f"{p}.ln3.b"])
+        x = x + _ff(params, f"{p}.ff", normed)
+    states = ad.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
+    return states @ params["w_out"]
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -130,7 +187,7 @@ def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray,
     for i in range(config.n_enc_layers):
         p = f"enc{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = x + _mha(params, f"{p}.attn", normed, normed, mask, config.n_heads, 0.0, None)
+        x = x + mha(params, f"{p}.attn", normed, normed, mask, config.n_heads, 0.0, None)
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         x = x + _ff(params, f"{p}.ff", normed)
     states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
@@ -216,8 +273,19 @@ def reference_umass_coherence(model: LdaModel, docs, top_n: int = 10) -> float:
     return float(np.mean(scores))
 
 
+def prefix_step_logits(model, prefix: list[int], states, enc_lengths) -> np.ndarray:
+    """Next-token logits from running the decoder over the whole prefix.
+
+    This is the per-token step that the decoder cache replaced.
+    """
+    ids = np.asarray(prefix, dtype=np.int64)[None, :]
+    logits = decoder_logits(model.params, model.config, ids, np.asarray([len(prefix)]),
+                            states, enc_lengths)
+    return logits.data[0, -1]
+
+
 def greedy_comment(model, story_ids, aspect_k: int, max_new_tokens: int = 40) -> np.ndarray:
-    """Comment ids by argmax decoding, one token at a time.
+    """Comment ids by argmax decoding, one full-prefix step per token.
 
     This is the greedy loop that width-1 beam search replaced.
     """
@@ -227,9 +295,41 @@ def greedy_comment(model, story_ids, aspect_k: int, max_new_tokens: int = 40) ->
         seq = [vocab.bos_id]
         out: list[int] = []
         for _ in range(max_new_tokens):
-            nxt = int(np.argmax(model._step_logits(seq, states, enc_lengths)))
+            nxt = int(np.argmax(prefix_step_logits(model, seq, states, enc_lengths)))
             if nxt == vocab.eos_id:
                 break
             out.append(nxt)
             seq.append(nxt)
     return np.asarray(out, dtype=np.int64)
+
+
+def reference_beam(model, story_ids, aspect_k: int, max_new_tokens: int = 40,
+                   width: int = 1) -> np.ndarray:
+    """Beam search over one story, one full-prefix step per live hypothesis.
+
+    This is the per-hypothesis search that the batched cached search
+    replaced; it ranks tokens and candidates by the same rules.
+    """
+    vocab = model.vocab
+    with ad.no_grad():
+        states, enc_lengths = model.comment_encoder_states([story_ids], [aspect_k])
+        beams = [(0.0, [vocab.bos_id], False)]
+        for _ in range(max_new_tokens):
+            if all(done for _, _, done in beams):
+                break
+            candidates = []
+            for score, seq, done in beams:
+                if done:
+                    candidates.append((score, seq, True))
+                    continue
+                logits = prefix_step_logits(model, seq, states, enc_lengths)
+                logp = logits - np.log(np.exp(logits - logits.max()).sum()) - logits.max()
+                for tok in np.argsort(-logits, kind="stable")[:width].tolist():
+                    candidates.append((score + float(logp[tok]), seq + [tok],
+                                       tok == vocab.eos_id))
+            candidates.sort(key=lambda c: -c[0])
+            beams = candidates[:width]
+    body = beams[0][1][1:]
+    if body and body[-1] == vocab.eos_id:
+        body = body[:-1]
+    return np.asarray(body, dtype=np.int64)

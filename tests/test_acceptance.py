@@ -486,7 +486,7 @@ def test_09_lda_planted_topics():
     purity = float(np.mean(purities))
 
     picks = [select_num_topics(docs, words, [5, 10, 15], seed=s,
-                               iterations=200) for s in range(3)]
+                               iterations=200).n_topics for s in range(3)]
     hits = sum(1 for p in picks if p == 10)
     ok = purity >= 0.8 and hits >= 2
     _report(9, "planted topic recovery", ok,

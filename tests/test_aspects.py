@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from storyeval import aspects
 from storyeval import rng as rng_mod
 from storyeval.aspects import (
     AspectTaxonomy,
@@ -286,10 +287,19 @@ class TestUmass:
         docs, vocab = prepare_comment_docs(texts)
         best = select_num_topics(docs, vocab, [2, 3, 6], seed=0,
                                  iterations=120, top_n=6)
-        assert best == 3
+        assert best.n_topics == 3
+        # the winner is the candidate's own fit: the same chain as lda_fit
+        want = lda_fit(docs, vocab, 3, iterations=120, seed=0)
+        assert np.array_equal(best.topic_word, want.topic_word)
+        assert np.array_equal(best.doc_topic, want.doc_topic)
 
-    def test_single_candidate_short_circuits(self):
-        assert select_num_topics([], [], [7]) == 7
+    def test_single_candidate_short_circuits(self, monkeypatch):
+        docs = [np.array([0, 1]), np.array([1, 2])]
+        scored = []
+        monkeypatch.setattr(aspects, "umass_coherence",
+                            lambda *a, **k: scored.append(1) or 0.0)
+        model = select_num_topics(docs, ["a", "b", "c"], [7], iterations=3)
+        assert model.n_topics == 7 and scored == []
 
     def test_no_candidates_rejected(self):
         with pytest.raises(ContractViolation):

@@ -257,6 +257,21 @@ def _op_configs():
                                        ad.WindowLayout(np.array([11, 8]), 11, 2, 1, np.float64),
                                        0.3, np.random.default_rng(5))
                    * c(np.random.default_rng(94), 2, 11, 2, 3)).sum()))
+    # causal self-attention over padded keys (Tq = Tk)
+    register("attention_causal", lambda rng: (
+        {n: leaf(rng, 2, 5, 2, 3) for n in "qkv"},
+        lambda p: (ad.attention(p["q"], p["k"], p["v"], np.array([5, 3]), causal=True)
+                   * c(np.random.default_rng(93), 2, 5, 2, 3)).sum()))
+    # two query rows over the last of 6 padded keys, causal; and with dropout
+    register("attention_cached_rows", lambda rng: (
+        {"q": leaf(rng, 2, 2, 2, 3), "k": leaf(rng, 2, 6, 2, 3), "v": leaf(rng, 2, 6, 2, 3)},
+        lambda p: (ad.attention(p["q"], p["k"], p["v"], np.array([6, 4]), causal=True)
+                   * c(np.random.default_rng(92), 2, 2, 2, 3)).sum()))
+    register("attention_dropout", lambda rng: (   # same keep mask on every call
+        {"q": leaf(rng, 2, 3, 2, 3), "k": leaf(rng, 2, 7, 2, 3), "v": leaf(rng, 2, 7, 2, 3)},
+        lambda p: (ad.attention(p["q"], p["k"], p["v"], np.array([7, 2]), False,
+                                0.3, np.random.default_rng(5))
+                   * c(np.random.default_rng(91), 2, 3, 2, 3)).sum()))
     register("concat_axis1", lambda rng: (
         {"a": leaf(rng, 3, 2), "b": leaf(rng, 3, 5)},
         lambda p: (ad.concat([p["a"], p["b"]], axis=1) * 0.5).sum()))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from storyeval import cli
+from storyeval import aspects, cli
 from storyeval.aspects import AspectTaxonomy
 from storyeval.checkpoint import load_checkpoint, save_checkpoint
 from storyeval.jsonl import read_jsonl, write_json, write_jsonl
@@ -153,6 +153,23 @@ class TestExtractAspects:
         assert "config_hash" in report["meta"]
         taxonomy = AspectTaxonomy.load(tmp_path / "taxonomy.json")
         assert len(taxonomy) == 2
+
+    def test_candidates_fit_each_count_once(self, smoke, tmp_path, monkeypatch):
+        fits = []
+        real = aspects.lda_fit
+
+        def counting(docs, vocab, n_topics, **kw):
+            fits.append(n_topics)
+            return real(docs, vocab, n_topics, **kw)
+
+        monkeypatch.setattr(aspects, "lda_fit", counting)
+        monkeypatch.setattr(cli, "lda_fit", counting)
+        assert run(["extract-aspects", smoke / "comments.jsonl",
+                    "--out-dir", tmp_path, "--candidates", "2,3",
+                    "--iterations", 5]) == 0
+        assert fits == [2, 3]
+        report = json.loads((tmp_path / "topics.json").read_text())
+        assert report["n_topics"] in (2, 3)
 
     def test_empty_comments_is_data_error(self, tmp_path):
         write_jsonl(tmp_path / "c.jsonl", [{"text": "a 1 2 3"}])
@@ -465,4 +482,47 @@ class TestMalformedJsonl:
         assert run(argv) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err
+        assert "Traceback" not in err
+
+
+class TestMissingField:
+    @pytest.mark.parametrize("command,field", [
+        ("extract-aspects", "text"),
+        ("augment-comments --raw", "text"),
+        ("augment-comments --crowd", "text"),
+        ("evaluate pairs", "prompt_id"),
+        ("evaluate pairs", "high_id"),
+        ("evaluate pairs", "low_id"),
+        ("evaluate judgments", "text"),
+        ("evaluate judgments", "human"),
+    ])
+    def test_exits_with_data_error_naming_the_field(self, smoke, tmp_path, capsys,
+                                                    command, field):
+        stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                   if "meta" not in r]
+        bad = tmp_path / "recs.jsonl"
+        out = ["--out-dir", tmp_path / "out"]
+        if command == "extract-aspects":
+            records = [{"text": "a vivid world"} for _ in range(2)]
+            argv = ["extract-aspects", bad, *out, "--topics", 2]
+        elif command.startswith("augment-comments"):
+            records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
+            files = {"--crowd": smoke / "comments.jsonl", "--raw": smoke / "comments.jsonl",
+                     command.split()[1]: bad}
+            argv = ["augment-comments", *[x for kv in files.items() for x in kv], *out]
+        else:
+            section = command.split()[1]
+            records = ([{"prompt_id": s["prompt_id"], "high_id": s["id"], "low_id": s["id"]}
+                        for s in stories[:2]] if section == "pairs" else
+                       [{"text": f"story number {i}", "human": float(i)} for i in range(6)])
+            write_json(tmp_path / "spec.json", {
+                "stories": str(smoke / "prep" / "stories.jsonl"), section: str(bad)})
+            argv = ["evaluate", tmp_path / "spec.json",
+                    "--checkpoint", smoke / "run" / "model.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt"]
+        del records[1][field]
+        write_jsonl(bad, records)
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:2: missing field '{field}'" in err
         assert "Traceback" not in err

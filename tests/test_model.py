@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from storyeval import autodiff as ad
-from storyeval.autodiff import Tensor, WindowLayout
+from storyeval import model as model_mod
+from storyeval.autodiff import NEG_INF, Tensor, WindowLayout
 from storyeval.errors import ContractViolation
 from storyeval.metrics import corpus_perplexity
 from storyeval.model import (
+    DecoderCache,
     Model,
     ModelConfig,
+    decoder_logits,
     encode,
     init_params,
     predict_aspects,
@@ -18,9 +21,13 @@ from storyeval.model import (
 from storyeval.vocab import build_vocab, pad_batch, tokenize
 
 from helpers import (
+    dense_decoder_logits,
     dense_encode,
     dense_window_attention,
     greedy_comment,
+    mha,
+    prefix_step_logits,
+    reference_beam,
     reference_heads,
     window_mask,
 )
@@ -333,3 +340,139 @@ def test_batched_perplexity_matches_per_item_nll(setup):
                 for s, k, c in items)
     tokens = sum(len(c) - 1 for _, _, c in items)
     assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
+
+
+def eos_prone(model, vocab):
+    """A copy of ``model`` whose <eos> logit is scaled up, so hypotheses
+    finish at different steps."""
+    params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in model.params.items()}
+    params["w_out"].data[:, vocab.eos_id] *= 6.0
+    return Model(model.config, vocab, params=params)
+
+
+@pytest.mark.parametrize("causal,tq,tk,lengths", [
+    (False, 4, 4, None), (False, 3, 7, [7, 2]), (True, 5, 5, [5, 3]),
+    (True, 2, 6, [6, 4]), (True, 1, 6, None)])
+def test_attention_equals_dense_oracle(causal, tq, tk, lengths):
+    rng = np.random.default_rng(tq * 10 + tk)
+    d, heads = 12, 3
+    params = {f"a.{m}": Tensor(rng.standard_normal((d, d)) * 0.5, requires_grad=True)
+              for m in ("wq", "wk", "wv", "wo")}
+    xq = Tensor(rng.standard_normal((2, tq, d)), requires_grad=True)
+    xkv = Tensor(rng.standard_normal((2, tk, d)), requires_grad=True)
+    weights = rng.standard_normal((2, tq, d))
+    hidden = np.zeros((2, 1, tq, tk), dtype=bool)
+    if lengths is not None:
+        hidden |= (np.arange(tk) >= np.asarray(lengths)[:, None])[:, None, None, :]
+    if causal:
+        hidden |= np.arange(tk) > np.arange(tq)[:, None] + (tk - tq)
+    mask = np.where(hidden, NEG_INF, 0.0)
+
+    def run(fused):
+        for t in (*params.values(), xq, xkv):
+            t.grad = None
+        if fused:
+            q, k, v = ((x @ params[f"a.{m}"]).reshape(2, -1, heads, d // heads)
+                       for x, m in ((xq, "wq"), (xkv, "wk"), (xkv, "wv")))
+            ctx = ad.attention(q, k, v, None if lengths is None else np.asarray(lengths), causal)
+            out = ctx.reshape(2, tq, d) @ params["a.wo"]
+        else:
+            out = mha(params, "a", xq, xkv, mask, heads, 0.0, None)
+        (out * weights).sum().backward()
+        return [out.data] + [t.grad for t in (*params.values(), xq, xkv)]
+
+    for got, want in zip(run(True), run(False)):
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_decoder_equals_dense_oracle(setup):
+    model, vocab, cfg = setup
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    states, enc_lengths = model.comment_encoder_states(seqs, [0, 2, 1])
+    rng = np.random.default_rng(3)
+    lengths = np.array([6, 2, 4])
+    comment = rng.integers(6, len(vocab), (3, 6))
+    got = decoder_logits(model.params, cfg, comment, lengths, states, enc_lengths).data
+    want = dense_decoder_logits(model.params, cfg, comment, lengths, states, enc_lengths).data
+    for row, n in enumerate(lengths):
+        assert np.max(np.abs(got[row, :n] - want[row, :n])) <= 1e-10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cached_steps_equal_full_prefix_loop(setup, dtype):
+    _, vocab, cfg = setup
+    model = Model(cfg, vocab, rng=np.random.default_rng(8), dtype=dtype)
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    aspects = [2, 0, 1]
+    prefixes = [[vocab.bos_id] for _ in seqs]
+    with ad.no_grad():
+        states, enc_lengths = model.comment_encoder_states(seqs, aspects)
+        singles = [model.comment_encoder_states([s], [k]) for s, k in zip(seqs, aspects)]
+        cache = DecoderCache(10)
+        for _ in range(10):
+            last = np.asarray([p[-1] for p in prefixes])[:, None]
+            step = decoder_logits(model.params, cfg, last, None, states, enc_lengths,
+                                  cache=cache).data[:, 0]
+            for row, (prefix, (st, el)) in enumerate(zip(prefixes, singles)):
+                want = prefix_step_logits(model, prefix, st, el)
+                assert np.max(np.abs(step[row] - want)) <= 1e-5
+                prefix.append(int(np.argsort(-want, kind="stable")[row % 3]))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_batched_search_equals_per_hypothesis_oracle(setup, width):
+    model, vocab, _ = setup
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    lengths = []
+    for m in (model, eos_prone(model, vocab)):
+        pairs = [(s, k) for s in seqs for k in range(3)]
+        got = m.generate_comments([s for s, _ in pairs], [k for _, k in pairs],
+                                  max_new_tokens=8, beam=width)
+        for (s, k), ids in zip(pairs, got):
+            want = reference_beam(m, s, k, max_new_tokens=8, width=width)
+            assert ids.dtype == np.int64
+            assert np.array_equal(ids, want)
+            lengths.append(len(ids))
+    assert len(set(lengths)) > 1
+
+
+@pytest.mark.parametrize("beam", [1, 2, 4])
+def test_one_decoder_position_per_token(setup, monkeypatch, beam):
+    model, vocab, _ = setup
+    m = eos_prone(model, vocab)
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    pairs = [(s, k) for s in seqs for k in (0, 2)]
+    singles = [m.generate_comment(s, k, max_new_tokens=8, beam=beam) for s, k in pairs]
+    shapes, projected = [], []
+    real_logits, real_heads = model_mod.decoder_logits, model_mod._heads
+
+    def spy(params, config, comment_in, *args, **kwargs):
+        shapes.append(comment_in.shape)
+        return real_logits(params, config, comment_in, *args, **kwargs)
+
+    def heads_spy(params, name, x, n_heads):
+        projected.append(name)
+        return real_heads(params, name, x, n_heads)
+
+    monkeypatch.setattr(model_mod, "decoder_logits", spy)
+    monkeypatch.setattr(model_mod, "_heads", heads_spy)
+    got = m.generate_comments([s for s, _ in pairs], [k for _, k in pairs],
+                              max_new_tokens=8, beam=beam)
+    assert all(np.array_equal(a, b) for a, b in zip(got, singles))
+    # one new position per hypothesis row: len(pairs) rows, then beam rows each
+    assert 1 <= len(shapes) <= 8
+    assert shapes[0] == (len(pairs), 1)
+    assert all(shape == (len(pairs) * beam, 1) for shape in shapes[1:])
+    # the encoder states are projected to cross-attention K/V once per layer
+    assert sum(".cross." in name for name in projected) == 2 * m.config.n_dec_layers
+
+
+def test_tied_candidates_keep_expansion_order(setup):
+    model, vocab, cfg = setup
+    # every logit is 0: all tokens and all candidates tie, <eos> among them
+    flat = Model(cfg, vocab, rng=np.random.default_rng(5), dtype=np.float64)
+    flat.params["w_out"].data[:] = 0.0
+    ids = story_ids(vocab, TEXTS[0])
+    for width in (5, 9):
+        want = reference_beam(flat, ids, 1, max_new_tokens=4, width=width)
+        assert np.array_equal(flat.generate_comment(ids, 1, 4, width), want)

@@ -31,12 +31,12 @@ def test_reserved_tokens_come_first(vocab):
 def test_bijection(vocab):
     for i, t in enumerate(vocab.tokens):
         assert vocab.id_of(t) == i
-        assert vocab.token_of(i) == t
+        assert vocab.tokens[i] == t
 
 
 def test_simple_segmentation(vocab):
     ids = tokenize("The cat.", vocab, max_len=16)
-    back = [vocab.token_of(i) for i in ids]
+    back = [vocab.tokens[i] for i in ids]
     assert back == ["[CLS]", "the", "cat", "."]
 
 
