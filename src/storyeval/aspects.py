@@ -65,14 +65,28 @@ class AspectTaxonomy:
 
     @classmethod
     def load(cls, path) -> "AspectTaxonomy":
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        """Read a saved taxonomy; a malformed file is a ``DataError`` naming it."""
+        try:
+            entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
         if isinstance(entries, dict):
-            entries = entries["aspects"]
+            entries = entries.get("aspects")
+        if not isinstance(entries, list) or not entries:
+            raise DataError(f'{path}: expected a non-empty list of aspects or '
+                            f'{{"aspects": [...]}}')
+        for e in entries:
+            if not (isinstance(e, dict) and isinstance(e.get("index"), int)
+                    and isinstance(e.get("name"), str)):
+                raise DataError(f"{path}: aspect entry {e!r} needs an int 'index' "
+                                f"and a str 'name'")
         entries = sorted(entries, key=lambda e: e["index"])
         if [e["index"] for e in entries] != list(range(len(entries))):
-            raise DataError("taxonomy indices must be 0..K-1 without gaps")
-        return cls(names=[e["name"] for e in entries],
-                   groups=[e.get("group", "") for e in entries])
+            raise DataError(f"{path}: taxonomy indices must be 0..K-1 without gaps")
+        names = [e["name"] for e in entries]
+        if len(set(names)) != len(names):
+            raise DataError(f"{path}: duplicate aspect names")
+        return cls(names=names, groups=[e.get("group", "") for e in entries])
 
     @classmethod
     def default(cls) -> "AspectTaxonomy":

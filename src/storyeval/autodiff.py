@@ -285,24 +285,6 @@ def take(a: Tensor, idx) -> Tensor:
     return _node(np.ascontiguousarray(out_data), (a,), backward, "take")
 
 
-def concat(parts: list, axis: int = 0) -> Tensor:
-    if not parts:
-        raise ContractViolation("concat needs at least one tensor")
-    parts = [p if isinstance(p, Tensor) else Tensor(np.asarray(p)) for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad or p._parents:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, stop)
-                p._accumulate(g[tuple(sl)])
-
-    return _node(out_data, tuple(parts), backward, "concat")
-
-
 # -- reductions ---------------------------------------------------------
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -50,7 +50,7 @@ from .errors import (
     StoryTooShortError,
     UndefinedCorrelationError,
 )
-from .jsonl import dumps, read_jsonl, write_json, write_jsonl
+from .jsonl import dumps, field_error, read_jsonl, write_json, write_jsonl
 from .metrics import (
     MetricReport,
     bleu_avg,
@@ -65,7 +65,7 @@ from .metrics import (
     spearman,
 )
 from .model import INFER_BATCH, Model, ModelConfig
-from .training import TrainConfig, TrainData, Trainer, score_texts
+from .training import TrainConfig, TrainData, Trainer, pair_scores, score_texts
 from .vocab import Vocabulary, build_vocab, tokenize
 
 EXIT_OK = 0
@@ -123,9 +123,9 @@ def write_artifact_jsonl(path, records, settings: dict, seed: int,
     write_jsonl(path, [{"meta": meta}] + list(records))
 
 
-def data_records(path, required: tuple[str, ...] = ()) -> list[dict]:
-    """JSONL records with any leading meta entries stripped; a record
-    without one of the ``required`` fields is a data error."""
+def data_records(path, required: dict | None = None) -> list[dict]:
+    """JSONL records with any leading meta entries stripped; a record that
+    breaks the ``required`` ``{field: type}`` mapping is a data error."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file missing: {path}")
@@ -187,11 +187,12 @@ def _load_stories(path) -> dict[str, Story]:
 def _load_pairs(path, read=data_records) -> list[RankedPair]:
     return [RankedPair(prompt_id=r["prompt_id"], high_id=r["high_id"],
                        low_id=r["low_id"])
-            for r in read(path, ("prompt_id", "high_id", "low_id"))]
+            for r in read(path, {"prompt_id": str, "high_id": str, "low_id": str})]
 
 
 def _load_comment_records(path) -> list[CommentRecord]:
-    return [CommentRecord.from_record(r) for r in data_records(path, ("story_id", "text"))]
+    return [CommentRecord.from_record(r)
+            for r in data_records(path, {"story_id": str, "text": str})]
 
 
 def _story(stories: dict[str, Story], story_id: str, path) -> Story:
@@ -201,7 +202,16 @@ def _story(stories: dict[str, Story], story_id: str, path) -> Story:
     return stories[story_id]
 
 
-def _nonempty_records(path, required: tuple[str, ...] = ()) -> list[dict]:
+def _check_aspects(path, aspect_ids: list, n_aspects: int) -> None:
+    """Aspect ids a record in ``path`` names: at least one, each in [0, K)."""
+    if not aspect_ids:
+        raise DataError(f"{path}: empty aspects list")
+    for k in aspect_ids:
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < n_aspects:
+            raise DataError(f"{path}: aspect id {k!r} outside [0, {n_aspects})")
+
+
+def _nonempty_records(path, required: dict | None = None) -> list[dict]:
     """``data_records`` of an evaluation file that must hold at least one record."""
     recs = data_records(path, required)
     if not recs:
@@ -281,7 +291,7 @@ def cmd_make_negatives(args) -> int:
 # -- extract-aspects ---------------------------------------------------------
 
 def cmd_extract_aspects(args) -> int:
-    texts = [r["text"] for r in data_records(args.input, ("text",))]
+    texts = [r["text"] for r in data_records(args.input, {"text": str})]
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
         raise DataError("no usable comments after tokenization")
@@ -318,7 +328,7 @@ def cmd_extract_aspects(args) -> int:
 
 def cmd_augment(args) -> int:
     crowd = _load_comment_records(args.crowd)
-    raw = data_records(args.raw, ("text",))
+    raw = data_records(args.raw, {"text": str})
     n_aspects = args.n_aspects
     if args.taxonomy:
         n_aspects = len(AspectTaxonomy.load(args.taxonomy))
@@ -380,7 +390,7 @@ def cmd_train(args) -> int:
             raise DataError(f"comment aspect ids outside taxonomy: {bad}")
     negatives: dict[str, list[str]] = {}
     if data_cfg.get("negatives"):
-        for r in data_records(data_cfg["negatives"], ("source_story_id", "text")):
+        for r in data_records(data_cfg["negatives"], {"source_story_id": str, "text": str}):
             negatives.setdefault(r["source_story_id"], []).append(r["text"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -447,11 +457,14 @@ def cmd_score(args) -> int:
                 "max_new_tokens": args.max_new_tokens, "beam": args.beam,
                 "seed": args.seed}
     records = data_records(args.stories)
-    record_errors = (KeyError, EmptyTextError, ContractViolation, DataError)
+    record_errors = (EmptyTextError, ContractViolation, DataError)
     outputs, seqs = [], []
     for rec in records:
         out = {"id": rec.get("id", "")}
         try:
+            problem = field_error(rec, {"text": str})
+            if problem:
+                raise DataError(problem)
             seqs.append(tokenize(rec["text"], model.vocab, model.config.max_len))
         except record_errors as exc:
             out["error"] = f"{type(exc).__name__}: {exc}"
@@ -483,7 +496,7 @@ def cmd_score(args) -> int:
 
 def _prompt_texts(path) -> dict[str, str]:
     table = {}
-    for r in data_records(path, ("prompt_id", "text")):
+    for r in data_records(path, {"prompt_id": str, "text": str}):
         pid = r["prompt_id"]
         if pid in table:
             raise DataError(f"{path}: duplicate prompt_id '{pid}'")
@@ -550,8 +563,10 @@ def cmd_evaluate(args) -> int:
             stories = _load_stories(spec["stories"])
             path = spec["pairs"]
             pairs = _load_pairs(path, _nonempty_records)
-            hi = score_texts(model, [_story(stories, p.high_id, path).text for p in pairs])
-            lo = score_texts(model, [_story(stories, p.low_id, path).text for p in pairs])
+            for p in pairs:
+                _story(stories, p.high_id, path)
+                _story(stories, p.low_id, path)
+            hi, lo = pair_scores(model, stories, pairs)
             report.acc = pairwise_accuracy(zip(hi, lo))
             report.dis = score_distance(zip(hi, lo))
     elif spec.get("stories"):
@@ -559,7 +574,7 @@ def cmd_evaluate(args) -> int:
 
     if spec.get("judgments"):
         path = spec["judgments"]
-        recs = data_records(path, ("text", "human"))
+        recs = data_records(path, {"text": str, "human": (int, float)})
         if len(recs) < 5:
             raise DataError(f"{path}: {len(recs)} judged records; the permutation "
                             f"test needs at least 5")
@@ -582,7 +597,9 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["aspect_annotations"]
-            recs = _nonempty_records(path, ("story_id", "aspects"))
+            recs = _nonempty_records(path, {"story_id": str, "aspects": list})
+            for r in recs:
+                _check_aspects(path, r["aspects"], model.config.n_aspects)
             ks = [int(k) for k in spec.get("recall_ks", (1, 3, 5))]
             _, a_c, _ = model.infer([tokenize(_story(stories, r["story_id"], path).text,
                                               model.vocab, model.config.max_len)
@@ -597,14 +614,14 @@ def cmd_evaluate(args) -> int:
         else:
             stories = _load_stories(spec["stories"])
             path = spec["comment_references"]
-            recs = _nonempty_records(path, ("story_id", "aspect", "text"))
+            recs = _nonempty_records(path, {"story_id": str, "aspect": int, "text": str})
             refs_by_key: dict[tuple, list[str]] = {}
             for r in recs:
                 if not r["text"].split():
                     raise DataError(f"{path}: empty reference text for story "
                                     f"'{r['story_id']}' aspect {r['aspect']}")
-                refs_by_key.setdefault((r["story_id"], int(r["aspect"])),
-                                       []).append(r["text"])
+                _check_aspects(path, [r["aspect"]], model.config.n_aspects)
+                refs_by_key.setdefault((r["story_id"], r["aspect"]), []).append(r["text"])
             keys = sorted(refs_by_key)
             story_ids = {sid: tokenize(_story(stories, sid, path).text, model.vocab,
                                        model.config.max_len) for sid, _ in keys}
@@ -618,11 +635,7 @@ def cmd_evaluate(args) -> int:
                 # an empty generation (<eos> first) matches nothing: 0, not an error
                 bleus.append(bleu_avg(hyp, ref_tokens) if hyp else 0.0)
                 rouges.append(max(rouge(hyp, rt) for rt in ref_tokens) if hyp else 0.0)
-                for t in refs:
-                    body = [model.vocab.id_of(w) for w in t.split()]
-                    comment_ids = np.asarray(
-                        [model.vocab.bos_id] + body + [model.vocab.eos_id])
-                    ppl_items.append((story_ids[sid], k, comment_ids))
+                ppl_items += [(story_ids[sid], k, model.vocab.comment_ids(t)) for t in refs]
             report.bleu = float(np.mean(bleus))
             report.rouge_l = float(np.mean(rouges))
             report.ppl = corpus_perplexity(model, ppl_items)

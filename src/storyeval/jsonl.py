@@ -22,11 +22,24 @@ def write_jsonl(path, records) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path, required: tuple[str, ...] = ()) -> list[dict]:
+def field_error(record: dict, fields: dict) -> str | None:
+    """How ``record`` breaks its declared ``{field: type}`` mapping (a type
+    or a tuple of types; a JSON boolean is never a number), or None."""
+    for name, kind in fields.items():
+        if name not in record:
+            return f"missing field '{name}'"
+        value, kinds = record[name], kind if isinstance(kind, tuple) else (kind,)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            want = " or ".join(k.__name__ for k in kinds)
+            return f"field '{name}' must be {want}, got {type(value).__name__}"
+    return None
+
+
+def read_jsonl(path, required: dict | None = None) -> list[dict]:
     """Strict reader: a line that is not a JSON object, or an object
-    without one of the ``required`` fields, is a ``DataError`` naming the
-    path and the 1-based line number.  An artifact's ``{"meta": ...}``
-    record needs no fields."""
+    that breaks the ``required`` ``{field: type}`` mapping, is a
+    ``DataError`` naming the path and the 1-based line number.  An
+    artifact's ``{"meta": ...}`` record needs no fields."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -40,9 +53,9 @@ def read_jsonl(path, required: tuple[str, ...] = ()) -> list[dict]:
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{number}: expected a JSON object, "
                                 f"got {type(record).__name__}")
-            missing = [f for f in required if f not in record]
-            if missing and "meta" not in record:
-                raise DataError(f"{path}:{number}: missing field '{missing[0]}'")
+            problem = field_error(record, required or {})
+            if problem and "meta" not in record:
+                raise DataError(f"{path}:{number}: {problem}")
             out.append(record)
     return out
 

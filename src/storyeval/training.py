@@ -1,11 +1,15 @@
 """Multi-task training loop for the story evaluator.
 
-One step encodes a batch of ranked pairs, adds whichever loss
-components the run enables (preference ranking, aspect heads, comment
-generation, coherence negatives), and takes one AdamW step.  Everything
-is deterministic for a fixed seed: batch order, comment sampling and
-dropout all draw from named substreams.  Validation and ``score_texts``
-score stories through ``Model.infer``.
+One step encodes a batch of ranked pairs (the preferred stories, the
+rejected ones and, with coherence training, one corrupted negative per
+rejected story) in a single encoder pass, and every loss component the
+run enables (preference ranking, coherence hinge, aspect heads) reads
+its rows of that one batch.  Comment generation adds a second encoder
+pass over aspect-conditioned stories.  One AdamW step follows.
+Everything is deterministic for a fixed seed: batch order, negative and
+comment sampling and dropout all draw from named substreams.
+Validation, ``pair_scores`` and ``score_texts`` score stories through
+``Model.infer``.
 """
 
 from dataclasses import dataclass, field
@@ -103,21 +107,23 @@ def score_texts(model: Model, texts: list[str], batch_size: int = 64) -> np.ndar
     return model.infer(seqs, batch_size)[0]
 
 
+def pair_scores(model: Model, stories: dict[str, Story], pairs: list[RankedPair],
+                batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Preference scores (hi, lo) of each pair's two stories; every distinct
+    story is tokenized once and scored in one ``Model.infer`` call."""
+    row = {sid: i for i, sid in enumerate(dict.fromkeys(
+        sid for p in pairs for sid in (p.high_id, p.low_id)))}
+    p_s = model.infer([tokenize(stories[sid].text, model.vocab, model.config.max_len)
+                       for sid in row], batch_size)[0]
+    return p_s[[row[p.high_id] for p in pairs]], p_s[[row[p.low_id] for p in pairs]]
+
+
 def evaluate_pairs(model: Model, stories: dict[str, Story],
                    pairs: list[RankedPair], batch_size: int = 64) -> float:
     """Fraction of pairs where the preferred story scores strictly higher."""
     if not pairs:
         raise ContractViolation("no pairs to evaluate")
-    cache: dict[str, np.ndarray] = {}
-
-    def ids(story_id: str) -> np.ndarray:
-        if story_id not in cache:
-            cache[story_id] = tokenize(stories[story_id].text, model.vocab,
-                                       model.config.max_len)
-        return cache[story_id]
-
-    hi = model.infer([ids(p.high_id) for p in pairs], batch_size)[0]
-    lo = model.infer([ids(p.low_id) for p in pairs], batch_size)[0]
+    hi, lo = pair_scores(model, stories, pairs, batch_size)
     return float(np.mean(hi > lo))
 
 
@@ -155,8 +161,8 @@ class Trainer:
                          for sid, texts in data.negatives.items()}
         self._targets = {sid: self._aspect_targets(recs)
                          for sid, recs in data.comments.items()}
-        self._comment_ids = {sid: [(r.aspect, self._comment_tokens(r))
-                                   for r in recs]
+        self._comment_ids = {sid: [(r.aspect, model.vocab.comment_ids(
+                                       r.text, config.comment_max_len)) for r in recs]
                              for sid, recs in data.comments.items()}
 
     def _aspect_targets(self, recs: list[CommentRecord]):
@@ -172,78 +178,9 @@ class Trainer:
         y_ar[sel] /= counts[sel]
         return y_ac, y_ar, sel.astype(np.float64)
 
-    def _comment_tokens(self, rec: CommentRecord) -> np.ndarray:
-        v = self.model.vocab
-        body = [v.id_of(w) for w in rec.text.split()]
-        body = body[: self.config.comment_max_len]
-        return np.asarray([v.bos_id] + body + [v.eos_id], dtype=np.int64)
-
     # -- single step --------------------------------------------------------
 
-    def _train_flags(self):
-        train = self.model.config.dropout > 0
-        return train, (self._drop_rng if train else None)
-
-    def _preference_losses(self, batch: list[RankedPair]):
-        train, rng = self._train_flags()
-        hi_seqs = [self._ids[p.high_id] for p in batch]
-        lo_seqs = [self._ids[p.low_id] for p in batch]
-        v_hi, _, _ = self.model.encode_stories(hi_seqs, train=train, rng=rng)
-        v_lo, _, _ = self.model.encode_stories(lo_seqs, train=train, rng=rng)
-        p_hi = predict_preference(self.model.params, v_hi)
-        p_lo = predict_preference(self.model.params, v_lo)
-        if self.config.objective == "discrimination":
-            ones = np.ones(len(batch))
-            l_ps = 0.5 * (discrimination_loss(p_hi, ones)
-                          + discrimination_loss(p_lo, 1.0 - ones))
-        else:
-            l_ps = margin_rank_loss(p_hi, p_lo, self.config.margin)
-        l_c2 = None
-        if self.config.use_negatives:
-            neg_seqs = []
-            for p in batch:
-                cands = self._neg_ids.get(p.low_id)
-                if not cands:
-                    continue
-                neg_seqs.append(cands[int(self._pick_rng.integers(len(cands)))])
-            if neg_seqs:
-                v_neg, _, _ = self.model.encode_stories(neg_seqs, train=train,
-                                                        rng=rng)
-                p_neg = predict_preference(self.model.params, v_neg)
-                keep = [i for i, p in enumerate(batch) if self._neg_ids.get(p.low_id)]
-                p_lo_kept = ad.take(p_lo, np.asarray(keep, dtype=np.int64))
-                l_c2 = coherence_rank_loss(p_lo_kept, p_neg, self.config.margin)
-        return v_hi, v_lo, l_ps, l_c2
-
-    def _aspect_losses(self, batch, v_hi, v_lo):
-        sids = [p.high_id for p in batch] + [p.low_id for p in batch]
-        rows, y_ac, y_ar, masks = [], [], [], []
-        for i, sid in enumerate(sids):
-            tgt = self._targets.get(sid)
-            if tgt is None:
-                continue
-            rows.append(i)
-            y_ac.append(tgt[0])
-            y_ar.append(tgt[1])
-            masks.append(tgt[2])
-        if not rows:
-            return None, None
-        b = len(batch)
-        idx_hi = np.asarray([r for r in rows if r < b], dtype=np.int64)
-        idx_lo = np.asarray([r - b for r in rows if r >= b], dtype=np.int64)
-        parts = []
-        if idx_hi.size:
-            parts.append(ad.take(v_hi, idx_hi))
-        if idx_lo.size:
-            parts.append(ad.take(v_lo, idx_lo))
-        v_sel = parts[0] if len(parts) == 1 else ad.concat(parts)
-        a_c, a_r = predict_aspects(self.model.params, v_sel)
-        l_ac = conf_loss(a_c, np.stack(y_ac))
-        l_ar = rating_loss(a_r, np.stack(y_ar), np.stack(masks))
-        return l_ac, l_ar
-
-    def _comment_loss(self, batch):
-        train, rng = self._train_flags()
+    def _comment_loss(self, batch, train: bool, rng):
         stories, aspects, comments = [], [], []
         for p in batch:
             cands = [(sid, k, ids) for sid in (p.high_id, p.low_id)
@@ -254,35 +191,53 @@ class Trainer:
                 aspects.append(k)
                 comments.append(ids)
         if not stories:
-            return None
+            return 0.0
         return self.model.comment_nll(stories, aspects, comments, reduce="mean",
                                       train=train, rng=rng)
 
     def train_step(self, batch: list[RankedPair]) -> LossBreakdown:
-        cfg = self.config
-        v_hi, v_lo, l_ps, l_c2 = self._preference_losses(batch)
-        l_ac = l_ar = l_c = 0.0
-        if cfg.use_aspects:
-            got_ac, got_ar = self._aspect_losses(batch, v_hi, v_lo)
-            if got_ac is not None:
-                l_ac, l_ar = got_ac, got_ar
+        """One AdamW step on ``batch``.  The B high stories, the B low stories
+        and one negative per low story that has any are encoded as one batch;
+        each loss reads its rows of that batch."""
+        cfg, params, b = self.config, self.model.params, len(batch)
+        train = self.model.config.dropout > 0
+        rng = self._drop_rng if train else None
+        sids = [p.high_id for p in batch] + [p.low_id for p in batch]
+        seqs = [self._ids[sid] for sid in sids]
+        neg_of = []      # the low-story row each negative row is ranked below
+        for i, p in enumerate(batch):
+            cands = self._neg_ids.get(p.low_id) if cfg.use_negatives else None
+            if cands:
+                neg_of.append(b + i)
+                seqs.append(cands[int(self._pick_rng.integers(len(cands)))])
+        v_s, _, _ = self.model.encode_stories(seqs, train=train, rng=rng)
+        p_s = predict_preference(params, v_s)
+        p_hi, p_lo = p_s[np.arange(b)], p_s[np.arange(b, 2 * b)]
+        l_ps = l_ac = l_ar = l_c = 0.0
+        if cfg.use_ps and cfg.objective == "discrimination":
+            l_ps = 0.5 * (discrimination_loss(p_hi, np.ones(b))
+                          + discrimination_loss(p_lo, np.zeros(b)))
+        elif cfg.use_ps:
+            l_ps = margin_rank_loss(p_hi, p_lo, cfg.margin)
+        if neg_of:
+            l_ps = l_ps + coherence_rank_loss(p_s[np.asarray(neg_of)],
+                                              p_s[np.arange(2 * b, len(seqs))], cfg.margin)
+        rows = [i for i, sid in enumerate(sids) if cfg.use_aspects and sid in self._targets]
+        if rows:
+            y_ac, y_ar, sel = (np.stack(t) for t in
+                               zip(*(self._targets[sids[i]] for i in rows)))
+            a_c, a_r = predict_aspects(params, v_s[np.asarray(rows)])
+            l_ac, l_ar = conf_loss(a_c, y_ac), rating_loss(a_r, y_ar, sel)
         if cfg.use_comments:
-            got_c = self._comment_loss(batch)
-            if got_c is not None:
-                l_c = got_c
-        if not cfg.use_ps:
-            l_ps = 0.0
-        if l_c2 is not None:
-            l_ps = l_ps + l_c2 if cfg.use_ps else l_c2
+            l_c = self._comment_loss(batch, train, rng)
         breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
         lr = lr_at(self.schedule, self.step)
-        ad.zero_grads(self.model.params)
-        ad.forward_backward(breakdown.graph_total, self.model.params)
+        ad.zero_grads(params)
+        ad.forward_backward(breakdown.graph_total, params)
         self.opt.step(lr=lr)
-        row = LogRow(step=self.step, lr=lr, l_ps=breakdown.L_ps,
-                     l_ac=breakdown.L_ac, l_ar=breakdown.L_ar,
-                     l_c=breakdown.L_c, l_total=breakdown.L_total)
-        self.rows.append(row)
+        self.rows.append(LogRow(step=self.step, lr=lr, l_ps=breakdown.L_ps,
+                                l_ac=breakdown.L_ac, l_ar=breakdown.L_ar,
+                                l_c=breakdown.L_c, l_total=breakdown.L_total))
         self.step += 1
         return breakdown
 

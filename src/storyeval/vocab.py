@@ -80,6 +80,12 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._ids.get(token, self.unk_id)
 
+    def comment_ids(self, text: str, max_words: int | None = None) -> np.ndarray:
+        """<bos>, the ids of the first ``max_words`` whitespace-separated
+        words of ``text`` (all of them by default), <eos>."""
+        body = [self.id_of(w) for w in text.split()[:max_words]]
+        return np.asarray([self.bos_id] + body + [self.eos_id], dtype=np.int64)
+
     def decode(self, ids) -> str:
         """Ids back to a space-joined string, dropping control tokens."""
         skip = {self.cls_id, self.sep_id, self.pad_id, self.bos_id, self.eos_id}

@@ -2,9 +2,11 @@
 simple versions that faster code is checked against: per-story scoring
 for batched inference, dense masked attention for banded window
 attention and for the fused decoder attention, the numpy-array Gibbs
-sampler and pair-scan UMass coherence for the list-based LDA, and the
+sampler and pair-scan UMass coherence for the list-based LDA, the
 full-prefix decoding loops (greedy and per-hypothesis beam search) for
-cached, batched comment generation."""
+cached, batched comment generation, and ``reference_train_step``, the
+three-pass train step (preferred, rejected and negative stories each
+encoded on their own) for the one-pass ``Trainer.train_step``."""
 
 import numpy as np
 
@@ -12,7 +14,17 @@ from storyeval import autodiff as ad
 from storyeval import rng as rng_mod
 from storyeval.aspects import LdaModel
 from storyeval.autodiff import NEG_INF
+from storyeval.losses import (
+    coherence_rank_loss,
+    confidence_loss,
+    discrimination_loss,
+    joint_loss,
+    margin_rank_loss,
+    rating_loss,
+)
 from storyeval.model import _ff, decoder_logits, predict_aspects, predict_preference
+from storyeval.optim import lr_at
+from storyeval.training import LogRow
 
 
 def causal_mask(lengths: np.ndarray, seq_len: int, dtype) -> np.ndarray:
@@ -333,3 +345,62 @@ def reference_beam(model, story_ids, aspect_k: int, max_new_tokens: int = 40,
     if body and body[-1] == vocab.eos_id:
         body = body[:-1]
     return np.asarray(body, dtype=np.int64)
+
+
+def reference_train_step(trainer, batch):
+    """``Trainer.train_step`` with the preferred, rejected and negative
+    stories encoded in three separate passes.
+
+    This is the step that one merged encoder pass replaced.  Its aspect
+    rows, taken from two batches, are joined by 0/1 selection matmuls.
+    """
+    cfg, model, b = trainer.config, trainer.model, len(batch)
+    params = model.params
+    train = model.config.dropout > 0
+    rng = trainer._drop_rng if train else None
+    v_hi, _, _ = model.encode_stories([trainer._ids[p.high_id] for p in batch],
+                                      train=train, rng=rng)
+    v_lo, _, _ = model.encode_stories([trainer._ids[p.low_id] for p in batch],
+                                      train=train, rng=rng)
+    p_hi, p_lo = predict_preference(params, v_hi), predict_preference(params, v_lo)
+    if cfg.objective == "discrimination":
+        l_ps = 0.5 * (discrimination_loss(p_hi, np.ones(b))
+                      + discrimination_loss(p_lo, np.zeros(b)))
+    else:
+        l_ps = margin_rank_loss(p_hi, p_lo, cfg.margin)
+    if not cfg.use_ps:
+        l_ps = 0.0
+    if cfg.use_negatives:
+        keep, neg_seqs = [], []
+        for i, p in enumerate(batch):
+            cands = trainer._neg_ids.get(p.low_id)
+            if cands:
+                keep.append(i)
+                neg_seqs.append(cands[int(trainer._pick_rng.integers(len(cands)))])
+        if neg_seqs:
+            v_neg, _, _ = model.encode_stories(neg_seqs, train=train, rng=rng)
+            l_c2 = coherence_rank_loss(ad.take(p_lo, np.asarray(keep)),
+                                       predict_preference(params, v_neg), cfg.margin)
+            l_ps = l_ps + l_c2 if cfg.use_ps else l_c2
+    l_ac = l_ar = l_c = 0.0
+    sids = [p.high_id for p in batch] + [p.low_id for p in batch]
+    rows = [i for i, sid in enumerate(sids) if sid in trainer._targets]
+    if cfg.use_aspects and rows:
+        pick = np.eye(2 * b, dtype=v_hi.dtype)[rows]
+        v_sel = ad.Tensor(pick[:, :b]) @ v_hi + ad.Tensor(pick[:, b:]) @ v_lo
+        y_ac, y_ar, sel = (np.stack(t) for t in
+                           zip(*(trainer._targets[sids[i]] for i in rows)))
+        a_c, a_r = predict_aspects(params, v_sel)
+        l_ac, l_ar = confidence_loss(a_c, y_ac), rating_loss(a_r, y_ar, sel)
+    if cfg.use_comments:
+        l_c = trainer._comment_loss(batch, train, rng)
+    breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
+    lr = lr_at(trainer.schedule, trainer.step)
+    ad.zero_grads(params)
+    ad.forward_backward(breakdown.graph_total, params)
+    trainer.opt.step(lr=lr)
+    trainer.rows.append(LogRow(step=trainer.step, lr=lr, l_ps=breakdown.L_ps,
+                               l_ac=breakdown.L_ac, l_ar=breakdown.L_ar,
+                               l_c=breakdown.L_c, l_total=breakdown.L_total))
+    trainer.step += 1
+    return breakdown

@@ -237,9 +237,6 @@ def _op_configs():
         {"x": leaf(rng, 3, 6), "g": leaf(rng, 6), "b": leaf(rng, 6)},
         lambda p: (ad.layer_norm(p["x"], p["g"], p["b"])
                    * c(np.random.default_rng(97), 3, 6)).sum()))
-    register("concat", lambda rng: (
-        {"a": leaf(rng, 2, 3), "b": leaf(rng, 4, 3)},
-        lambda p: (ad.concat([p["a"], p["b"]]) ** 2.0).sum()))
     # window 2 < length 11 (chunks of 2, T not a multiple), second row padded
     register("window_attention", lambda rng: (
         {n: leaf(rng, 2, 11, 2, 3) for n in "qkv"},
@@ -272,9 +269,6 @@ def _op_configs():
         lambda p: (ad.attention(p["q"], p["k"], p["v"], np.array([7, 2]), False,
                                 0.3, np.random.default_rng(5))
                    * c(np.random.default_rng(91), 2, 3, 2, 3)).sum()))
-    register("concat_axis1", lambda rng: (
-        {"a": leaf(rng, 3, 2), "b": leaf(rng, 3, 5)},
-        lambda p: (ad.concat([p["a"], p["b"]], axis=1) * 0.5).sum()))
     return cfgs
 
 

@@ -251,6 +251,7 @@ class TestScore:
         stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
                    if "meta" not in r][:4]
         stories.insert(2, {"id": "broken", "text": ""})
+        stories.append({"id": "numeric", "text": 5})
         write_jsonl(tmp_path / "stories.jsonl", stories)
         assert run(["score", "--checkpoint", smoke / "run" / "model.ckpt",
                     "--vocab", smoke / "run" / "vocab.txt",
@@ -258,10 +259,11 @@ class TestScore:
                     "--out", tmp_path / "scores.jsonl",
                     "--top-aspects", 2, "--max-new-tokens", 6]) == 0
         records = read_jsonl(tmp_path / "scores.jsonl")
-        assert records[0]["meta"]["failures"] == 1
+        assert records[0]["meta"]["failures"] == 2
         body = records[1:]
-        assert len(body) == 5
+        assert len(body) == 6
         assert body[2]["id"] == "broken" and "error" in body[2]
+        assert body[5]["error"] == "DataError: field 'text' must be str, got int"
         for rec in body:
             if "error" in rec:
                 continue
@@ -435,6 +437,10 @@ class TestEvaluate:
                        for i in range(4)], "4 judged records"),
         ("judgments", [{"text": f"story number {i}", "human": 1.0}
                        for i in range(5)], "zero variance input"),
+        ("aspect_annotations", [{"aspects": []}], "empty aspects list"),
+        ("aspect_annotations", [{"aspects": [0, 10]}], "aspect id 10 outside [0, 10)"),
+        ("comment_references", [{"aspect": 10, "text": "a fine ending"}],
+         "aspect id 10 outside [0, 10)"),
     ])
     def test_empty_evaluation_input_is_data_error(self, smoke, tmp_path, capsys,
                                                   section, records, message):
@@ -525,4 +531,90 @@ class TestMissingField:
         assert run(argv) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"{bad}:2: missing field '{field}'" in err
+        assert "Traceback" not in err
+
+
+class TestWrongFieldType:
+    @pytest.mark.parametrize("command,field,value,kinds", [
+        ("extract-aspects", "text", 7, "str, got int"),
+        ("augment-comments --raw", "text", ["a", "list"], "str, got list"),
+        ("augment-comments --crowd", "text", 7, "str, got int"),
+        ("compare", "text", 7, "str, got int"),
+        ("compare", "prompt_id", 3, "str, got int"),
+        ("evaluate pairs", "high_id", 3, "str, got int"),
+        ("evaluate judgments", "text", 7, "str, got int"),
+        ("evaluate judgments", "human", "high", "int or float, got str"),
+        ("evaluate judgments", "human", True, "int or float, got bool"),
+        ("evaluate aspect_annotations", "aspects", "0,3", "list, got str"),
+        ("evaluate comment_references", "aspect", "1", "int, got str"),
+    ])
+    def test_exits_with_data_error_naming_the_field(self, smoke, tmp_path, capsys,
+                                                    command, field, value, kinds):
+        stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                   if "meta" not in r]
+        bad = tmp_path / "recs.jsonl"
+        out = ["--out-dir", tmp_path / "out"]
+        model = ["--checkpoint", smoke / "run" / "model.ckpt",
+                 "--vocab", smoke / "run" / "vocab.txt"]
+        if command == "extract-aspects":
+            records = [{"text": "a vivid world"} for _ in range(2)]
+            argv = ["extract-aspects", bad, *out, "--topics", 2]
+        elif command.startswith("augment-comments"):
+            records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
+            files = {"--crowd": smoke / "comments.jsonl", "--raw": smoke / "comments.jsonl",
+                     command.split()[1]: bad}
+            argv = ["augment-comments", *[x for kv in files.items() for x in kv], *out]
+        elif command == "compare":
+            records = [{"prompt_id": s["prompt_id"], "text": s["text"]} for s in stories[:2]]
+            argv = ["compare", bad, bad, *model]
+        else:
+            section = command.split()[1]
+            records = {
+                "pairs": [{"prompt_id": s["prompt_id"], "high_id": s["id"],
+                           "low_id": s["id"]} for s in stories[:2]],
+                "judgments": [{"text": f"story number {i}", "human": float(i)}
+                              for i in range(6)],
+                "aspect_annotations": [{"story_id": s["id"], "aspects": [0, 3]}
+                                       for s in stories[:2]],
+                "comment_references": [{"story_id": s["id"], "aspect": 1,
+                                        "text": "a fine ending"} for s in stories[:2]],
+            }[section]
+            write_json(tmp_path / "spec.json", {
+                "stories": str(smoke / "prep" / "stories.jsonl"), section: str(bad)})
+            argv = ["evaluate", tmp_path / "spec.json", *model]
+        records[1][field] = value
+        write_jsonl(bad, records)
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:2: field '{field}' must be {kinds}" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedTaxonomy:
+    @pytest.mark.parametrize("content,message", [
+        ("{not json", "not valid JSON"),
+        ('"aspects"', "expected a non-empty list of aspects"),
+        ('{"names": ["pacing"]}', "expected a non-empty list of aspects"),
+        ('[{"index": 0, "name": "pacing"}, {"index": 1}]',
+         "aspect entry {'index': 1} needs an int 'index' and a str 'name'"),
+        ('[{"name": "pacing"}]',
+         "aspect entry {'name': 'pacing'} needs an int 'index' and a str 'name'"),
+        ('[{"index": 0, "name": "pacing"}, {"index": 1, "name": "pacing"}]',
+         "duplicate aspect names"),
+    ], ids=["not_json", "string", "no_aspects_key", "no_name", "no_index", "duplicate"])
+    @pytest.mark.parametrize("command", ["augment-comments", "train"])
+    def test_exits_with_data_error_naming_the_file(self, smoke, tmp_path, capsys,
+                                                   command, content, message):
+        path = tmp_path / "taxonomy.json"
+        path.write_text(content, encoding="utf-8")
+        if command == "train":
+            argv = ["train", "--config", smoke / "cfg.json",
+                    "--set", f"data.taxonomy={path}", "--out-dir", tmp_path / "run"]
+        else:
+            argv = ["augment-comments", "--crowd", smoke / "comments.jsonl",
+                    "--raw", smoke / "comments.jsonl", "--taxonomy", path,
+                    "--out-dir", tmp_path / "out"]
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err
         assert "Traceback" not in err

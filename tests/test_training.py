@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from storyeval import model as model_mod
 from storyeval import rng as rng_mod
-from storyeval.corpus import build_pairs, generate_negative, split_by_prompt
+from storyeval.corpus import RankedPair, build_pairs, generate_negative, split_by_prompt
 from storyeval.errors import ConfigError, ContractViolation
 from storyeval.model import Model, ModelConfig
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
@@ -13,13 +14,16 @@ from storyeval.training import (
     TrainData,
     Trainer,
     evaluate_pairs,
+    pair_scores,
     score_texts,
 )
-from storyeval.vocab import build_vocab
+from storyeval.vocab import build_vocab, tokenize
+
+from helpers import reference_heads, reference_train_step
 
 
 def _setup(n_prompts=20, seed=0, with_comments=False, with_negatives=False,
-           d_model=24):
+           d_model=24, dtype=np.float32):
     stories = make_preference_corpus(n_prompts=n_prompts, seed=seed)
     pairs = build_pairs(stories)
     splits = split_by_prompt(pairs, seed=seed)
@@ -34,7 +38,7 @@ def _setup(n_prompts=20, seed=0, with_comments=False, with_negatives=False,
     config = ModelConfig(vocab_size=len(vocab), d_model=d_model,
                          n_enc_layers=1, n_dec_layers=1, n_heads=2, window=8,
                          max_len=96, n_aspects=10, dropout=0.0)
-    model = Model(config, vocab, rng=rng_mod.stream(seed, "init"))
+    model = Model(config, vocab, rng=rng_mod.stream(seed, "init"), dtype=dtype)
     negatives = {}
     if with_negatives:
         for p in splits["train"]:
@@ -229,7 +233,89 @@ class TestEvalHelpers:
         assert np.array_equal(scores, score_texts(model, texts))
         assert np.all((scores > 0) & (scores < 1))
 
+    def test_pair_scores_score_each_story_once(self, monkeypatch):
+        model, data, _ = _setup()
+        stories = list(data.stories.values())
+        highs = [s for s in stories if s.id.endswith("_hi")][:2]
+        lows = [s for s in stories if s.id.endswith("_lo")][:3]
+        pairs = [RankedPair(prompt_id="p", high_id=h.id, low_id=lo.id)
+                 for h in highs for lo in lows]
+        seen = []
+        real = model.infer
+
+        def recording(seqs, batch_size=64):
+            seen.append([tuple(s) for s in seqs])
+            return real(seqs, batch_size)
+
+        monkeypatch.setattr(model, "infer", recording)
+        hi, lo = pair_scores(model, data.stories, pairs)
+        ids = {s.id: tokenize(s.text, model.vocab, model.config.max_len)
+               for s in highs + lows}
+        assert len(seen) == 1 and len(seen[0]) == 5
+        assert sorted(seen[0]) == sorted(tuple(v) for v in ids.values())
+        want_hi = reference_heads(model, [ids[p.high_id] for p in pairs])[0]
+        want_lo = reference_heads(model, [ids[p.low_id] for p in pairs])[0]
+        assert np.max(np.abs(hi - want_hi)) <= 1e-5
+        assert np.max(np.abs(lo - want_lo)) <= 1e-5
+        assert evaluate_pairs(model, data.stories, pairs) == np.mean(hi > lo)
+
     def test_evaluate_pairs_empty(self):
         model, data, _ = _setup()
         with pytest.raises(ContractViolation):
             evaluate_pairs(model, data.stories, [])
+
+
+class TestOnePassStep:
+    @staticmethod
+    def _partial_setup():
+        """float64 model; negatives for every other low story of the first
+        batch and aspect targets for every third of its stories."""
+        model, data, _ = _setup(with_comments=True, with_negatives=True,
+                                dtype=np.float64)
+        batch = data.train_pairs[:8]
+        sids = list(dict.fromkeys(sid for p in batch for sid in (p.high_id, p.low_id)))
+        data.negatives = {p.low_id: data.negatives[p.low_id] for p in batch[::2]}
+        data.comments = {sid: data.comments[sid] for sid in sids[::3]}
+        return model, data, batch
+
+    def test_stories_encoded_in_one_pass(self, monkeypatch):
+        calls = []
+        real = model_mod.encode
+
+        def counting(params, config, ids, lengths, **kw):
+            calls.append(ids.shape[0])
+            return real(params, config, ids, lengths, **kw)
+
+        monkeypatch.setattr(model_mod, "encode", counting)
+        model, data, batch = self._partial_setup()
+        n_neg = sum(1 for p in batch if p.low_id in data.negatives)
+        assert 0 < n_neg < len(batch)
+        for use_comments, expected in ((True, 2), (False, 1)):
+            calls.clear()
+            cfg = TrainConfig(batch_size=8, epochs=1, seed=0, use_aspects=True,
+                              use_comments=use_comments, use_negatives=True)
+            Trainer(model, data, cfg).train_step(batch)
+            assert len(calls) == expected
+            assert calls[0] == 2 * len(batch) + n_neg
+
+    @pytest.mark.parametrize("objective,use_ps", [("rank", True), ("discrimination", True),
+                                                  ("rank", False)])
+    def test_equals_three_pass_oracle(self, objective, use_ps):
+        cfg = TrainConfig(batch_size=8, epochs=1, seed=0, peak_lr=1e-2,
+                          warmup_frac=0.0, objective=objective, use_ps=use_ps,
+                          use_aspects=True, use_comments=True, use_negatives=True)
+        runs = []
+        for step in (Trainer.train_step, reference_train_step):
+            model, data, batch = self._partial_setup()
+            trainer = Trainer(model, data, cfg)
+            start = {n: t.data.copy() for n, t in model.params.items()}
+            losses = [step(trainer, batch) for _ in range(2)]
+            runs.append((losses, model.params, start))
+        (got, params, start), (want, ref_params, _) = runs
+        for g, w in zip(got, want):
+            assert min(w.L_ps, w.L_ac, w.L_ar, w.L_c) > 0.0
+            for name in ("L_ps", "L_ac", "L_ar", "L_c"):
+                assert abs(getattr(g, name) - getattr(w, name)) <= 1e-10, name
+        for name, t in params.items():
+            assert np.max(np.abs(t.data - ref_params[name].data)) <= 1e-10, name
+        assert not np.array_equal(params["w_ps"].data, start["w_ps"])

@@ -98,3 +98,13 @@ def test_pad_batch_shapes(vocab):
     assert ids.shape == (2, 3)
     assert lengths.tolist() == [3, 2]
     assert ids[1, 2] == vocab.pad_id
+
+
+def test_comment_ids_truncate_and_map_unknown_words(vocab):
+    ids = vocab.comment_ids("cat zebra sat mat")
+    assert ids.dtype == np.int64
+    assert ids.tolist() == [vocab.bos_id, vocab.id_of("cat"), vocab.unk_id,
+                            vocab.id_of("sat"), vocab.id_of("mat"), vocab.eos_id]
+    assert vocab.comment_ids("cat zebra sat mat", max_words=2).tolist() == \
+        [vocab.bos_id, vocab.id_of("cat"), vocab.unk_id, vocab.eos_id]
+    assert vocab.comment_ids("", max_words=3).tolist() == [vocab.bos_id, vocab.eos_id]
