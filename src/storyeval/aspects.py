@@ -309,7 +309,6 @@ class TextClassifier:
     config: ModelConfig
     vocab: Vocabulary
     n_classes: int
-    head: str = "w_cls"
 
     def _encode(self, texts: list[str]) -> Tensor:
         seqs = [tokenize(t, self.vocab, self.config.max_len) for t in texts]
@@ -319,7 +318,7 @@ class TextClassifier:
 
     def predict_proba_batch(self, texts: list[str]) -> np.ndarray:
         with ad.no_grad():
-            logits = self._encode(texts) @ self.params[self.head]
+            logits = self._encode(texts) @ self.params["w_cls"]
             return ad.softmax(logits, axis=-1).data
 
     def predict_proba(self, text: str) -> np.ndarray:
@@ -339,8 +338,7 @@ class TextClassifier:
 
 def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
                       vocab: Vocabulary | None, epochs: int, lr: float,
-                      batch_size: int, seed: int,
-                      config: ModelConfig | None = None) -> TextClassifier:
+                      batch_size: int, seed: int) -> TextClassifier:
     if len(texts) != len(labels):
         raise ContractViolation("texts and labels differ in length")
     present = set(int(l) for l in labels)
@@ -349,10 +347,9 @@ def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
         raise ContractViolation(f"classes without examples: {missing}")
     if vocab is None:
         vocab = build_vocab(texts, size=2000, n_aspects=0)
-    if config is None:
-        config = ModelConfig(vocab_size=len(vocab), d_model=48, n_enc_layers=1,
-                             n_dec_layers=1, n_heads=2, window=16, max_len=64,
-                             n_aspects=max(1, n_classes), dropout=0.0)
+    config = ModelConfig(vocab_size=len(vocab), d_model=48, n_enc_layers=1,
+                         n_dec_layers=1, n_heads=2, window=16, max_len=64,
+                         n_aspects=max(1, n_classes), dropout=0.0)
     init_rng = rng_mod.stream(seed, "classifier_init")
     params = init_params(config, init_rng)
     params["w_cls"] = Tensor(
@@ -390,8 +387,7 @@ def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
 def train_aspect_classifier(records: list[CommentRecord], n_aspects: int = 10,
                             vocab: Vocabulary | None = None, epochs: int = 30,
                             lr: float = 3e-3, batch_size: int = 16,
-                            seed: int = 0, min_per_class: int = 1,
-                            config: ModelConfig | None = None) -> TextClassifier:
+                            seed: int = 0, min_per_class: int = 1) -> TextClassifier:
     """K-way aspect classifier over crowd-labeled comments."""
     crowd = [r for r in records if r.source == "crowd"]
     counts = np.zeros(n_aspects, dtype=np.int64)
@@ -403,14 +399,13 @@ def train_aspect_classifier(records: list[CommentRecord], n_aspects: int = 10,
     texts = [r.text for r in crowd]
     labels = np.asarray([r.aspect for r in crowd], dtype=np.int64)
     return _train_classifier(texts, labels, n_aspects, vocab, epochs, lr,
-                             batch_size, seed, config=config)
+                             batch_size, seed)
 
 
 def train_sentiment_scorer(records: list[CommentRecord],
                            vocab: Vocabulary | None = None, epochs: int = 30,
                            lr: float = 3e-3, batch_size: int = 16,
-                           seed: int = 0, min_per_class: int = 1,
-                           config: ModelConfig | None = None) -> TextClassifier:
+                           seed: int = 0, min_per_class: int = 1) -> TextClassifier:
     """5-way sentiment scorer; labels derive from the 0-1 ratings."""
     crowd = [r for r in records if r.source == "crowd"]
     texts = [r.text for r in crowd]
@@ -419,8 +414,7 @@ def train_sentiment_scorer(records: list[CommentRecord],
     if len(set(labels.tolist())) < 5 and min_per_class > 0:
         missing = sorted(set(range(5)) - set(labels.tolist()))
         raise ContractViolation(f"sentiment classes without examples: {missing}")
-    return _train_classifier(texts, labels, 5, vocab, epochs, lr,
-                             batch_size, seed, config=config)
+    return _train_classifier(texts, labels, 5, vocab, epochs, lr, batch_size, seed)
 
 
 # -- augmentation -----------------------------------------------------------

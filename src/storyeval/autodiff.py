@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Exactly the operations the evaluator's model and losses need, nothing
-more.  Every op builds a node in an acyclic graph; ``backward`` on a
-scalar loss walks the graph in reverse topological order and accumulates
-gradients into ``Tensor.grad``.
+more.  Every op builds a node in an acyclic graph whose backward
+function returns one gradient per input, in the order the op passed its
+inputs.  ``Tensor.backward`` on a scalar loss walks the graph in reverse
+topological order and is the only code that adds those gradients up, so
+``Tensor.grad`` is a result to read, not a buffer to write into: it may
+share memory with another tensor's gradient.
 
 Dtype follows the arrays you pass in: build parameters in float32 for
 training, float64 when running finite-difference checks.  Inference runs
@@ -84,14 +87,13 @@ class Tensor:
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
-        else:
-            self.grad += g
-
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad."""
+        """Populate ``grad`` on every reachable tensor with requires_grad.
+
+        A tensor's first gradient is taken as the op returned it; later
+        ones are added out of place in the accumulator's dtype, so no
+        gradient array is ever written into and none needs a copy.
+        """
         if self.data.shape != ():
             raise ContractViolation(
                 f"backward() root must be a scalar, got shape {self.data.shape}"
@@ -113,8 +115,15 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None:
+                continue
+            for p, g in zip(node._parents, node._backward(node.grad)):
+                if not p.requires_grad:
+                    continue
+                if p.grad is None:
+                    p.grad = np.asarray(g)
+                else:
+                    p.grad = np.asarray(p.grad + g, p.grad.dtype)
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -180,8 +189,7 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward, name: str) ->
     out = Tensor(_checked(data, name))
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        grads_into = tuple(p for p in parents if p.requires_grad or p._parents)
-        out._parents = grads_into
+        out._parents = parents
         out._backward = backward
     return out
 
@@ -206,10 +214,7 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_sum_to_shape(g, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_sum_to_shape(g, b.data.shape))
+        return _sum_to_shape(g, a.data.shape), _sum_to_shape(g, b.data.shape)
 
     return _node(out_data, (a, b), backward, "add")
 
@@ -220,10 +225,7 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_sum_to_shape(g * b.data, a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_sum_to_shape(g * a.data, b.data.shape))
+        return _sum_to_shape(g * b.data, a.data.shape), _sum_to_shape(g * a.data, b.data.shape)
 
     return _node(out_data, (a, b), backward, "mul")
 
@@ -233,7 +235,7 @@ def power(a: Tensor, exponent: float) -> Tensor:
     out_data = a.data ** exponent
 
     def backward(g):
-        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
+        return (g * exponent * a.data ** (exponent - 1.0),)
 
     return _node(out_data, (a,), backward, "power")
 
@@ -244,10 +246,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_sum_to_shape(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_sum_to_shape(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        return (_sum_to_shape(g @ b.data.swapaxes(-1, -2), a.data.shape),
+                _sum_to_shape(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _node(out_data, (a, b), backward, "matmul")
 
@@ -259,7 +259,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def backward(g):
-        a._accumulate(g.reshape(old_shape))
+        return (g.reshape(old_shape),)
 
     return _node(out_data, (a,), backward, "reshape")
 
@@ -268,9 +268,9 @@ def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     out_data = a.data.swapaxes(ax1, ax2)
 
     def backward(g):
-        a._accumulate(g.swapaxes(ax1, ax2))
+        return (g.swapaxes(ax1, ax2),)
 
-    # swapaxes returns a view; copy so downstream in-place grads are safe
+    # a contiguous copy, so the result never aliases its input's data
     return _node(np.ascontiguousarray(out_data), (a,), backward, "swapaxes")
 
 
@@ -280,7 +280,7 @@ def take(a: Tensor, idx) -> Tensor:
     def backward(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        a._accumulate(buf)
+        return (buf,)
 
     return _node(np.ascontiguousarray(out_data), (a,), backward, "take")
 
@@ -293,7 +293,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape))
+        return (np.broadcast_to(g, a.data.shape),)
 
     return _node(out_data, (a,), backward, "sum")
 
@@ -310,45 +310,27 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape) / count)
+        return (np.broadcast_to(g, a.data.shape) / count,)
 
     return _node(out_data, (a,), backward, "mean")
 
 
 # -- elementwise nonlinearities ------------------------------------------
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return _node(out_data, (a,), backward, "exp")
-
-
 def log(a: Tensor) -> Tensor:
     out_data = np.log(a.data)
 
     def backward(g):
-        a._accumulate(g / a.data)
+        return (g / a.data,)
 
     return _node(out_data, (a,), backward, "log")
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / out_data)
-
-    return _node(out_data, (a,), backward, "sqrt")
 
 
 def relu(a: Tensor) -> Tensor:
     out_data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        a._accumulate(g * (a.data > 0.0))
+        return (g * (a.data > 0.0),)
 
     return _node(out_data, (a,), backward, "relu")
 
@@ -362,7 +344,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out_data[~pos] = ez / (1.0 + ez)
 
     def backward(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
+        return (g * out_data * (1.0 - out_data),)
 
     return _node(out_data, (a,), backward, "sigmoid")
 
@@ -372,7 +354,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     out_data = np.maximum(a.data, floor)
 
     def backward(g):
-        a._accumulate(g * (a.data > floor))
+        return (g * (a.data > floor),)
 
     return _node(out_data, (a,), backward, "clamp_min")
 
@@ -384,7 +366,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * out_data).sum(axis=axis, keepdims=True)
-        a._accumulate(out_data * (g - dot))
+        return (out_data * (g - dot),)
 
     return _node(out_data, (a,), backward, "softmax")
 
@@ -396,7 +378,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         soft = np.exp(out_data)
-        a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        return (g - soft * g.sum(axis=axis, keepdims=True),)
 
     return _node(out_data, (a,), backward, "log_softmax")
 
@@ -411,7 +393,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         buf = np.zeros_like(table.data)
         np.add.at(buf, ids, g)
-        table._accumulate(buf)
+        return (buf,)
 
     return _node(out_data, (table,), backward, "embedding")
 
@@ -425,7 +407,7 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
     def backward(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, (*grids, idx), g)
-        a._accumulate(buf)
+        return (buf,)
 
     return _node(out_data, (a,), backward, "gather_last")
 
@@ -441,15 +423,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     reduce_axes = tuple(range(out_data.ndim - 1))
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).sum(axis=reduce_axes))
-        if bias.requires_grad:
-            bias._accumulate(g.sum(axis=reduce_axes))
-        if x.requires_grad or x._parents:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(term * inv)
+        dxhat = g * gain.data
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return term * inv, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
 
     return _node(out_data, (x, gain, bias), backward, "layer_norm")
 
@@ -589,9 +566,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
         dvt[:, :, :g] += d_glob.swapaxes(-1, -2) @ go
         dkt += ds_rows.swapaxes(-1, -2) @ qp[:, :, :g]
         dvt += d_rows.swapaxes(-1, -2) @ go_rows
-        for x, gx in ((q, dq[:, :, :t] * scale), (k, dkt), (v, dvt)):
-            if x.requires_grad or x._parents:
-                x._accumulate(gx.transpose(0, 2, 1, 3))
+        return tuple(gx.transpose(0, 2, 1, 3) for gx in (dq[:, :, :t] * scale, dkt, dvt))
 
     return _node(o[:, :, :t].transpose(0, 2, 1, 3).copy(), (q, k, v), backward,
                  "window_attention")
@@ -636,10 +611,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = 
         if keep is not None:
             dp *= keep
         ds = p * (dp - (go * o).sum(-1, keepdims=True))
-        for x, gx in ((q, (ds @ kt.swapaxes(-1, -2)) * scale),
-                      (k, ds.swapaxes(-1, -2) @ qh), (v, d.swapaxes(-1, -2) @ go)):
-            if x.requires_grad or x._parents:
-                x._accumulate(gx.transpose(0, 2, 1, 3))
+        return tuple(gx.transpose(0, 2, 1, 3) for gx in (
+            (ds @ kt.swapaxes(-1, -2)) * scale, ds.swapaxes(-1, -2) @ qh, d.swapaxes(-1, -2) @ go))
 
     return _node(np.ascontiguousarray(o.transpose(0, 2, 1, 3)), (q, k, v), backward,
                  "attention")
@@ -652,7 +625,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     out_data, keep = _drop(x.data, rate, rng)
 
     def backward(g):
-        x._accumulate(g * keep)
+        return (g * keep,)
 
     return _node(out_data, (x,), backward, "dropout")
 

@@ -66,7 +66,7 @@ from .metrics import (
 )
 from .model import INFER_BATCH, Model, ModelConfig
 from .training import TrainConfig, TrainData, Trainer, pair_scores, score_texts
-from .vocab import Vocabulary, build_vocab, tokenize
+from .vocab import Vocabulary, build_vocab, tokenize, words
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -192,7 +192,8 @@ def _load_pairs(path, read=data_records) -> list[RankedPair]:
 
 def _load_comment_records(path) -> list[CommentRecord]:
     return [CommentRecord.from_record(r)
-            for r in data_records(path, {"story_id": str, "text": str})]
+            for r in data_records(path, {"story_id": str, "text": str, "aspect": int,
+                                         "rating": (int, float)})]
 
 
 def _story(stories: dict[str, Story], story_id: str, path) -> Story:
@@ -332,6 +333,8 @@ def cmd_augment(args) -> int:
     n_aspects = args.n_aspects
     if args.taxonomy:
         n_aspects = len(AspectTaxonomy.load(args.taxonomy))
+    for rec in crowd:
+        _check_aspects(args.crowd, [rec.aspect], n_aspects)
     settings = {"command": "augment-comments", "n_aspects": n_aspects,
                 "confidence": args.confidence, "min_words": args.min_words,
                 "max_words": args.max_words, "per_aspect_cap": args.cap,
@@ -377,6 +380,7 @@ def cmd_train(args) -> int:
     texts = [s.text for s in stories.values()]
     if data_cfg.get("comments"):
         for rec in _load_comment_records(data_cfg["comments"]):
+            _check_aspects(data_cfg["comments"], [rec.aspect], cfg["model"]["n_aspects"])
             comments.setdefault(rec.story_id, []).append(rec)
             texts.append(rec.text)
     if data_cfg.get("taxonomy"):
@@ -384,10 +388,6 @@ def cmd_train(args) -> int:
         if len(taxonomy) != cfg["model"]["n_aspects"]:
             raise ConfigError(f"taxonomy has {len(taxonomy)} aspects but "
                               f"model.n_aspects={cfg['model']['n_aspects']}")
-        bad = sorted({r.aspect for rs in comments.values() for r in rs
-                      if r.aspect is not None and r.aspect >= len(taxonomy)})
-        if bad:
-            raise DataError(f"comment aspect ids outside taxonomy: {bad}")
     negatives: dict[str, list[str]] = {}
     if data_cfg.get("negatives"):
         for r in data_records(data_cfg["negatives"], {"source_story_id": str, "text": str}):
@@ -555,12 +555,12 @@ def cmd_evaluate(args) -> int:
                 "eval_spec": spec, "seed": args.seed}
     report = MetricReport()
     skipped: list[str] = []
+    stories = _load_stories(spec["stories"]) if spec.get("stories") else None
 
     if spec.get("pairs"):
-        if not spec.get("stories"):
+        if stories is None:
             skipped.append("ranking (needs 'stories' alongside 'pairs')")
         else:
-            stories = _load_stories(spec["stories"])
             path = spec["pairs"]
             pairs = _load_pairs(path, _nonempty_records)
             for p in pairs:
@@ -569,7 +569,7 @@ def cmd_evaluate(args) -> int:
             hi, lo = pair_scores(model, stories, pairs)
             report.acc = pairwise_accuracy(zip(hi, lo))
             report.dis = score_distance(zip(hi, lo))
-    elif spec.get("stories"):
+    elif stories is not None:
         skipped.append("ranking (needs 'pairs')")
 
     if spec.get("judgments"):
@@ -592,10 +592,9 @@ def cmd_evaluate(args) -> int:
             raise DataError(f"{path}: {exc}") from exc
 
     if spec.get("aspect_annotations"):
-        if not spec.get("stories"):
+        if stories is None:
             skipped.append("aspect recall (needs 'stories')")
         else:
-            stories = _load_stories(spec["stories"])
             path = spec["aspect_annotations"]
             recs = _nonempty_records(path, {"story_id": str, "aspects": list})
             for r in recs:
@@ -609,15 +608,14 @@ def cmd_evaluate(args) -> int:
                              for k in ks}
 
     if spec.get("comment_references"):
-        if not spec.get("stories"):
+        if stories is None:
             skipped.append("generation (needs 'stories')")
         else:
-            stories = _load_stories(spec["stories"])
             path = spec["comment_references"]
             recs = _nonempty_records(path, {"story_id": str, "aspect": int, "text": str})
             refs_by_key: dict[tuple, list[str]] = {}
             for r in recs:
-                if not r["text"].split():
+                if not words(r["text"]):
                     raise DataError(f"{path}: empty reference text for story "
                                     f"'{r['story_id']}' aspect {r['aspect']}")
                 _check_aspects(path, [r["aspect"]], model.config.n_aspects)
@@ -631,7 +629,7 @@ def cmd_evaluate(args) -> int:
             for (sid, k), toks in zip(keys, hyps):
                 refs = refs_by_key[(sid, k)]
                 hyp = model.vocab.decode(toks).split()
-                ref_tokens = [t.split() for t in refs]
+                ref_tokens = [words(t) for t in refs]
                 # an empty generation (<eos> first) matches nothing: 0, not an error
                 bleus.append(bleu_avg(hyp, ref_tokens) if hyp else 0.0)
                 rouges.append(max(rouge(hyp, rt) for rt in ref_tokens) if hyp else 0.0)

@@ -19,12 +19,6 @@ from .errors import ContractViolation
 LOG_EPS = 1e-12
 
 
-def _wrap(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _batch_mean(x: Tensor) -> Tensor:
     return x.mean() if x.data.ndim > 0 else x
 
@@ -37,8 +31,8 @@ def margin_rank_loss(p_high, p_low, margin: float = 0.3) -> Tensor:
     """Hinge pushing the preferred story's score above the other by ``margin``."""
     if margin <= 0:
         raise ContractViolation("margin must be positive")
-    p_high = _wrap(p_high)
-    p_low = _wrap(p_low)
+    p_high = as_tensor(p_high)
+    p_low = as_tensor(p_low)
     return _batch_mean(ad.relu(p_low - p_high + margin))
 
 
@@ -53,7 +47,7 @@ def confidence_loss(a_c, y_a_c) -> Tensor:
     Targets stay unnormalized: each selected aspect contributes its own
     -log a_c[k] term.
     """
-    a_c = _wrap(a_c)
+    a_c = as_tensor(a_c)
     y = np.asarray(y_a_c, dtype=np.float64)
     if y.shape != a_c.data.shape:
         raise ContractViolation("confidence targets must match a_c shape")
@@ -70,7 +64,7 @@ def rating_loss(a_r, y_a_r, selected) -> Tensor:
     mask matching a batched (B, K) input.  Items with nothing selected
     contribute zero and trigger a warning.
     """
-    a_r = _wrap(a_r)
+    a_r = as_tensor(a_r)
     y = np.asarray(y_a_r, dtype=np.float64)
     if a_r.data.ndim == 1:
         mask = np.zeros(a_r.data.shape, dtype=np.float64)
@@ -130,7 +124,7 @@ def discrimination_loss(p_s, label, smoothing: float = 0.0) -> Tensor:
     """
     if not 0.0 <= smoothing < 0.5:
         raise ContractViolation("smoothing must be in [0, 0.5)")
-    p_s = _wrap(p_s)
+    p_s = as_tensor(p_s)
     y = np.asarray(label, dtype=np.float64)
     target = y * (1.0 - smoothing) + (1.0 - y) * smoothing
     t = Tensor(np.asarray(target, dtype=p_s.data.dtype))
@@ -163,8 +157,7 @@ class LossBreakdown:
 def joint_loss(l_ps, l_ac=0.0, l_ar=0.0, l_c=0.0) -> LossBreakdown:
     """Unweighted sum of enabled components (disabled ones pass 0)."""
     ref = next((p for p in (l_ps, l_ac, l_ar, l_c) if isinstance(p, Tensor)), None)
-    parts = [p if isinstance(p, Tensor) else as_tensor(p, ref)
-             for p in (l_ps, l_ac, l_ar, l_c)]
+    parts = [as_tensor(p, ref) for p in (l_ps, l_ac, l_ar, l_c)]
     graph = ((parts[0] + parts[1]) + parts[2]) + parts[3]
     f = [float(p.data) for p in parts]
     total = ((f[0] + f[1]) + f[2]) + f[3]

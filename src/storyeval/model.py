@@ -137,15 +137,17 @@ def _ff(params, prefix, x: Tensor) -> Tensor:
 
 
 def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
-           lengths: np.ndarray, n_global: int = 1, train: bool = False,
+           lengths: np.ndarray, n_global: int = 1,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-    """Run the encoder; returns (v_s (B,d), token states (B,T,d))."""
+    """Run the encoder; returns (v_s (B,d), token states (B,T,d)).
+
+    Dropout runs at ``config.dropout`` if and only if ``rng`` is given."""
     if ids.ndim != 2:
         raise ContractViolation("encode expects a (batch, seq) id array")
     b, t = ids.shape
     if t > config.max_len:
         raise ContractViolation(f"sequence length {t} exceeds max_len {config.max_len}")
-    rate = config.dropout if train else 0.0
+    rate = config.dropout if rng is not None else 0.0
     pos = np.broadcast_to(np.arange(t), (b, t))
     x = ad.embedding(params["tok_emb"], ids) + ad.embedding(params["pos_emb"], pos)
     x = ad.dropout(x, rate, rng)
@@ -207,17 +209,18 @@ class DecoderCache:
 def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
                    comment_in: np.ndarray, comment_lengths: np.ndarray | None,
                    enc_states: Tensor, enc_lengths: np.ndarray,
-                   train: bool = False, rng: np.random.Generator | None = None,
+                   rng: np.random.Generator | None = None,
                    cache: DecoderCache | None = None) -> Tensor:
     """Causal decoder logits (B,Tc,V) of the comment positions ``comment_in``:
     teacher-forced comments (keys past ``comment_lengths`` hidden), or with
     a ``DecoderCache`` the positions after its ``length`` cached ones.  B
-    may be a multiple of the encoder batch, each story's rows adjacent."""
+    may be a multiple of the encoder batch, each story's rows adjacent.
+    Dropout runs as in ``encode``: if and only if ``rng`` is given."""
     b, t = comment_in.shape
     start = cache.length if cache is not None else 0
     if start + t > config.max_len:
         raise ContractViolation(f"comment length {start + t} exceeds max_len {config.max_len}")
-    rate, heads = (config.dropout if train else 0.0), config.n_heads
+    rate, heads = (config.dropout if rng is not None else 0.0), config.n_heads
     pos = np.broadcast_to(np.arange(start, start + t), (b, t))
     x = ad.embedding(params["tok_emb"], comment_in) + ad.embedding(params["dec_pos_emb"], pos)
     x = ad.dropout(x, rate, rng)
@@ -259,11 +262,10 @@ class Model:
         self.params = params if params is not None else init_params(
             config, rng or np.random.default_rng(0), dtype=dtype)
 
-    def encode_stories(self, id_seqs: list[np.ndarray], n_global: int = 1,
-                       train: bool = False, rng=None):
+    def encode_stories(self, id_seqs: list[np.ndarray], n_global: int = 1, rng=None):
         ids, lengths = pad_batch(id_seqs, self.vocab.pad_id)
         v_s, states = encode(self.params, self.config, ids, lengths,
-                             n_global=n_global, train=train, rng=rng)
+                             n_global=n_global, rng=rng)
         return v_s, states, lengths
 
     def infer(self, id_seqs: list[np.ndarray], batch_size: int = INFER_BATCH):
@@ -285,16 +287,16 @@ class Model:
         return tuple(np.concatenate(part) for part in zip(*chunks))
 
     def comment_encoder_states(self, story_id_seqs: list[np.ndarray],
-                               aspect_ks: list[int], train: bool = False, rng=None):
+                               aspect_ks: list[int], rng=None):
         """Encode aspect-conditioned stories for the comment path."""
         conds = [conditioned_ids(s, k, self.vocab, self.config.max_len)
                  for s, k in zip(story_id_seqs, aspect_ks)]
-        _, states, lengths = self.encode_stories(conds, n_global=3, train=train, rng=rng)
+        _, states, lengths = self.encode_stories(conds, n_global=3, rng=rng)
         return states, lengths
 
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                     comment_seqs: list[np.ndarray], reduce: str = "mean",
-                    train: bool = False, rng=None) -> Tensor:
+                    rng=None) -> Tensor:
         """Teacher-forced NLL of a batch of (story, aspect, comment) triples.
 
         Each comment must be <bos> ... <eos>.  Comments are right-padded
@@ -308,10 +310,9 @@ class Model:
         inputs, lengths = pad_batch([c[:-1] for c in comment_seqs], self.vocab.pad_id)
         targets, _ = pad_batch([c[1:] for c in comment_seqs], 0)
         mask = np.arange(inputs.shape[1])[None, :] < lengths[:, None]
-        states, enc_lengths = self.comment_encoder_states(
-            story_id_seqs, aspect_ks, train=train, rng=rng)
+        states, enc_lengths = self.comment_encoder_states(story_id_seqs, aspect_ks, rng=rng)
         logits = decoder_logits(self.params, self.config, inputs, lengths,
-                                states, enc_lengths, train=train, rng=rng)
+                                states, enc_lengths, rng=rng)
         return sequence_nll(logits, targets, mask, reduce=reduce)
 
     def teacher_forced_nll(self, story_ids: np.ndarray, aspect_k: int,

@@ -180,7 +180,7 @@ class Trainer:
 
     # -- single step --------------------------------------------------------
 
-    def _comment_loss(self, batch, train: bool, rng):
+    def _comment_loss(self, batch, rng):
         stories, aspects, comments = [], [], []
         for p in batch:
             cands = [(sid, k, ids) for sid in (p.high_id, p.low_id)
@@ -192,16 +192,14 @@ class Trainer:
                 comments.append(ids)
         if not stories:
             return 0.0
-        return self.model.comment_nll(stories, aspects, comments, reduce="mean",
-                                      train=train, rng=rng)
+        return self.model.comment_nll(stories, aspects, comments, reduce="mean", rng=rng)
 
     def train_step(self, batch: list[RankedPair]) -> LossBreakdown:
         """One AdamW step on ``batch``.  The B high stories, the B low stories
         and one negative per low story that has any are encoded as one batch;
         each loss reads its rows of that batch."""
         cfg, params, b = self.config, self.model.params, len(batch)
-        train = self.model.config.dropout > 0
-        rng = self._drop_rng if train else None
+        rng = self._drop_rng if self.model.config.dropout > 0 else None
         sids = [p.high_id for p in batch] + [p.low_id for p in batch]
         seqs = [self._ids[sid] for sid in sids]
         neg_of = []      # the low-story row each negative row is ranked below
@@ -210,7 +208,7 @@ class Trainer:
             if cands:
                 neg_of.append(b + i)
                 seqs.append(cands[int(self._pick_rng.integers(len(cands)))])
-        v_s, _, _ = self.model.encode_stories(seqs, train=train, rng=rng)
+        v_s, _, _ = self.model.encode_stories(seqs, rng=rng)
         p_s = predict_preference(params, v_s)
         p_hi, p_lo = p_s[np.arange(b)], p_s[np.arange(b, 2 * b)]
         l_ps = l_ac = l_ar = l_c = 0.0
@@ -229,7 +227,7 @@ class Trainer:
             a_c, a_r = predict_aspects(params, v_s[np.asarray(rows)])
             l_ac, l_ar = conf_loss(a_c, y_ac), rating_loss(a_r, y_ar, sel)
         if cfg.use_comments:
-            l_c = self._comment_loss(batch, train, rng)
+            l_c = self._comment_loss(batch, rng)
         breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
         lr = lr_at(self.schedule, self.step)
         ad.zero_grads(params)

@@ -81,9 +81,9 @@ class Vocabulary:
         return self._ids.get(token, self.unk_id)
 
     def comment_ids(self, text: str, max_words: int | None = None) -> np.ndarray:
-        """<bos>, the ids of the first ``max_words`` whitespace-separated
-        words of ``text`` (all of them by default), <eos>."""
-        body = [self.id_of(w) for w in text.split()[:max_words]]
+        """<bos>, the ids of the first ``max_words`` tokens ``words`` splits
+        ``text`` into (all of them by default), <eos>."""
+        body = [self.id_of(w) for w in words(text)[:max_words]]
         return np.asarray([self.bos_id] + body + [self.eos_id], dtype=np.int64)
 
     def decode(self, ids) -> str:

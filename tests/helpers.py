@@ -356,12 +356,9 @@ def reference_train_step(trainer, batch):
     """
     cfg, model, b = trainer.config, trainer.model, len(batch)
     params = model.params
-    train = model.config.dropout > 0
-    rng = trainer._drop_rng if train else None
-    v_hi, _, _ = model.encode_stories([trainer._ids[p.high_id] for p in batch],
-                                      train=train, rng=rng)
-    v_lo, _, _ = model.encode_stories([trainer._ids[p.low_id] for p in batch],
-                                      train=train, rng=rng)
+    rng = trainer._drop_rng if model.config.dropout > 0 else None
+    v_hi, _, _ = model.encode_stories([trainer._ids[p.high_id] for p in batch], rng=rng)
+    v_lo, _, _ = model.encode_stories([trainer._ids[p.low_id] for p in batch], rng=rng)
     p_hi, p_lo = predict_preference(params, v_hi), predict_preference(params, v_lo)
     if cfg.objective == "discrimination":
         l_ps = 0.5 * (discrimination_loss(p_hi, np.ones(b))
@@ -378,7 +375,7 @@ def reference_train_step(trainer, batch):
                 keep.append(i)
                 neg_seqs.append(cands[int(trainer._pick_rng.integers(len(cands)))])
         if neg_seqs:
-            v_neg, _, _ = model.encode_stories(neg_seqs, train=train, rng=rng)
+            v_neg, _, _ = model.encode_stories(neg_seqs, rng=rng)
             l_c2 = coherence_rank_loss(ad.take(p_lo, np.asarray(keep)),
                                        predict_preference(params, v_neg), cfg.margin)
             l_ps = l_ps + l_c2 if cfg.use_ps else l_c2
@@ -393,7 +390,7 @@ def reference_train_step(trainer, batch):
         a_c, a_r = predict_aspects(params, v_sel)
         l_ac, l_ar = confidence_loss(a_c, y_ac), rating_loss(a_r, y_ar, sel)
     if cfg.use_comments:
-        l_c = trainer._comment_loss(batch, train, rng)
+        l_c = trainer._comment_loss(batch, rng)
     breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
     lr = lr_at(trainer.schedule, trainer.step)
     ad.zero_grads(params)

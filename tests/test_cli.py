@@ -245,6 +245,27 @@ class TestTrain:
                     "--set", "data.taxonomy=null",
                     "--out-dir", tmp_path]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["train", "augment-comments"])
+    @pytest.mark.parametrize("aspect", [-1, 10])
+    def test_comment_aspect_out_of_range_is_data_error(self, smoke, tmp_path, capsys,
+                                                       command, aspect):
+        bad = tmp_path / "comments.jsonl"
+        records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
+        records[1]["aspect"] = aspect
+        write_jsonl(bad, records)
+        if command == "train":
+            # no taxonomy: the range check must not depend on one
+            argv = ["train", "--config", smoke / "cfg.json", "--set", "data.taxonomy=null",
+                    "--set", "train.use_comments=false", "--set", f"data.comments={bad}",
+                    "--out-dir", tmp_path / "run"]
+        else:
+            argv = ["augment-comments", "--crowd", bad, "--raw", smoke / "comments.jsonl",
+                    "--out-dir", tmp_path / "out"]
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}: aspect id {aspect} outside [0, 10)" in err
+        assert "Traceback" not in err
+
 
 class TestScore:
     def test_records_and_error_continuation(self, smoke, tmp_path):
@@ -407,6 +428,29 @@ class TestEvaluate:
         assert report["bleu"] == report["rouge_l"] == 0.0
         assert np.isfinite(report["ppl"])
 
+    def test_references_tokenized_like_the_vocabulary(self, smoke, tmp_path):
+        # case and spacing before punctuation are lost by ``words``, so both
+        # spellings of each reference must score the same
+        comment = [r for r in read_jsonl(smoke / "comments.jsonl")][0]
+        raw = ["The ending felt rushed.", comment["text"].capitalize() + "."]
+        plain = ["the ending felt rushed .", comment["text"] + " ."]
+        reports = []
+        for name, texts in (("raw", raw), ("plain", plain)):
+            write_jsonl(tmp_path / f"{name}.jsonl",
+                        [{"story_id": comment["story_id"], "aspect": k, "text": t}
+                         for k, t in zip((comment["aspect"], 0), texts)])
+            write_json(tmp_path / "spec.json", {
+                "stories": str(smoke / "prep" / "stories.jsonl"),
+                "comment_references": str(tmp_path / f"{name}.jsonl")})
+            assert run(["evaluate", tmp_path / "spec.json",
+                        "--checkpoint", smoke / "run" / "model.ckpt",
+                        "--vocab", smoke / "run" / "vocab.txt",
+                        "--out", tmp_path / f"{name}_report.json",
+                        "--max-new-tokens", 6]) == 0
+            reports.append(json.loads((tmp_path / f"{name}_report.json").read_text()))
+        for key in ("bleu", "rouge_l", "ppl"):
+            assert reports[0][key] == reports[1][key], key
+
     @pytest.mark.parametrize("section", ["pairs", "aspect_annotations",
                                          "comment_references"])
     def test_unknown_story_id_is_data_error(self, smoke, tmp_path, capsys,
@@ -539,6 +583,11 @@ class TestWrongFieldType:
         ("extract-aspects", "text", 7, "str, got int"),
         ("augment-comments --raw", "text", ["a", "list"], "str, got list"),
         ("augment-comments --crowd", "text", 7, "str, got int"),
+        ("augment-comments --crowd", "aspect", "2", "int, got str"),
+        ("augment-comments --crowd", "rating", "0.5", "int or float, got str"),
+        ("train comments", "aspect", "2", "int, got str"),
+        ("train comments", "aspect", 1.0, "int, got float"),
+        ("train comments", "rating", "0.5", "int or float, got str"),
         ("compare", "text", 7, "str, got int"),
         ("compare", "prompt_id", 3, "str, got int"),
         ("evaluate pairs", "high_id", 3, "str, got int"),
@@ -564,6 +613,10 @@ class TestWrongFieldType:
             files = {"--crowd": smoke / "comments.jsonl", "--raw": smoke / "comments.jsonl",
                      command.split()[1]: bad}
             argv = ["augment-comments", *[x for kv in files.items() for x in kv], *out]
+        elif command == "train comments":
+            records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
+            argv = ["train", "--config", smoke / "cfg.json", "--set", f"data.comments={bad}",
+                    "--out-dir", tmp_path / "run"]
         elif command == "compare":
             records = [{"prompt_id": s["prompt_id"], "text": s["text"]} for s in stories[:2]]
             argv = ["compare", bad, bad, *model]

@@ -108,3 +108,10 @@ def test_comment_ids_truncate_and_map_unknown_words(vocab):
     assert vocab.comment_ids("cat zebra sat mat", max_words=2).tolist() == \
         [vocab.bos_id, vocab.id_of("cat"), vocab.unk_id, vocab.eos_id]
     assert vocab.comment_ids("", max_words=3).tolist() == [vocab.bos_id, vocab.eos_id]
+
+
+def test_comment_ids_split_like_the_vocabulary():
+    vocab = build_vocab(["The ending felt rushed."], size=20, n_aspects=0)
+    ids = vocab.comment_ids("The ending felt rushed.")
+    assert [vocab.tokens[i] for i in ids] == \
+        ["<bos>", "the", "ending", "felt", "rushed", ".", "<eos>"]
