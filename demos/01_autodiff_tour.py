@@ -21,16 +21,16 @@ print(f"  z    = {z.item():.1f}   (expect 15.0)")
 print(f"  dz/dx = {float(x.grad):.1f}  (expect y + 2x = 8.0)")
 print(f"  dz/dy = {float(y.grad):.1f}  (expect x = 3.0)")
 
-# -- arrays and broadcasting -------------------------------------------------
+# -- arrays: one linear layer ------------------------------------------------
 
 w = ad.Tensor(np.array([[0.5, -0.2], [0.1, 0.4]]), requires_grad=True)
 b = ad.Tensor(np.zeros(2), requires_grad=True)
 inputs = ad.Tensor(np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 1.0]]))
-out = ad.relu(inputs @ w + b).sum()
+out = ad.relu(ad.linear(inputs, w, b)).sum()
 out.backward()
-print("\nrelu(X @ W + b).sum() gradients")
+print("\nrelu(X @ W + b).sum() gradients, X @ W + b as one ad.linear node")
 print("  dW =\n", w.grad)
-print("  db =", b.grad, " (broadcast summed back to shape (2,))")
+print("  db =", b.grad, " (summed over the rows of X, back to shape (2,))")
 
 # -- a composite check against central differences ---------------------------
 

@@ -20,6 +20,7 @@ from . import rng as rng_mod
 from .autodiff import Tensor
 from .corpus import STOPWORDS
 from .errors import ContractViolation, DataError
+from .jsonl import atomic_write
 from .model import ModelConfig, encode, init_params
 from .optim import AdamW, LrSchedule, lr_at, steps_per_epoch
 from .vocab import Vocabulary, build_vocab, pad_batch, tokenize, words
@@ -60,8 +61,8 @@ class AspectTaxonomy:
         entries = [{"index": i, "name": n, "group": g}
                    for i, (n, g) in enumerate(zip(self.names, self.groups))]
         payload = entries if meta is None else {"meta": meta, "aspects": entries}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "AspectTaxonomy":
@@ -318,7 +319,7 @@ class TextClassifier:
 
     def predict_proba_batch(self, texts: list[str]) -> np.ndarray:
         with ad.no_grad():
-            logits = self._encode(texts) @ self.params["w_cls"]
+            logits = ad.linear(self._encode(texts), self.params["w_cls"])
             return ad.softmax(logits, axis=-1).data
 
     def predict_proba(self, text: str) -> np.ndarray:
@@ -373,7 +374,7 @@ def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
             chunk = order[start: start + batch_size]
             ids, lengths = pad_batch([seqs[i] for i in chunk], vocab.pad_id)
             v_s, _ = encode(params, config, ids, lengths)
-            logits = v_s @ params["w_cls"]
+            logits = ad.linear(v_s, params["w_cls"])
             logp = ad.log_softmax(logits, axis=-1)
             nll = -ad.gather_last(logp, labels[chunk]).mean()
             ad.zero_grads(trainable)

@@ -8,6 +8,10 @@ topological order and is the only code that adds those gradients up, so
 ``Tensor.grad`` is a result to read, not a buffer to write into: it may
 share memory with another tensor's gradient.
 
+Every weight product is ``linear``: one node, one 2-D GEMM per operand
+each way, the bias folded in.  There is no ``matmul`` op and no ``@`` on
+tensors; the attention ops multiply their own arrays.
+
 Dtype follows the arrays you pass in: build parameters in float32 for
 training, float64 when running finite-difference checks.  Inference runs
 inside ``with no_grad():``, where ops compute values but record no graph.
@@ -16,6 +20,7 @@ inside ``with no_grad():``, where ops compute values but record no graph.
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ContractViolation, NumericFailure
 
@@ -155,9 +160,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __pow__(self, exponent):
         return power(self, exponent)
 
@@ -240,16 +242,20 @@ def power(a: Tensor, exponent: float) -> Tensor:
     return _node(out_data, (a,), backward, "power")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim < 2 or b.ndim < 2:
-        raise ContractViolation("matmul operands must have ndim >= 2")
-    out_data = a.data @ b.data
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` over x's last axis as one node: one 2-D GEMM each way."""
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out_data = x2 @ w.data
+    if b is not None:
+        out_data += b.data
 
     def backward(g):
-        return (_sum_to_shape(g @ b.data.swapaxes(-1, -2), a.data.shape),
-                _sum_to_shape(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        g2 = g.reshape(-1, g.shape[-1])
+        grads = ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
 
-    return _node(out_data, (a, b), backward, "matmul")
+    return _node(out_data.reshape(*x.data.shape[:-1], w.data.shape[-1]),
+                 (x, w) if b is None else (x, w, b), backward, "linear")
 
 
 # -- shape ops ----------------------------------------------------------
@@ -386,14 +392,16 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- structured ops -----------------------------------------------------
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]`` with scatter-add gradient into the table."""
+    """Row lookup ``table[ids]``; the backward scatter-adds by one sparse product."""
     ids = np.asarray(ids)
     out_data = table.data[ids]
 
     def backward(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        return (buf,)
+        flat = ids.reshape(-1)
+        # (rows x positions) one-hot: row r sums the gradients of r's positions
+        onehot = sparse.csr_matrix((np.ones(flat.size, g.dtype), (flat, np.arange(flat.size))),
+                                   shape=(table.data.shape[0], flat.size))
+        return (onehot @ g.reshape(flat.size, -1),)
 
     return _node(out_data, (table,), backward, "embedding")
 
@@ -414,19 +422,21 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
     d = x.data.shape[-1]
-    reduce_axes = tuple(range(out_data.ndim - 1))
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / d + eps)
+    xhat *= inv
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def backward(g):
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return term * inv, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+        g2 = g.reshape(-1, d)
+        dgain, dbias = np.einsum("ij,ij->j", g2, xhat.reshape(-1, d)), g2.sum(axis=0)
+        dx = g * gain.data
+        proj = np.einsum("...i,...i->...", dx, xhat)[..., None] / d
+        dx -= dx.mean(axis=-1, keepdims=True) + xhat * proj
+        dx *= inv
+        return dx, dgain, dbias
 
     return _node(out_data, (x, gain, bias), backward, "layer_norm")
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
+from .jsonl import atomic_write
 from .model import ModelConfig
 
 FORMAT = "storyeval-checkpoint-v1"
@@ -72,7 +73,7 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig,
                    for n, a in arrays],
     }
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(header.encode("utf-8"))
         fh.write(b"\n")
         for _, a in arrays:

@@ -50,7 +50,7 @@ from .errors import (
     StoryTooShortError,
     UndefinedCorrelationError,
 )
-from .jsonl import dumps, field_error, read_jsonl, write_json, write_jsonl
+from .jsonl import atomic_write, dumps, field_error, read_jsonl, write_json, write_jsonl
 from .metrics import (
     MetricReport,
     bleu_avg,
@@ -123,13 +123,15 @@ def write_artifact_jsonl(path, records, settings: dict, seed: int,
     write_jsonl(path, [{"meta": meta}] + list(records))
 
 
-def data_records(path, required: dict | None = None) -> list[dict]:
-    """JSONL records with any leading meta entries stripped; a record that
-    breaks the ``required`` ``{field: type}`` mapping is a data error."""
+def data_records(path, required: dict | None = None, parse=None) -> list:
+    """JSONL records with any leading meta entries stripped, each passed
+    through ``parse`` if given; a record that breaks the ``required``
+    ``{field: type}`` mapping, or that ``parse`` rejects, is a data error."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file missing: {path}")
-    return [r for r in read_jsonl(path, required) if "meta" not in r]
+    return [r for r in read_jsonl(path, required, parse)
+            if not isinstance(r, dict) or "meta" not in r]
 
 
 def _deep_update(dst: dict, src: dict) -> dict:
@@ -191,9 +193,8 @@ def _load_pairs(path, read=data_records) -> list[RankedPair]:
 
 
 def _load_comment_records(path) -> list[CommentRecord]:
-    return [CommentRecord.from_record(r)
-            for r in data_records(path, {"story_id": str, "text": str, "aspect": int,
-                                         "rating": (int, float)})]
+    return data_records(path, {"story_id": str, "text": str, "aspect": int,
+                               "rating": (int, float)}, CommentRecord.from_record)
 
 
 def _story(stories: dict[str, Story], story_id: str, path) -> Story:
@@ -413,8 +414,8 @@ def cmd_train(args) -> int:
                            resume=args.resume)
     meta = _meta(cfg, cfg["seed"])
     log_body = log_path.read_text(encoding="utf-8")
-    log_path.write_text(f"# config_hash={meta['config_hash']} "
-                        f"seed={meta['seed']}\n" + log_body, encoding="utf-8")
+    with atomic_write(log_path) as fh:
+        fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n" + log_body)
     files = {}
     for name in ("model.ckpt", "train_log.csv", "vocab.txt"):
         fp = out / name

@@ -6,9 +6,28 @@ on.
 """
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import DataError
+from .errors import ContractViolation, DataError
+
+
+@contextmanager
+def atomic_write(path, binary: bool = False):
+    """Yield a new text (or ``binary``) file beside ``path`` to write into.
+
+    It replaces ``path`` only when the block finishes and is removed if
+    the block raises, so ``path`` always holds a whole file: the old one
+    or the new one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def dumps(record: dict) -> str:
@@ -16,7 +35,7 @@ def dumps(record: dict) -> str:
 
 
 def write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(dumps(rec))
             fh.write("\n")
@@ -35,11 +54,13 @@ def field_error(record: dict, fields: dict) -> str | None:
     return None
 
 
-def read_jsonl(path, required: dict | None = None) -> list[dict]:
+def read_jsonl(path, required: dict | None = None, parse=None) -> list:
     """Strict reader: a line that is not a JSON object, or an object
     that breaks the ``required`` ``{field: type}`` mapping, is a
     ``DataError`` naming the path and the 1-based line number.  An
-    artifact's ``{"meta": ...}`` record needs no fields."""
+    artifact's ``{"meta": ...}`` record needs no fields and stays a dict;
+    ``parse`` turns every other record into an object, and a
+    ``ContractViolation`` it raises is a ``DataError`` naming the line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -53,15 +74,19 @@ def read_jsonl(path, required: dict | None = None) -> list[dict]:
             if not isinstance(record, dict):
                 raise DataError(f"{path}:{number}: expected a JSON object, "
                                 f"got {type(record).__name__}")
-            problem = field_error(record, required or {})
-            if problem and "meta" not in record:
-                raise DataError(f"{path}:{number}: {problem}")
+            if "meta" not in record:
+                problem = field_error(record, required or {})
+                if problem:
+                    raise DataError(f"{path}:{number}: {problem}")
+                if parse is not None:
+                    try:
+                        record = parse(record)
+                    except ContractViolation as exc:
+                        raise DataError(f"{path}:{number}: {exc}") from exc
             out.append(record)
     return out
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n")

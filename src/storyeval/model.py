@@ -112,28 +112,28 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
 def _heads(params, name: str, x: Tensor, n_heads: int) -> Tensor:
     """Project (B,T,d) by ``params[name]`` and split into (B,T,H,dk)."""
     b, t, d = x.shape
-    return (x @ params[name]).reshape(b, t, n_heads, d // n_heads)
+    return ad.linear(x, params[name]).reshape(b, t, n_heads, d // n_heads)
 
 
 def _window_attention(params, prefix, x: Tensor, layout: WindowLayout,
                       n_heads: int, rate: float, rng) -> Tensor:
     q, k, v = (_heads(params, f"{prefix}.{m}", x, n_heads) for m in ("wq", "wk", "wv"))
     ctx = ad.window_attention(q, k, v, layout, rate, rng)
-    return ctx.reshape(x.shape) @ params[f"{prefix}.wo"]
+    return ad.linear(ctx.reshape(x.shape), params[f"{prefix}.wo"])
 
 
 def _attend(params, prefix, x: Tensor, k: Tensor, v: Tensor, key_lengths,
             causal: bool, n_heads: int, rate: float, rng) -> Tensor:
     """Decoder attention; x's rows that share k's batch row (a story's beams) query it."""
     b, t, d = x.shape
-    q = (x @ params[f"{prefix}.wq"]).reshape(k.shape[0], -1, n_heads, d // n_heads)
+    q = ad.linear(x, params[f"{prefix}.wq"]).reshape(k.shape[0], -1, n_heads, d // n_heads)
     ctx = ad.attention(q, k, v, key_lengths, causal, rate, rng)
-    return ctx.reshape(b, t, d) @ params[f"{prefix}.wo"]
+    return ad.linear(ctx.reshape(b, t, d), params[f"{prefix}.wo"])
 
 
 def _ff(params, prefix, x: Tensor) -> Tensor:
-    hidden = ad.relu(x @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"])
-    return hidden @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
+    hidden = ad.relu(ad.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return ad.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
@@ -166,13 +166,13 @@ def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
 
 def predict_preference(params: dict[str, Tensor], v_s: Tensor) -> Tensor:
     """p_s = sigmoid(W_ps v_s), shape (B,)."""
-    return ad.sigmoid((v_s @ params["w_ps"]).reshape(-1))
+    return ad.sigmoid(ad.linear(v_s, params["w_ps"]).reshape(-1))
 
 
 def predict_aspects(params: dict[str, Tensor], v_s: Tensor) -> tuple[Tensor, Tensor]:
     """(a_c, a_r): softmax confidences and sigmoid ratings, each (B,K)."""
-    a_c = ad.softmax(v_s @ params["w_ac"], axis=-1)
-    a_r = ad.sigmoid(v_s @ params["w_ar"])
+    a_c = ad.softmax(ad.linear(v_s, params["w_ac"]), axis=-1)
+    a_r = ad.sigmoid(ad.linear(v_s, params["w_ar"]))
     return a_c, a_r
 
 
@@ -244,7 +244,7 @@ def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
     if cache is not None:
         cache.length += t
     states = ad.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
-    return states @ params["w_out"]
+    return ad.linear(states, params["w_out"])
 
 
 class Model:

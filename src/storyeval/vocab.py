@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, DataError, EmptyTextError
+from .jsonl import atomic_write
 
 CLS = "[CLS]"
 SEP = "<sep>"
@@ -92,7 +93,8 @@ class Vocabulary:
         return " ".join(self.tokens[i] for i in ids if i not in skip)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
     def load(cls, path: str | Path, n_aspects: int | None = None) -> "Vocabulary":

@@ -1,5 +1,7 @@
 """Shared test utilities: the finite-difference gradient oracle, and the
-simple versions that faster code is checked against: per-story scoring
+simple versions that faster code is checked against: the generic
+broadcasting ``matmul`` node for the fused ``ad.linear``, the two-pass
+layer norm for the one-pass ``ad.layer_norm``, per-story scoring
 for batched inference, dense masked attention for banded window
 attention and for the fused decoder attention, the numpy-array Gibbs
 sampler and pair-scan UMass coherence for the list-based LDA, the
@@ -14,6 +16,7 @@ from storyeval import autodiff as ad
 from storyeval import rng as rng_mod
 from storyeval.aspects import LdaModel
 from storyeval.autodiff import NEG_INF
+from storyeval.errors import ContractViolation
 from storyeval.losses import (
     coherence_rank_loss,
     confidence_loss,
@@ -25,6 +28,43 @@ from storyeval.losses import (
 from storyeval.model import _ff, decoder_logits, predict_aspects, predict_preference
 from storyeval.optim import lr_at
 from storyeval.training import LogRow
+
+
+def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """``a @ b`` with numpy broadcasting as one tape node.
+
+    This is the op that ``ad.linear`` replaced; the tests also use it for
+    the products of the dense attention oracles.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ContractViolation("matmul operands must have ndim >= 2")
+    out_data = a.data @ b.data
+
+    def backward(g):
+        return (ad._sum_to_shape(g @ b.data.swapaxes(-1, -2), a.data.shape),
+                ad._sum_to_shape(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+
+    return ad._node(out_data, (a, b), backward, "matmul")
+
+
+def reference_layer_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor,
+                         eps: float = 1e-5) -> ad.Tensor:
+    """Layer norm with a two-pass forward (mean, then ``var``) and a
+    backward built from means; the version the one-pass op replaced."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    out_data = xhat * gain.data + bias.data
+    reduce_axes = tuple(range(out_data.ndim - 1))
+
+    def backward(g):
+        dxhat = g * gain.data
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return term * inv, (g * xhat).sum(axis=reduce_axes), g.sum(axis=reduce_axes)
+
+    return ad._node(out_data, (x, gain, bias), backward, "layer_norm")
 
 
 def causal_mask(lengths: np.ndarray, seq_len: int, dtype) -> np.ndarray:
@@ -50,15 +90,15 @@ def mha(params, prefix, xq, xkv, mask: np.ndarray, n_heads: int, rate: float, rn
     b, tq, d = xq.shape
     tk = xkv.shape[1]
     dk = d // n_heads
-    q = (xq @ params[f"{prefix}.wq"]).reshape(b, tq, n_heads, dk).swapaxes(1, 2)
-    k = (xkv @ params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
-    v = (xkv @ params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dk)) + ad.Tensor(mask)
+    q = matmul(xq, params[f"{prefix}.wq"]).reshape(b, tq, n_heads, dk).swapaxes(1, 2)
+    k = matmul(xkv, params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
+    v = matmul(xkv, params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
+    scores = matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dk)) + ad.Tensor(mask)
     probs = ad.softmax(scores, axis=-1)
     if rate > 0.0:
         probs = ad.dropout(probs, rate, rng)
-    ctx = (probs @ v).swapaxes(1, 2).reshape(b, tq, d)
-    return ctx @ params[f"{prefix}.wo"]
+    ctx = matmul(probs, v).swapaxes(1, 2).reshape(b, tq, d)
+    return matmul(ctx, params[f"{prefix}.wo"])
 
 
 def dense_decoder_logits(params, config, comment_in: np.ndarray,
@@ -79,7 +119,7 @@ def dense_decoder_logits(params, config, comment_in: np.ndarray,
         normed = ad.layer_norm(x, params[f"{p}.ln3.g"], params[f"{p}.ln3.b"])
         x = x + _ff(params, f"{p}.ff", normed)
     states = ad.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
-    return states @ params["w_out"]
+    return matmul(states, params["w_out"])
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -384,7 +424,7 @@ def reference_train_step(trainer, batch):
     rows = [i for i, sid in enumerate(sids) if sid in trainer._targets]
     if cfg.use_aspects and rows:
         pick = np.eye(2 * b, dtype=v_hi.dtype)[rows]
-        v_sel = ad.Tensor(pick[:, :b]) @ v_hi + ad.Tensor(pick[:, b:]) @ v_lo
+        v_sel = matmul(ad.Tensor(pick[:, :b]), v_hi) + matmul(ad.Tensor(pick[:, b:]), v_lo)
         y_ac, y_ar, sel = (np.stack(t) for t in
                            zip(*(trainer._targets[sids[i]] for i in rows)))
         a_c, a_r = predict_aspects(params, v_sel)

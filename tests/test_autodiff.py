@@ -10,7 +10,7 @@ from storyeval import autodiff as ad
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation, NumericFailure
 
-from helpers import central_diff, max_rel_err
+from helpers import central_diff, matmul, max_rel_err, reference_layer_norm
 
 
 def leaf(rng, *shape):
@@ -69,7 +69,7 @@ def test_nan_check_off_by_default():
 def test_no_grad_ops_have_no_parents():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with ad.no_grad():
-        out = ad.sigmoid(ad.relu(w @ w) + w).sum()
+        out = ad.sigmoid(ad.relu(ad.linear(w, w)) + w).sum()
     assert out._parents == () and out._backward is None
     assert not out.requires_grad
     assert np.isclose(out.data, 4.0 / (1.0 + np.exp(-3.0)))
@@ -103,9 +103,9 @@ def test_three_layer_mlp_exhaustive():
     x = Tensor(rng.standard_normal((4, 5)))
 
     def make_loss():
-        h1 = ad.relu(x @ params["w1"] + params["b1"])
-        h2 = ad.sigmoid(h1 @ params["w2"] + params["b2"])
-        out = h2 @ params["w3"] + params["b3"]
+        h1 = ad.relu(ad.linear(x, params["w1"], params["b1"]))
+        h2 = ad.sigmoid(ad.linear(h1, params["w2"], params["b2"]))
+        out = ad.linear(h2, params["w3"], params["b3"])
         return (out * out).mean()
 
     check_grads(make_loss, params)
@@ -183,6 +183,70 @@ def test_embedding_scatter_adds_duplicate_rows():
     assert np.array_equal(table.grad, expected)
 
 
+def _scaled_err(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest difference relative to the largest entry of ``want``."""
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _run(op, inputs: dict, upstream: np.ndarray):
+    """``op``'s value and every input's gradient when ``upstream`` flows
+    into its output; a scalar root of ``upstream``'s dtype seeds it, so
+    the backward runs in that dtype."""
+    ad.zero_grads(inputs)
+    out = op(**inputs)
+    ad._node(np.zeros((), upstream.dtype), (out,), lambda g: (upstream,), "seed").backward()
+    return [out.data] + [t.grad for t in inputs.values()]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("x_shape", [(24, 32), (3, 16, 32)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_matches_matmul_then_add(dtype, tol, x_shape, bias):
+    rng = np.random.default_rng(4)
+    inputs = {"x": Tensor(rng.standard_normal(x_shape).astype(dtype), requires_grad=True),
+              "w": Tensor(rng.standard_normal((32, 48)).astype(dtype), requires_grad=True)}
+    if bias:
+        inputs["b"] = Tensor(rng.standard_normal(48).astype(dtype), requires_grad=True)
+    upstream = rng.standard_normal((*x_shape[:-1], 48)).astype(dtype)
+
+    def oracle(x, w, b=None):
+        out = matmul(x, w)
+        return out if b is None else ad.add(out, b)
+
+    for got, want in zip(_run(ad.linear, inputs, upstream), _run(oracle, inputs, upstream)):
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert _scaled_err(got, want) <= tol
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_layer_norm_matches_two_pass_reference(dtype, tol):
+    rng = np.random.default_rng(6)
+    inputs = {"x": Tensor((3.0 + 2.0 * rng.standard_normal((4, 24, 64))).astype(dtype),
+                          requires_grad=True),
+              "gain": Tensor(rng.standard_normal(64).astype(dtype), requires_grad=True),
+              "bias": Tensor(rng.standard_normal(64).astype(dtype), requires_grad=True)}
+    upstream = rng.standard_normal((4, 24, 64)).astype(dtype)
+    got, want = _run(ad.layer_norm, inputs, upstream), _run(reference_layer_norm, inputs, upstream)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        assert _scaled_err(a, b) <= tol
+
+
+def test_embedding_backward_equals_add_at():
+    rng = np.random.default_rng(8)
+    table = Tensor(rng.standard_normal((50, 16)), requires_grad=True)
+    ids = rng.integers(0, 12, size=(6, 20))           # many duplicate ids
+    pos = np.broadcast_to(np.arange(20), (6, 20))     # position ids, as the encoder builds them
+    for index in (ids, pos):
+        upstream = rng.standard_normal((6, 20, 16))
+        table.grad = None
+        (ad.embedding(table, index) * Tensor(upstream)).sum().backward()
+        want = np.zeros_like(table.data)
+        np.add.at(want, index, upstream)
+        assert table.grad.dtype == np.float64
+        assert np.array_equal(table.grad, want)
+
+
 def _op_configs():
     """One FD check per primitive op, several random shapes each."""
     cfgs = []
@@ -206,12 +270,18 @@ def _op_configs():
     register("power", lambda rng: (
         {"a": leaf(rng, 4)},
         lambda p: ((p["a"] * p["a"] + 1.0) ** 1.5).sum()))
-    register("matmul", lambda rng: (
+    register("matmul", lambda rng: (     # the oracle of linear
         {"a": leaf(rng, 3, 4), "b": leaf(rng, 4, 2)},
-        lambda p: (p["a"] @ p["b"]).sum()))
+        lambda p: matmul(p["a"], p["b"]).sum()))
     register("matmul_batched", lambda rng: (
         {"a": leaf(rng, 2, 3, 4), "b": leaf(rng, 4, 5)},
-        lambda p: ((p["a"] @ p["b"]) * 0.5).sum()))
+        lambda p: (matmul(p["a"], p["b"]) * 0.5).sum()))
+    register("linear", lambda rng: (
+        {"x": leaf(rng, 2, 3, 4), "w": leaf(rng, 4, 5), "b": leaf(rng, 5)},
+        lambda p: (ad.linear(p["x"], p["w"], p["b"]) * c(np.random.default_rng(89), 2, 3, 5)).sum()))
+    register("linear_nobias", lambda rng: (
+        {"x": leaf(rng, 3, 4), "w": leaf(rng, 4, 2)},
+        lambda p: (ad.linear(p["x"], p["w"]) * c(np.random.default_rng(88), 3, 2)).sum()))
     register("reshape_swap", lambda rng: (
         {"a": leaf(rng, 2, 6)},
         lambda p: (p["a"].reshape(2, 3, 2).swapaxes(0, 2) ** 2.0).sum()))

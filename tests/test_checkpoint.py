@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storyeval import checkpoint as ckpt_mod
 from storyeval import rng as rng_mod
 from storyeval.checkpoint import (
     Checkpoint,
@@ -9,6 +10,7 @@ from storyeval.checkpoint import (
     save_checkpoint,
 )
 from storyeval.errors import ConfigError, DataError
+from storyeval.jsonl import atomic_write, write_json, write_jsonl
 from storyeval.model import ModelConfig, init_params
 from storyeval.optim import AdamW
 
@@ -19,6 +21,68 @@ def _small_state(seed=0):
                          n_aspects=3, dropout=0.0)
     params = init_params(config, rng_mod.stream(seed, "ckpt_test"))
     return config, params
+
+
+class TestAtomicWrites:
+    """A writer that raises mid-write leaves the previous file byte for byte
+    and no temporary file beside it."""
+
+    @staticmethod
+    def _unchanged(path, before):
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_checkpoint(self, tmp_path, monkeypatch):
+        config, params = _small_state()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, seed=0, step=1)
+        before = path.read_bytes()
+        calls, real_le = [], ckpt_mod._le
+
+        def failing_le(arr):
+            # the manifest takes one _le per array; fail on the third array written
+            calls.append(1)
+            if len(calls) == len(params) + 3:
+                raise OSError("disk full")
+            return real_le(arr)
+
+        monkeypatch.setattr(ckpt_mod, "_le", failing_le)
+        params["tok_emb"].data = params["tok_emb"].data + 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, params, config, seed=0, step=2)
+        self._unchanged(path, before)
+
+    def test_jsonl_and_json(self, tmp_path):
+        def records():
+            yield {"a": 1}
+            raise RuntimeError("stopped")
+
+        path = tmp_path / "r.jsonl"
+        write_jsonl(path, [{"a": 0}, {"b": 0}])
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="stopped"):
+            write_jsonl(path, records())
+        self._unchanged(path, before)
+        path.unlink()
+        path = tmp_path / "r.json"
+        write_json(path, {"a": 0})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": object()})
+        self._unchanged(path, before)
+
+    def test_replaces_only_on_success(self, tmp_path):
+        path = tmp_path / "x.bin"
+        with atomic_write(path, binary=True) as fh:
+            fh.write(b"old")
+        with pytest.raises(KeyboardInterrupt), atomic_write(path, binary=True) as fh:
+            fh.write(b"partial")
+            fh.flush()
+            raise KeyboardInterrupt
+        self._unchanged(path, b"old")
+        with atomic_write(path) as fh:
+            fh.write("new")
+        self._unchanged(path, b"new")
 
 
 class TestRoundtrip:

@@ -643,6 +643,29 @@ class TestWrongFieldType:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("rating", 1.5, "rating 1.5 outside [0,1]"),
+        ("source", "human", "unknown source 'human'"),
+    ])
+    @pytest.mark.parametrize("command", ["augment-comments", "train"])
+    def test_comment_record_breaking_its_contract(self, smoke, tmp_path, capsys,
+                                                  command, field, value, message):
+        records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
+        records[1][field] = value
+        bad = tmp_path / "comments.jsonl"
+        write_jsonl(bad, records)
+        if command == "train":
+            argv = ["train", "--config", smoke / "cfg.json", "--set", f"data.comments={bad}",
+                    "--out-dir", tmp_path / "run"]
+        else:
+            argv = ["augment-comments", "--crowd", bad, "--raw", smoke / "comments.jsonl",
+                    "--out-dir", tmp_path / "out"]
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {bad}:2: {message}" in err
+        assert "Traceback" not in err
+
+
 class TestMalformedTaxonomy:
     @pytest.mark.parametrize("content,message", [
         ("{not json", "not valid JSON"),

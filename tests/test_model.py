@@ -372,10 +372,10 @@ def test_attention_equals_dense_oracle(causal, tq, tk, lengths):
         for t in (*params.values(), xq, xkv):
             t.grad = None
         if fused:
-            q, k, v = ((x @ params[f"a.{m}"]).reshape(2, -1, heads, d // heads)
+            q, k, v = (ad.linear(x, params[f"a.{m}"]).reshape(2, -1, heads, d // heads)
                        for x, m in ((xq, "wq"), (xkv, "wk"), (xkv, "wv")))
             ctx = ad.attention(q, k, v, None if lengths is None else np.asarray(lengths), causal)
-            out = ctx.reshape(2, tq, d) @ params["a.wo"]
+            out = ad.linear(ctx.reshape(2, tq, d), params["a.wo"])
         else:
             out = mha(params, "a", xq, xkv, mask, heads, 0.0, None)
         (out * weights).sum().backward()
