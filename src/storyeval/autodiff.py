@@ -63,7 +63,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
+        # a numpy scalar (a whole-array sum or mean) keeps its dtype
+        self.data = data if isinstance(data, np.ndarray) else np.asarray(
+            data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None

@@ -13,6 +13,8 @@ import argparse
 import copy
 import hashlib
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -113,6 +115,18 @@ def settings_hash(settings: dict) -> str:
 
 def _meta(settings: dict, seed: int) -> dict:
     return {"config_hash": settings_hash(settings), "seed": int(seed)}
+
+
+def environment() -> dict:
+    """The interpreter, numpy, BLAS and thread settings a run's numbers came
+    from: BLAS splits large GEMMs across threads, and its summation order
+    moves training results in their last digits."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_threads": {v: os.environ.get(v) for v in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
 
 
 def write_artifact_jsonl(path, records, settings: dict, seed: int,
@@ -426,7 +440,8 @@ def cmd_train(args) -> int:
                 "best_step": result.best_step,
                 "final_val_acc": result.final_val_acc,
                 "files": files,
-                "config": cfg}
+                "config": cfg,
+                "environment": environment()}
     write_json(out / "manifest.json", manifest)
     print(f"trained {trainer.step} steps; best val acc "
           f"{result.best_val_acc:.4f} at step {result.best_step} -> {out}")

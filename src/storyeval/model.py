@@ -9,8 +9,11 @@ and K sigmoid ratings.  A causal decoder with cross-attention (each an
 ``autodiff.attention`` node) generates aspect-conditioned comments.
 
 ``Model.infer`` (run under ``autodiff.no_grad``) is the one batched
-inference path for the heads, ``Model.comment_nll`` the one batched
-teacher-forced comment loss, ``Model.generate_comments`` the one search.
+inference path for the heads: it encodes stories shortest first, in chunks
+of at most ``INFER_TOKENS`` padded tokens, so long stories are scored with
+little padding and with per-layer temporaries that stay near cache size.
+``Model.comment_nll`` is the one batched teacher-forced comment loss,
+``Model.generate_comments`` the one search.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -25,7 +28,12 @@ from .errors import ConfigError, ContractViolation
 from .losses import sequence_nll
 from .vocab import Vocabulary, conditioned_ids, pad_batch
 
-INFER_BATCH = 64    # stories (or story x aspect comments) per batched inference call
+INFER_BATCH = 64    # story x aspect comments per batched decoding call
+# padded tokens (rows x longest row) per Model.infer chunk.  Scoring 64
+# stories of 413-512 tokens (d_model 128, one BLAS thread, 2 MB L2) took
+# about 1.5x as long in one chunk, whose per-layer temporaries are tens of
+# MB, and at 4,096 tokens; 1,024 tied with this budget
+INFER_TOKENS = 2048
 
 
 @dataclass
@@ -268,23 +276,32 @@ class Model:
                              n_global=n_global, rng=rng)
         return v_s, states, lengths
 
-    def infer(self, id_seqs: list[np.ndarray], batch_size: int = INFER_BATCH):
+    def infer(self, id_seqs: list[np.ndarray]):
         """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order.
 
-        Stories are encoded in padded chunks of ``batch_size`` without
-        building a graph; the results are plain numpy arrays.
+        Stories are sorted by length (stably) and encoded, without building
+        a graph, in consecutive chunks whose padded size, rows x longest
+        row, is at most ``INFER_TOKENS``; a story longer than that is a
+        chunk of its own.  The results are plain numpy arrays.
         """
-        chunks = []
+        order = np.argsort([len(s) for s in id_seqs], kind="stable")
+        chunks, start = [], 0
         with ad.no_grad():
-            for start in range(0, len(id_seqs), batch_size):
-                v_s, _, _ = self.encode_stories(id_seqs[start: start + batch_size])
+            while start < len(order):
+                end = start + 1
+                while (end < len(order) and
+                       (end + 1 - start) * len(id_seqs[order[end]]) <= INFER_TOKENS):
+                    end += 1
+                v_s, _, _ = self.encode_stories([id_seqs[i] for i in order[start:end]])
                 a_c, a_r = predict_aspects(self.params, v_s)
                 chunks.append((predict_preference(self.params, v_s).data,
                                a_c.data, a_r.data))
+                start = end
         if not chunks:
             k = self.config.n_aspects
             return np.zeros(0), np.zeros((0, k)), np.zeros((0, k))
-        return tuple(np.concatenate(part) for part in zip(*chunks))
+        inverse = np.argsort(order)
+        return tuple(np.concatenate(part)[inverse] for part in zip(*chunks))
 
     def comment_encoder_states(self, story_id_seqs: list[np.ndarray],
                                aspect_ks: list[int], rng=None):

@@ -101,29 +101,29 @@ class TrainResult:
     checkpoint_path: str | None = None
 
 
-def score_texts(model: Model, texts: list[str], batch_size: int = 64) -> np.ndarray:
+def score_texts(model: Model, texts: list[str]) -> np.ndarray:
     """Preference scores for raw story texts, in input order."""
     seqs = [tokenize(t, model.vocab, model.config.max_len) for t in texts]
-    return model.infer(seqs, batch_size)[0]
+    return model.infer(seqs)[0]
 
 
-def pair_scores(model: Model, stories: dict[str, Story], pairs: list[RankedPair],
-                batch_size: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def pair_scores(model: Model, stories: dict[str, Story],
+                pairs: list[RankedPair]) -> tuple[np.ndarray, np.ndarray]:
     """Preference scores (hi, lo) of each pair's two stories; every distinct
     story is tokenized once and scored in one ``Model.infer`` call."""
     row = {sid: i for i, sid in enumerate(dict.fromkeys(
         sid for p in pairs for sid in (p.high_id, p.low_id)))}
     p_s = model.infer([tokenize(stories[sid].text, model.vocab, model.config.max_len)
-                       for sid in row], batch_size)[0]
+                       for sid in row])[0]
     return p_s[[row[p.high_id] for p in pairs]], p_s[[row[p.low_id] for p in pairs]]
 
 
 def evaluate_pairs(model: Model, stories: dict[str, Story],
-                   pairs: list[RankedPair], batch_size: int = 64) -> float:
+                   pairs: list[RankedPair]) -> float:
     """Fraction of pairs where the preferred story scores strictly higher."""
     if not pairs:
         raise ContractViolation("no pairs to evaluate")
-    hi, lo = pair_scores(model, stories, pairs, batch_size)
+    hi, lo = pair_scores(model, stories, pairs)
     return float(np.mean(hi > lo))
 
 

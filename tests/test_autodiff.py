@@ -23,6 +23,7 @@ def check_grads(make_loss, params, h=1e-4, tol=1e-3):
     loss = make_loss()
     loss.backward()
     for name, p in params.items():
+        assert p.grad.dtype == p.data.dtype, f"{name}: {p.grad.dtype} gradient"
         fd = central_diff(lambda: make_loss().data, p.data, h=h)
         err = max_rel_err(p.grad, fd)
         assert err <= tol, f"{name}: rel err {err:.2e}"

@@ -1,6 +1,7 @@
 """End-to-end command line tests on tiny corpora."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -218,12 +219,23 @@ class TestTrain:
         assert len(log) == 2 + manifest["steps"]
 
     def test_same_seed_runs_identical(self, smoke, tmp_path):
-        outs = []
+        outs, manifests = [], []
         for name in ("r1", "r2"):
             assert run(["train", "--config", smoke / "cfg.json",
                         "--out-dir", tmp_path / name]) == 0
             outs.append((tmp_path / name / "train_log.csv").read_bytes())
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
         assert outs[0] == outs[1]
+        # the environment block sits beside, not inside, what the hashes cover
+        first, second = manifests
+        assert first["files"] == second["files"]
+        assert first["meta"]["config_hash"] == second["meta"]["config_hash"]
+        assert "environment" not in first["config"]
+        env = first["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_threads", "cpu_count"}
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
 
     def test_seed_override_changes_log(self, smoke, tmp_path):
         assert run(["train", "--config", smoke / "cfg.json", "--seed", 9,

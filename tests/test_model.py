@@ -163,7 +163,7 @@ def test_window_covering_sequence_equals_full_attention(setup):
     assert np.max(np.abs(states.data[0] - ref)) <= 1e-5
 
 
-def test_padding_does_not_change_heads(setup):
+def test_padding_does_not_change_heads(setup, monkeypatch):
     model, vocab, cfg = setup
     ids = story_ids(vocab, TEXTS[1])
     bare, bare_len = pad_batch([ids], vocab.pad_id)
@@ -177,14 +177,49 @@ def test_padding_does_not_change_heads(setup):
     c2, r2 = predict_aspects(model.params, v2)
     assert np.max(np.abs(c1.data - c2.data)) <= 1e-5
     assert np.max(np.abs(r1.data - r2.data)) <= 1e-5
-    # batched inference pads a mixed-length batch; chunks of 2 split it
+    # batched inference pads a mixed-length batch; a budget of two of the
+    # longest stories splits it into chunks of 2
     seqs = [story_ids(vocab, t) for t in TEXTS + [TEXTS[0] + " and then it ended"]]
     assert len({len(s) for s in seqs}) > 1
     want = reference_heads(model, seqs)
-    for batch_size in (64, 2):
-        for got, ref in zip(model.infer(seqs, batch_size=batch_size), want):
+    for budget in (model_mod.INFER_TOKENS, 2 * max(len(s) for s in seqs)):
+        monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
+        for got, ref in zip(model.infer(seqs), want):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-5
+
+
+def test_infer_chunks_within_the_token_budget(setup, monkeypatch):
+    """Stories of mixed lengths, in shuffled order, scored in length-sorted
+    chunks of at most INFER_TOKENS padded tokens, equal the per-story
+    oracle in input order; a story longer than the budget is a chunk alone."""
+    _, vocab, _ = setup
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=32, n_enc_layers=2,
+                      n_dec_layers=1, n_heads=2, window=4, max_len=64,
+                      n_aspects=3, dropout=0.0)
+    model = Model(cfg, vocab, rng=np.random.default_rng(6))
+    words = " ".join(TEXTS * 2).split()
+    counts = np.random.default_rng(0).permutation([1, 3, 3, 6, 11, 17, 25, 47])
+    seqs = [story_ids(vocab, " ".join(words[:n])) for n in counts]
+    budget = 36
+    assert max(len(s) for s in seqs) > budget
+    chunks, real = [], model.encode_stories
+
+    def recording(id_seqs, **kw):
+        chunks.append((len(id_seqs), max(len(s) for s in id_seqs)))
+        return real(id_seqs, **kw)
+
+    monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
+    monkeypatch.setattr(model, "encode_stories", recording)
+    got = model.infer(seqs)
+    monkeypatch.undo()
+    for part, ref in zip(got, reference_heads(model, seqs)):
+        assert part.shape == ref.shape
+        assert np.max(np.abs(part - ref)) <= 1e-5
+    assert sum(rows for rows, _ in chunks) == len(seqs)
+    assert all(rows * t <= budget or rows == 1 for rows, t in chunks)
+    assert max(rows for rows, _ in chunks) > 1
+    assert any(rows == 1 and t > budget for rows, t in chunks)
 
 
 def test_zero_preference_head_gives_half(setup):

@@ -243,9 +243,9 @@ class TestEvalHelpers:
         seen = []
         real = model.infer
 
-        def recording(seqs, batch_size=64):
+        def recording(seqs):
             seen.append([tuple(s) for s in seqs])
-            return real(seqs, batch_size)
+            return real(seqs)
 
         monkeypatch.setattr(model, "infer", recording)
         hi, lo = pair_scores(model, data.stories, pairs)
@@ -297,6 +297,16 @@ class TestOnePassStep:
             Trainer(model, data, cfg).train_step(batch)
             assert len(calls) == expected
             assert calls[0] == 2 * len(batch) + n_neg
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_keep_the_model_dtype(self, dtype):
+        """The whole-batch loss is a scalar of the model's dtype, so backward
+        runs, and leaves every parameter gradient, in that dtype."""
+        model, data, _ = _setup(with_comments=True, with_negatives=True, dtype=dtype)
+        cfg = TrainConfig(batch_size=8, epochs=1, seed=0, use_aspects=True,
+                          use_comments=True, use_negatives=True)
+        Trainer(model, data, cfg).train_step(data.train_pairs[:8])
+        assert {p.grad.dtype for p in model.params.values()} == {np.dtype(dtype)}
 
     @pytest.mark.parametrize("objective,use_ps", [("rank", True), ("discrimination", True),
                                                   ("rank", False)])
