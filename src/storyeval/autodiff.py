@@ -10,7 +10,9 @@ share memory with another tensor's gradient.
 
 Every weight product is ``linear``: one node, one 2-D GEMM per operand
 each way, the bias folded in.  There is no ``matmul`` op and no ``@`` on
-tensors; the attention ops multiply their own arrays.
+tensors; the attention ops multiply their own arrays.  The encoder's
+``window_attention`` takes and returns packed rows, only the real tokens
+of a padded batch, so every op around it runs on (N, d) rows.
 
 Dtype follows the arrays you pass in: build parameters in float32 for
 training, float64 when running finite-difference checks.  Inference runs
@@ -444,22 +446,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 class WindowLayout:
-    """Chunked key layout and additive masks of sliding-window attention.
+    """Packing index, chunked key layout and masks of sliding-window attention.
 
-    Row i may read key j when |i - j| <= window or either one lies in the
-    ``n_global`` prefix, and j < its sequence's length.  Queries are split
-    into chunks of ``window`` rows; chunk n reads the span of three chunks
-    centred on it, keys n*window - window ... n*window + 2*window - 1, from
-    zero-padded keys.  When the sequence fits in one span (T <= 3*window)
-    the layout is one chunk of all T rows over all T keys.  Every row also
-    reads the prefix keys as a second segment of the same softmax, so the
-    band masks them out; the prefix rows attend densely.  Built once per
-    batch, it is shared by every layer.
+    A batch of B sequences padded to T tokens is packed into its N =
+    sum(lengths) real rows, sequence by sequence: packed row r is token
+    ``ti[r]`` of sequence ``bi[r]``.  Row i may read key j when
+    |i - j| <= window or either one lies in the ``n_global`` prefix, and
+    j < its sequence's length.  Queries are split into chunks of ``window``
+    rows; chunk n reads the span of three chunks centred on it, keys
+    n*window - window ... n*window + 2*window - 1, from zero-padded keys.
+    When the sequence fits in one span (T <= 3*window) the layout is one
+    chunk of all T rows over all T keys.  Every row also reads the prefix
+    keys as a second segment of the same softmax, so the band masks them
+    out; the prefix rows attend densely.  Built once per batch, it is
+    shared by every layer.
     """
 
     def __init__(self, lengths: np.ndarray, seq_len: int, window: int,
                  n_global: int, dtype):
-        t = seq_len
+        t = self.seq_len = seq_len
+        self.bi, self.ti = np.nonzero(np.arange(t) < lengths[:, None])
         self.n_global = g = max(0, min(n_global, t))
         self.n_seg = 1 if t <= 3 * window else 3
         self.chunk = c = t if self.n_seg == 1 else window
@@ -505,17 +511,22 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
                      rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
     """softmax(q k^T / sqrt(dk) + mask) v over ``layout``'s band, as one node.
 
-    q, k, v and the result are (B,T,H,dk).  ``rate`` > 0 applies inverted
-    dropout to the attention probabilities.  The backward reuses the
-    stored exponentials: with P = E / z, dS = P * (dP - rowsum(dO * O)).
+    q, k, v and the result are packed (N,H,dk): the real rows of the
+    layout's batch.  They are scattered into zero-filled (B,H,rows,dk)
+    buffers, so the band maths runs on contiguous padded blocks, and the
+    result and the three gradients are gathered back at the real rows.
+    ``rate`` > 0 applies inverted dropout to the attention probabilities.
+    The backward reuses the stored exponentials: with P = E / z,
+    dS = P * (dP - rowsum(dO * O)).
     """
-    b, t, h, dk = q.shape
+    _, h, dk = q.shape
+    b, t, bi, ti = layout.band.shape[0], layout.seq_len, layout.bi, layout.ti
     c, n, ns, g, left = layout.chunk, layout.n_chunks, layout.n_seg, layout.n_global, layout.left
     rows, dtype, scale = n * c, q.dtype, 1.0 / float(np.sqrt(dk))
 
     def heads_first(x, pad_before, n_rows):
         out = np.zeros((b, h, n_rows, dk), dtype)
-        out[:, :, pad_before: pad_before + t] = x.transpose(0, 2, 1, 3)
+        out[bi, :, ti + pad_before] = x
         return out
 
     qp = heads_first(q.data, 0, rows)
@@ -578,10 +589,9 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
         dvt[:, :, :g] += d_glob.swapaxes(-1, -2) @ go
         dkt += ds_rows.swapaxes(-1, -2) @ qp[:, :, :g]
         dvt += d_rows.swapaxes(-1, -2) @ go_rows
-        return tuple(gx.transpose(0, 2, 1, 3) for gx in (dq[:, :, :t] * scale, dkt, dvt))
+        return dq[bi, :, ti] * scale, dkt[bi, :, ti], dvt[bi, :, ti]
 
-    return _node(o[:, :, :t].transpose(0, 2, 1, 3).copy(), (q, k, v), backward,
-                 "window_attention")
+    return _node(o[bi, :, ti], (q, k, v), backward, "window_attention")
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = None,

@@ -3,10 +3,15 @@
 The encoder reads a [CLS]-prefixed story with banded sliding-window
 self-attention, one ``autodiff.window_attention`` node per layer (the
 [CLS] token, and in the comment path the aspect prefix, attends
-globally).  Its position-0 state v_s feeds three linear
-heads: a sigmoid preference score, a softmax over K aspect confidences,
-and K sigmoid ratings.  A causal decoder with cross-attention (each an
-``autodiff.attention`` node) generates aspect-conditioned comments.
+globally).  It is padding-free: a padded batch is packed into its real
+token rows, and the embeddings, layer norms, projections, feed-forward
+layers, dropout and residual adds all run on those (N, d) rows.  Each
+story's first row, its [CLS] state v_s, feeds three linear heads: a
+sigmoid preference score, a softmax over K aspect confidences, and K
+sigmoid ratings.  A causal decoder with cross-attention (each an
+``autodiff.attention`` node) generates aspect-conditioned comments; only
+this comment path maps the encoder states back to a padded (B, T, d)
+batch.
 
 ``Model.infer`` (run under ``autodiff.no_grad``) is the one batched
 inference path for the heads: it encodes stories shortest first, in chunks
@@ -118,9 +123,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
 
 
 def _heads(params, name: str, x: Tensor, n_heads: int) -> Tensor:
-    """Project (B,T,d) by ``params[name]`` and split into (B,T,H,dk)."""
-    b, t, d = x.shape
-    return ad.linear(x, params[name]).reshape(b, t, n_heads, d // n_heads)
+    """Project (..., d) by ``params[name]`` and split into (..., H, dk)."""
+    return ad.linear(x, params[name]).reshape(*x.shape[:-1], n_heads, -1)
 
 
 def _window_attention(params, prefix, x: Tensor, layout: WindowLayout,
@@ -147,19 +151,24 @@ def _ff(params, prefix, x: Tensor) -> Tensor:
 def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
            lengths: np.ndarray, n_global: int = 1,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-    """Run the encoder; returns (v_s (B,d), token states (B,T,d)).
+    """Run the encoder; returns (v_s (B,d), token states (N,d)).
 
-    Dropout runs at ``config.dropout`` if and only if ``rng`` is given."""
+    The states are packed: only the N = lengths.sum() real tokens, story
+    by story (``WindowLayout``'s ``bi``, ``ti``), and v_s is each story's
+    first row.  Dropout runs at ``config.dropout`` if and only if ``rng``
+    is given."""
     if ids.ndim != 2:
         raise ContractViolation("encode expects a (batch, seq) id array")
-    b, t = ids.shape
+    t = ids.shape[1]
     if t > config.max_len:
         raise ContractViolation(f"sequence length {t} exceeds max_len {config.max_len}")
+    if np.min(lengths) < 1:
+        raise ContractViolation("every sequence needs at least one token")
     rate = config.dropout if rng is not None else 0.0
-    pos = np.broadcast_to(np.arange(t), (b, t))
-    x = ad.embedding(params["tok_emb"], ids) + ad.embedding(params["pos_emb"], pos)
+    layout = WindowLayout(lengths, t, config.window, n_global, params["tok_emb"].dtype)
+    x = (ad.embedding(params["tok_emb"], ids[layout.bi, layout.ti])
+         + ad.embedding(params["pos_emb"], layout.ti))
     x = ad.dropout(x, rate, rng)
-    layout = WindowLayout(lengths, t, config.window, n_global, x.dtype)
     for i in range(config.n_enc_layers):
         p = f"enc{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
@@ -169,7 +178,7 @@ def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         x = x + ad.dropout(_ff(params, f"{p}.ff", normed), rate, rng)
     states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
-    return states[:, 0, :], states
+    return states[np.cumsum(lengths) - lengths], states
 
 
 def predict_preference(params: dict[str, Tensor], v_s: Tensor) -> Tensor:
@@ -210,8 +219,13 @@ class DecoderCache:
         self.buffers[name][:, self.length: self.length + t] = x.data
         return Tensor(self.buffers[name][:, :self.length + t])
 
-    def reorder(self, rows: np.ndarray) -> None:
+    def reorder(self, rows: np.ndarray, stories: np.ndarray | None = None) -> None:
+        """Keep self-attention rows ``rows``; with ``stories``, keep only
+        those encoder rows of the cross K/V."""
         self.buffers = {name: buf[rows] for name, buf in self.buffers.items()}
+        if stories is not None:
+            for name, (k, v) in list(self.cross.items()):
+                self.keep_cross(name, Tensor(k.data[stories]), Tensor(v.data[stories]))
 
 
 def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
@@ -305,11 +319,16 @@ class Model:
 
     def comment_encoder_states(self, story_id_seqs: list[np.ndarray],
                                aspect_ks: list[int], rng=None):
-        """Encode aspect-conditioned stories for the comment path."""
+        """Encode aspect-conditioned stories for the comment path; returns
+        padded (B,T,d) states and their lengths.  Cross-attention hides the
+        padded keys, so their gradient is exactly 0 and each story's last
+        real row stands in for them.  The row lookup is an ``embedding``,
+        whose backward is one sparse product."""
         conds = [conditioned_ids(s, k, self.vocab, self.config.max_len)
                  for s, k in zip(story_id_seqs, aspect_ks)]
         _, states, lengths = self.encode_stories(conds, n_global=3, rng=rng)
-        return states, lengths
+        last = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+        return ad.embedding(states, (np.cumsum(lengths) - lengths)[:, None] + last), lengths
 
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                     comment_seqs: list[np.ndarray], reduce: str = "mean",
@@ -347,20 +366,23 @@ class Model:
         """Beam-search comment ids per (story, aspect) pair, <bos>/<eos> stripped.
 
         The stories are encoded as one batch; each step feeds every hypothesis
-        one position through a ``DecoderCache``.  Tokens are ranked by logits,
-        not by float32 log-probabilities that can round distinct logits into
-        ties; scores add up in float64 and equal scores keep the expansion
-        order, so width 1 is exactly argmax."""
+        of every unfinished pair one position through a ``DecoderCache``, and
+        a pair whose hypotheses have all emitted <eos> leaves the batch.
+        Tokens are ranked by logits, not by float32 log-probabilities that
+        can round distinct logits into ties; scores add up in float64 and
+        equal scores keep the expansion order, so width 1 is exactly argmax."""
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
         n, eos = len(story_id_seqs), self.vocab.eos_id
-        rows = np.arange(n)[:, None]
+        live, results = np.arange(n), [None] * n      # input index of each decoding pair
         scores, done = np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
         seqs = np.full((n, 1, 1), self.vocab.bos_id)
         with ad.no_grad():
+            # states are read once, by the first step, which caches the cross K/V
             states, enc_lengths = self.comment_encoder_states(story_id_seqs, aspect_ks)
             cache = DecoderCache(max_new_tokens)
-            while cache.length < max_new_tokens and not done.all():
+            while cache.length < max_new_tokens and live.size:
+                n, rows = live.size, np.arange(live.size)[:, None]
                 logits = decoder_logits(self.params, self.config, seqs[:, :, -1].reshape(-1, 1),
                                         None, states, enc_lengths, cache=cache).data[:, 0]
                 top = logits.max(-1, keepdims=True)
@@ -377,6 +399,14 @@ class Model:
                 tokens = np.where(was_done, eos, order.reshape(n, h, w)[rows, parent, rank])
                 done = was_done | (tokens == eos) | np.isneginf(scores)
                 seqs = np.concatenate([seqs[rows, parent], tokens[..., None]], axis=2)
-                cache.reorder((rows * h + parent).reshape(-1))
+                keep = ~done.all(axis=1)
+                for i in np.flatnonzero(~keep):
+                    results[live[i]] = seqs[i, 0, 1:]
+                live, seqs, scores, done = live[keep], seqs[keep], scores[keep], done[keep]
+                enc_lengths = enc_lengths[keep]
+                cache.reorder((rows * h + parent)[keep].reshape(-1),
+                              None if keep.all() else np.flatnonzero(keep))
+        for i, best in zip(live, seqs[:, 0, 1:]):
+            results[i] = best
         return [best[: np.append(np.flatnonzero(best == eos), len(best))[0]]
-                for best in seqs[:, 0, 1:]]
+                for best in results]

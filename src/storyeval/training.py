@@ -277,6 +277,7 @@ class Trainer:
             self.best_val_acc = float(ck.extra.get("best_val_acc", -1.0))
             self.best_step = int(ck.extra.get("best_step", -1))
         pairs = list(self.data.train_pairs)
+        validated = (-1, float("nan"))   # (step, accuracy) of the last validation
         log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
         try:
             if log_fh:
@@ -293,15 +294,16 @@ class Trainer:
                         log_fh.write(self.rows[-1].csv_line() + "\n")
                     if self.config.eval_every and \
                             self.step % self.config.eval_every == 0:
-                        self._maybe_checkpoint(checkpoint_path,
-                                               self.validation_accuracy())
+                        validated = (self.step, self.validation_accuracy())
+                        self._maybe_checkpoint(checkpoint_path, validated[1])
                 if not self.config.eval_every:
-                    self._maybe_checkpoint(checkpoint_path,
-                                           self.validation_accuracy())
+                    validated = (self.step, self.validation_accuracy())
+                    self._maybe_checkpoint(checkpoint_path, validated[1])
         finally:
             if log_fh:
                 log_fh.close()
-        final_acc = self.validation_accuracy()
+        # no step since the last validation: the parameters are the same
+        final_acc = validated[1] if validated[0] == self.step else self.validation_accuracy()
         self._maybe_checkpoint(checkpoint_path, final_acc)
         if checkpoint_path is not None and self.best_step < 0:
             save_checkpoint(checkpoint_path, self.model.params,

@@ -20,6 +20,7 @@ from storyeval.model import (
 )
 from storyeval.vocab import build_vocab, pad_batch, tokenize
 
+import helpers
 from helpers import (
     dense_decoder_logits,
     dense_encode,
@@ -58,7 +59,8 @@ def test_encode_shapes(setup):
     ids = [story_ids(vocab, t) for t in TEXTS[:2]]
     v_s, states, lengths = model.encode_stories(ids)
     assert v_s.shape == (2, cfg.d_model)
-    assert states.shape == (2, max(len(i) for i in ids), cfg.d_model)
+    assert states.shape == (sum(len(i) for i in ids), cfg.d_model)
+    assert np.array_equal(v_s.data, states.data[[0, len(ids[0])]])
 
 
 def test_encode_deterministic(setup):
@@ -89,8 +91,11 @@ def test_banded_encoder_equals_dense_oracle(dtype, tol):
             ids, lengths = pad_batch(seqs, 0)
             v_s, states = encode(params, cfg, ids, lengths, n_global=n_global)
             ref_v, ref_states = dense_encode(params, cfg, ids, lengths, n_global=n_global)
+            # packed states are the real rows only, story by story
+            bi, ti = np.nonzero(np.arange(ids.shape[1]) < lengths[:, None])
             assert states.dtype == dtype
-            assert np.max(np.abs(states.data - ref_states.data)) <= tol
+            assert states.shape == (lengths.sum(), cfg.d_model)
+            assert np.max(np.abs(states.data - ref_states.data[bi, ti])) <= tol
             heads = (predict_preference(params, v_s), *predict_aspects(params, v_s))
             ref = (predict_preference(params, ref_v), *predict_aspects(params, ref_v))
             for got, want in zip(heads, ref):
@@ -101,7 +106,8 @@ def test_banded_encoder_equals_dense_oracle(dtype, tol):
 
 def test_window_attention_equals_dense_oracle_on_random_layouts():
     # windows from 1 up to past the length, prefixes longer than a chunk,
-    # single-token sequences and padded rows
+    # single-token sequences and padded rows; the op reads and writes only
+    # the real rows, packed, and each must equal the oracle's row
     rng = np.random.default_rng(3)
     for _ in range(60):
         b, t = int(rng.integers(1, 4)), int(rng.integers(1, 40))
@@ -110,10 +116,30 @@ def test_window_attention_equals_dense_oracle_on_random_layouts():
         lengths[0] = t
         q, k, v = (rng.standard_normal((b, t, 2, 3)) for _ in range(3))
         layout = WindowLayout(lengths, t, window, n_global, np.float64)
-        got = ad.window_attention(Tensor(q), Tensor(k), Tensor(v), layout).data
+        bi, ti = layout.bi, layout.ti
+        assert np.array_equal(np.bincount(bi, minlength=b), lengths)
+        got = ad.window_attention(*(Tensor(x[bi, ti]) for x in (q, k, v)), layout).data
         want = dense_window_attention(q, k, v, window_mask(lengths, t, window, n_global,
                                                            np.float64))
-        assert np.max(np.abs(got - want)) <= 1e-10, (b, t, window, n_global, lengths)
+        assert np.max(np.abs(got - want[bi, ti])) <= 1e-10, (b, t, window, n_global, lengths)
+
+
+def test_encoder_projections_see_only_real_rows(setup, monkeypatch):
+    model, vocab, cfg = setup
+    ids, lengths = pad_batch([story_ids(vocab, t) for t in
+                              (TEXTS[0], "a child", TEXTS[2] + " and then it ended")],
+                             vocab.pad_id)
+    assert len(set(lengths)) == 3
+    rows, real = [], ad.linear
+
+    def spy(x, w, b=None):
+        rows.append(x.shape[:-1])
+        return real(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", spy)
+    encode(model.params, cfg, ids, lengths)
+    # q, k, v, o and the two feed-forward layers of every block
+    assert rows == [(lengths.sum(),)] * (6 * cfg.n_enc_layers)
 
 
 def test_oversize_input_rejected(setup):
@@ -160,7 +186,8 @@ def test_window_covering_sequence_equals_full_attention(setup):
     assert cfg.window >= len(ids)
     _, states, _ = model.encode_stories([ids])
     ref = _reference_full_attention(model.params, cfg, ids)
-    assert np.max(np.abs(states.data[0] - ref)) <= 1e-5
+    assert states.shape == ref.shape
+    assert np.max(np.abs(states.data - ref)) <= 1e-5
 
 
 def test_padding_does_not_change_heads(setup, monkeypatch):
@@ -377,11 +404,11 @@ def test_batched_perplexity_matches_per_item_nll(setup):
     assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
 
 
-def eos_prone(model, vocab):
+def eos_prone(model, vocab, scale=6.0):
     """A copy of ``model`` whose <eos> logit is scaled up, so hypotheses
     finish at different steps."""
     params = {n: Tensor(p.data.copy(), requires_grad=True) for n, p in model.params.items()}
-    params["w_out"].data[:, vocab.eos_id] *= 6.0
+    params["w_out"].data[:, vocab.eos_id] *= scale
     return Model(model.config, vocab, params=params)
 
 
@@ -474,10 +501,24 @@ def test_batched_search_equals_per_hypothesis_oracle(setup, width):
 @pytest.mark.parametrize("beam", [1, 2, 4])
 def test_one_decoder_position_per_token(setup, monkeypatch, beam):
     model, vocab, _ = setup
-    m = eos_prone(model, vocab)
+    m = eos_prone(model, vocab, scale=7.0)   # two pairs end early at every width
     seqs = [story_ids(vocab, t) for t in TEXTS]
-    pairs = [(s, k) for s in seqs for k in (0, 2)]
+    pairs = [(s, k) for s in seqs for k in range(3)]
     singles = [m.generate_comment(s, k, max_new_tokens=8, beam=beam) for s, k in pairs]
+    # the per-pair reference search steps while any hypothesis of the pair is
+    # open; the longest prefix it feeds the decoder counts its steps
+    ref_steps, real_prefix = [], helpers.prefix_step_logits
+
+    def prefix_spy(model, prefix, *args):
+        ref_steps[-1] = max(ref_steps[-1], len(prefix))
+        return real_prefix(model, prefix, *args)
+
+    monkeypatch.setattr(helpers, "prefix_step_logits", prefix_spy)
+    for (s, k), single in zip(pairs, singles):
+        ref_steps.append(0)
+        assert np.array_equal(single, reference_beam(m, s, k, max_new_tokens=8, width=beam))
+        if beam == 1:
+            assert np.array_equal(single, greedy_comment(m, s, k, max_new_tokens=8))
     shapes, projected = [], []
     real_logits, real_heads = model_mod.decoder_logits, model_mod._heads
 
@@ -494,10 +535,12 @@ def test_one_decoder_position_per_token(setup, monkeypatch, beam):
     got = m.generate_comments([s for s, _ in pairs], [k for _, k in pairs],
                               max_new_tokens=8, beam=beam)
     assert all(np.array_equal(a, b) for a, b in zip(got, singles))
-    # one new position per hypothesis row: len(pairs) rows, then beam rows each
+    # one new position per hypothesis row of the unfinished pairs: one row
+    # each on the first step, then beam rows each; finished pairs leave
+    open_pairs = [sum(n > step for n in ref_steps) for step in range(max(ref_steps))]
+    assert shapes == [(n * (1 if step == 0 else beam), 1) for step, n in enumerate(open_pairs)]
     assert 1 <= len(shapes) <= 8
-    assert shapes[0] == (len(pairs), 1)
-    assert all(shape == (len(pairs) * beam, 1) for shape in shapes[1:])
+    assert open_pairs[0] == len(pairs) and open_pairs[-1] < len(pairs)
     # the encoder states are projected to cross-attention K/V once per layer
     assert sum(".cross." in name for name in projected) == 2 * m.config.n_dec_layers
 

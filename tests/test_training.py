@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from storyeval import model as model_mod
+from storyeval import training as training_mod
 from storyeval import rng as rng_mod
 from storyeval.corpus import RankedPair, build_pairs, generate_negative, split_by_prompt
 from storyeval.errors import ConfigError, ContractViolation
 from storyeval.model import Model, ModelConfig
+from storyeval.optim import steps_per_epoch
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
 from storyeval.training import (
     LOG_HEADER,
@@ -192,6 +194,31 @@ class TestCheckpointing:
         fresh = Model(ck.config, model.vocab, params=ck.params)
         acc = evaluate_pairs(fresh, data.stories, data.val_pairs)
         assert acc == pytest.approx(res.best_val_acc)
+
+    @pytest.mark.parametrize("eval_every", [0, "epoch"])
+    def test_final_validation_reuses_the_last(self, tmp_path, monkeypatch, eval_every):
+        model, data, _ = _setup()
+        per_epoch = steps_per_epoch(len(data.train_pairs), 8)
+        cfg = TrainConfig(batch_size=8, epochs=2, peak_lr=1e-3, seed=0,
+                          eval_every=per_epoch if eval_every == "epoch" else 0)
+        calls, real = [], training_mod.evaluate_pairs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(training_mod, "evaluate_pairs", counting)
+        trainer = Trainer(model, data, cfg)
+        ckpt, log = tmp_path / "model.ckpt", tmp_path / "train_log.csv"
+        res = trainer.train(checkpoint_path=ckpt, log_path=log)
+        assert len(calls) == 2
+        files = ckpt.read_bytes(), log.read_bytes()
+        # the validation the run used to repeat after its last step gives the
+        # same value and writes nothing
+        acc = trainer.validation_accuracy()
+        trainer._maybe_checkpoint(ckpt, acc)
+        assert acc == res.final_val_acc
+        assert (ckpt.read_bytes(), log.read_bytes()) == files
 
     def test_resume_continues_from_step(self, tmp_path):
         model, data, _ = _setup()
