@@ -66,7 +66,7 @@ from .metrics import (
     score_distance,
     spearman,
 )
-from .model import INFER_BATCH, Model, ModelConfig
+from .model import Model, ModelConfig
 from .training import TrainConfig, TrainData, Trainer, pair_scores, score_texts
 from .vocab import Vocabulary, build_vocab, tokenize, words
 
@@ -456,16 +456,6 @@ def _load_model(checkpoint_path, vocab_path) -> Model:
     return Model(ck.config, vocab, params=ck.params)
 
 
-def _generate(model: Model, pairs, max_new_tokens: int, beam: int = 1) -> list[np.ndarray]:
-    """``Model.generate_comments`` of (story ids, aspect) pairs, one
-    inference batch of pairs at a time."""
-    out = []
-    for start in range(0, len(pairs), INFER_BATCH):
-        seqs, ks = zip(*pairs[start: start + INFER_BATCH])
-        out += model.generate_comments(list(seqs), list(ks), max_new_tokens, beam)
-    return out
-
-
 def cmd_score(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
     settings = {"command": "score", "checkpoint": str(args.checkpoint),
@@ -490,8 +480,8 @@ def cmd_score(args) -> int:
     jobs = [(i, k) for i, conf in enumerate(a_c)
             for k in np.argsort(-conf, kind="stable")[: args.top_aspects].tolist()]
     try:
-        toks = _generate(model, [(seqs[i], k) for i, k in jobs], args.max_new_tokens,
-                         args.beam)
+        toks = model.generate_comments([seqs[i] for i, _ in jobs], [k for _, k in jobs],
+                                       args.max_new_tokens, args.beam)
     except record_errors as exc:
         for out in scored:
             out["error"] = f"{type(exc).__name__}: {exc}"
@@ -639,8 +629,8 @@ def cmd_evaluate(args) -> int:
             keys = sorted(refs_by_key)
             story_ids = {sid: tokenize(_story(stories, sid, path).text, model.vocab,
                                        model.config.max_len) for sid, _ in keys}
-            hyps = _generate(model, [(story_ids[sid], k) for sid, k in keys],
-                             args.max_new_tokens)
+            hyps = model.generate_comments([story_ids[sid] for sid, _ in keys],
+                                           [k for _, k in keys], args.max_new_tokens)
             bleus, rouges, ppl_items = [], [], []
             for (sid, k), toks in zip(keys, hyps):
                 refs = refs_by_key[(sid, k)]

@@ -6,8 +6,8 @@ desk-scale samples are small enough to make parametric p-values shaky.
 It scores every permutation at once from centred ranks (Spearman) or
 pairwise sign matrices (Kendall), whose denominators do not change
 under permutation.
-Perplexity batches its items through ``Model.comment_nll`` under
-``autodiff.no_grad``.
+Perplexity sums ``Model.comment_nll`` under ``autodiff.no_grad`` over the
+``model.token_chunks`` of its stories' lengths, ``INFER_TOKENS`` each.
 """
 
 import math
@@ -20,9 +20,9 @@ from scipy import stats as _scipy_stats
 from . import autodiff as ad
 from . import rng as rng_mod
 from .errors import ContractViolation, UndefinedCorrelationError
+from . import model as model_mod
 
 SIGNIFICANCE_LEVEL = 0.01
-PERPLEXITY_BATCH = 64
 
 
 def pairwise_accuracy(paired_scores) -> float:
@@ -228,8 +228,8 @@ def corpus_perplexity(model, items) -> float:
         raise ContractViolation("empty comment corpus")
     total_nll = 0.0
     with ad.no_grad():
-        for start in range(0, len(items), PERPLEXITY_BATCH):
-            stories, aspects, comments = zip(*items[start: start + PERPLEXITY_BATCH])
+        for run in model_mod.token_chunks([len(s) for s, _, _ in items], model_mod.INFER_TOKENS):
+            stories, aspects, comments = zip(*(items[i] for i in run))
             total_nll += float(model.comment_nll(stories, aspects, comments,
                                                  reduce="sum").data)
     total_tokens = sum(len(comment_ids) - 1 for _, _, comment_ids in items)

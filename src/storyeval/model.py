@@ -13,12 +13,12 @@ sigmoid ratings.  A causal decoder with cross-attention (each an
 this comment path maps the encoder states back to a padded (B, T, d)
 batch.
 
-``Model.infer`` (run under ``autodiff.no_grad``) is the one batched
-inference path for the heads: it encodes stories shortest first, in chunks
-of at most ``INFER_TOKENS`` padded tokens, so long stories are scored with
-little padding and with per-layer temporaries that stay near cache size.
-``Model.comment_nll`` is the one batched teacher-forced comment loss,
-``Model.generate_comments`` the one search.
+``token_chunks`` is the one batching rule of inference: length-sorted runs
+of at most a budget of padded tokens, so long stories are encoded with little
+padding and with per-layer temporaries near cache size.  ``Model.infer``, the
+one inference path for the heads, ``metrics.corpus_perplexity`` (through
+``Model.comment_nll``, the one teacher-forced comment loss) and
+``Model.generate_comments``, the one search, all batch by it.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -33,12 +33,25 @@ from .errors import ConfigError, ContractViolation
 from .losses import sequence_nll
 from .vocab import Vocabulary, conditioned_ids, pad_batch
 
-INFER_BATCH = 64    # story x aspect comments per batched decoding call
 # padded tokens (rows x longest row) per Model.infer chunk.  Scoring 64
 # stories of 413-512 tokens (d_model 128, one BLAS thread, 2 MB L2) took
 # about 1.5x as long in one chunk, whose per-layer temporaries are tens of
 # MB, and at 4,096 tokens; 1,024 tied with this budget
 INFER_TOKENS = 2048
+# encoder tokens per DecoderCache (64 pairs at max_len 512): a step took 0.9 ms
+# at 4 rows, 9.1 ms at 64; a pair holds about 1.3 MB of states and cross K/V
+DECODE_TOKENS = 16 * INFER_TOKENS
+
+
+def token_chunks(lengths, budget: int) -> list[np.ndarray]:
+    """Index runs of the inputs, sorted stably by length, whose padded size,
+    rows x longest row, is at most ``budget``; a longer input is a run alone."""
+    runs = []
+    for i in np.argsort(lengths, kind="stable"):
+        if not runs or (len(runs[-1]) + 1) * lengths[i] > budget:
+            runs.append([])
+        runs[-1].append(i)
+    return [np.asarray(run) for run in runs]
 
 
 @dataclass
@@ -220,9 +233,10 @@ class DecoderCache:
         return Tensor(self.buffers[name][:, :self.length + t])
 
     def reorder(self, rows: np.ndarray, stories: np.ndarray | None = None) -> None:
-        """Keep self-attention rows ``rows``; with ``stories``, keep only
-        those encoder rows of the cross K/V."""
-        self.buffers = {name: buf[rows] for name, buf in self.buffers.items()}
+        """Keep self-attention rows ``rows``, copying a buffer only if a row
+        moves; with ``stories``, keep only those encoder rows of the cross K/V."""
+        self.buffers = {name: buf if np.array_equal(rows, np.arange(len(buf))) else buf[rows]
+                        for name, buf in self.buffers.items()}
         if stories is not None:
             for name, (k, v) in list(self.cross.items()):
                 self.keep_cross(name, Tensor(k.data[stories]), Tensor(v.data[stories]))
@@ -291,31 +305,17 @@ class Model:
         return v_s, states, lengths
 
     def infer(self, id_seqs: list[np.ndarray]):
-        """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order.
-
-        Stories are sorted by length (stably) and encoded, without building
-        a graph, in consecutive chunks whose padded size, rows x longest
-        row, is at most ``INFER_TOKENS``; a story longer than that is a
-        chunk of its own.  The results are plain numpy arrays.
-        """
-        order = np.argsort([len(s) for s in id_seqs], kind="stable")
-        chunks, start = [], 0
+        """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order, as
+        numpy arrays; ``token_chunks`` of ``INFER_TOKENS`` are encoded without a graph."""
+        n, k, dtype = len(id_seqs), self.config.n_aspects, self.params["w_ps"].dtype
+        out = np.zeros(n, dtype), np.zeros((n, k), dtype), np.zeros((n, k), dtype)
         with ad.no_grad():
-            while start < len(order):
-                end = start + 1
-                while (end < len(order) and
-                       (end + 1 - start) * len(id_seqs[order[end]]) <= INFER_TOKENS):
-                    end += 1
-                v_s, _, _ = self.encode_stories([id_seqs[i] for i in order[start:end]])
-                a_c, a_r = predict_aspects(self.params, v_s)
-                chunks.append((predict_preference(self.params, v_s).data,
-                               a_c.data, a_r.data))
-                start = end
-        if not chunks:
-            k = self.config.n_aspects
-            return np.zeros(0), np.zeros((0, k)), np.zeros((0, k))
-        inverse = np.argsort(order)
-        return tuple(np.concatenate(part)[inverse] for part in zip(*chunks))
+            for run in token_chunks([len(s) for s in id_seqs], INFER_TOKENS):
+                v_s, _, _ = self.encode_stories([id_seqs[i] for i in run])
+                heads = predict_preference(self.params, v_s), *predict_aspects(self.params, v_s)
+                for part, head in zip(out, heads):
+                    part[run] = head.data
+        return out
 
     def comment_encoder_states(self, story_id_seqs: list[np.ndarray],
                                aspect_ks: list[int], rng=None):
@@ -363,49 +363,64 @@ class Model:
 
     def generate_comments(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                           max_new_tokens: int = 40, beam: int = 1) -> list[np.ndarray]:
-        """Beam-search comment ids per (story, aspect) pair, <bos>/<eos> stripped.
-
-        The stories are encoded as one batch; each step feeds every hypothesis
-        of every unfinished pair one position through a ``DecoderCache``, and
-        a pair whose hypotheses have all emitted <eos> leaves the batch.
-        Tokens are ranked by logits, not by float32 log-probabilities that
-        can round distinct logits into ties; scores add up in float64 and
-        equal scores keep the expansion order, so width 1 is exactly argmax."""
+        """Beam-search comment ids per (story, aspect) pair, <bos>/<eos> stripped, decoded
+        in ``token_chunks`` of ``DECODE_TOKENS`` encoder tokens; their ``INFER_TOKENS``
+        chunks are encoded into one zero-padded batch, whose padding cross-attention masks."""
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
-        n, eos = len(story_id_seqs), self.vocab.eos_id
-        live, results = np.arange(n), [None] * n      # input index of each decoding pair
+        lengths = np.asarray([len(conditioned_ids(s, k, self.vocab, self.config.max_len))
+                              for s, k in zip(story_id_seqs, aspect_ks)])
+        results = {}
+        with ad.no_grad():
+            for group in token_chunks(lengths, DECODE_TOKENS):
+                states = np.zeros((len(group), lengths[group].max(), self.config.d_model),
+                                  self.params["tok_emb"].dtype)
+                for chunk in token_chunks(lengths[group], INFER_TOKENS):
+                    part, _ = self.comment_encoder_states([story_id_seqs[i] for i in group[chunk]],
+                                                          [aspect_ks[i] for i in group[chunk]])
+                    states[chunk, :part.shape[1]] = part.data
+                results.update(zip(group, self._search(Tensor(states), lengths[group],
+                                                       max_new_tokens, beam)))
+        return [results[i] for i in range(len(lengths))]
+
+    def _search(self, states: Tensor, enc_lengths, max_new_tokens: int, beam: int) -> list:
+        """Beam search over padded encoder states.  Each step feeds every
+        hypothesis of every unfinished pair one position through a
+        ``DecoderCache``; a pair whose hypotheses have all emitted <eos> leaves
+        the batch.  Tokens are ranked by logits, not by float32 log-probabilities
+        that can round distinct logits into ties; scores add up in float64 and
+        equal scores keep the expansion order, so width 1 is exactly argmax."""
+        n, eos = len(enc_lengths), self.vocab.eos_id
+        live, results = np.arange(n), [None] * n      # state row of each decoding pair
         scores, done = np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
         seqs = np.full((n, 1, 1), self.vocab.bos_id)
-        with ad.no_grad():
-            # states are read once, by the first step, which caches the cross K/V
-            states, enc_lengths = self.comment_encoder_states(story_id_seqs, aspect_ks)
-            cache = DecoderCache(max_new_tokens)
-            while cache.length < max_new_tokens and live.size:
-                n, rows = live.size, np.arange(live.size)[:, None]
-                logits = decoder_logits(self.params, self.config, seqs[:, :, -1].reshape(-1, 1),
-                                        None, states, enc_lengths, cache=cache).data[:, 0]
-                top = logits.max(-1, keepdims=True)
-                logp = logits - np.log(np.exp(logits - top).sum(-1, keepdims=True)) - top
-                order = np.argsort(-logits, axis=-1, kind="stable")[:, :beam]
-                h, w = done.shape[1], order.shape[1]
-                cand = scores[..., None] + np.take_along_axis(logp, order, -1).reshape(n, h, w)
-                # a finished hypothesis stays as its first candidate only
-                cand[done] = -np.inf
-                cand[..., 0][done] = scores[done]
-                pick = np.argsort(-cand.reshape(n, h * w), axis=1, kind="stable")[:, :beam]
-                parent, rank = np.divmod(pick, w)
-                scores, was_done = cand.reshape(n, h * w)[rows, pick], done[rows, parent]
-                tokens = np.where(was_done, eos, order.reshape(n, h, w)[rows, parent, rank])
-                done = was_done | (tokens == eos) | np.isneginf(scores)
-                seqs = np.concatenate([seqs[rows, parent], tokens[..., None]], axis=2)
-                keep = ~done.all(axis=1)
-                for i in np.flatnonzero(~keep):
-                    results[live[i]] = seqs[i, 0, 1:]
-                live, seqs, scores, done = live[keep], seqs[keep], scores[keep], done[keep]
-                enc_lengths = enc_lengths[keep]
-                cache.reorder((rows * h + parent)[keep].reshape(-1),
-                              None if keep.all() else np.flatnonzero(keep))
+        # states are read once, by the first step, which caches the cross K/V
+        cache = DecoderCache(max_new_tokens)
+        while cache.length < max_new_tokens and live.size:
+            n, rows = live.size, np.arange(live.size)[:, None]
+            logits = decoder_logits(self.params, self.config, seqs[:, :, -1].reshape(-1, 1),
+                                    None, states, enc_lengths, cache=cache).data[:, 0]
+            top = logits.max(-1, keepdims=True)
+            logp = logits - np.log(np.exp(logits - top).sum(-1, keepdims=True)) - top
+            order = np.argsort(-logits, axis=-1, kind="stable")[:, :beam]
+            h, w = done.shape[1], order.shape[1]
+            cand = scores[..., None] + np.take_along_axis(logp, order, -1).reshape(n, h, w)
+            # a finished hypothesis stays as its first candidate only
+            cand[done] = -np.inf
+            cand[..., 0][done] = scores[done]
+            pick = np.argsort(-cand.reshape(n, h * w), axis=1, kind="stable")[:, :beam]
+            parent, rank = np.divmod(pick, w)
+            scores, was_done = cand.reshape(n, h * w)[rows, pick], done[rows, parent]
+            tokens = np.where(was_done, eos, order.reshape(n, h, w)[rows, parent, rank])
+            done = was_done | (tokens == eos) | np.isneginf(scores)
+            seqs = np.concatenate([seqs[rows, parent], tokens[..., None]], axis=2)
+            keep = ~done.all(axis=1)
+            for i in np.flatnonzero(~keep):
+                results[live[i]] = seqs[i, 0, 1:]
+            live, seqs, scores, done = live[keep], seqs[keep], scores[keep], done[keep]
+            enc_lengths = enc_lengths[keep]
+            cache.reorder((rows * h + parent)[keep].reshape(-1),
+                          None if keep.all() else np.flatnonzero(keep))
         for i, best in zip(live, seqs[:, 0, 1:]):
             results[i] = best
         return [best[: np.append(np.flatnonzero(best == eos), len(best))[0]]

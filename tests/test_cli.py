@@ -305,6 +305,20 @@ class TestScore:
             assert abs(sum(rec["a_c"]) - 1.0) < 1e-5
             assert len(rec["comments"]) == 2
 
+    def test_zero_top_aspects_scores_without_comments(self, smoke, tmp_path):
+        stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                   if "meta" not in r][:3]
+        write_jsonl(tmp_path / "stories.jsonl", stories)
+        assert run(["score", "--checkpoint", smoke / "run" / "model.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt",
+                    "--stories", tmp_path / "stories.jsonl",
+                    "--out", tmp_path / "scores.jsonl", "--top-aspects", 0]) == 0
+        records = read_jsonl(tmp_path / "scores.jsonl")
+        assert records[0]["meta"]["failures"] == 0 and len(records) == 4
+        for rec in records[1:]:
+            assert 0.0 <= rec["p_s"] <= 1.0
+            assert rec["comments"] == {}
+
 
 class TestCompare:
     def _sides(self, smoke, tmp_path):

@@ -323,12 +323,12 @@ class _FixedNllModel:
 class TestCorpusPerplexity:
     def test_uniform_sixteen(self):
         model = _FixedNllModel(np.log(16.0))
-        items = [(None, 0, list(range(5))), (None, 1, list(range(3)))]
+        items = [([1], 0, list(range(5))), ([1], 1, list(range(3)))]
         assert corpus_perplexity(model, items) == pytest.approx(16.0, abs=1e-9)
 
     def test_perfect_model(self):
         model = _FixedNllModel(0.0)
-        assert corpus_perplexity(model, [(None, 0, [1, 2])]) == pytest.approx(1.0)
+        assert corpus_perplexity(model, [([1], 0, [1, 2])]) == pytest.approx(1.0)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractViolation):

@@ -389,7 +389,7 @@ def test_evaluate_story_output_contract(setup):
                                                  (0, cfg.n_aspects)]
 
 
-def test_batched_perplexity_matches_per_item_nll(setup):
+def test_batched_perplexity_matches_per_item_nll(setup, monkeypatch):
     model, vocab, _ = setup
     words = [vocab.id_of(w) for w in "the rain fell on the key in the garden".split()]
     items = []
@@ -401,7 +401,10 @@ def test_batched_perplexity_matches_per_item_nll(setup):
     total = sum(float(model.teacher_forced_nll(s, k, c, reduce="sum").data)
                 for s, k, c in items)
     tokens = sum(len(c) - 1 for _, _, c in items)
-    assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
+    # one run of the default budget, then runs of at most two stories
+    for budget in (model_mod.INFER_TOKENS, 25):
+        monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
+        assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
 
 
 def eos_prone(model, vocab, scale=6.0):
@@ -543,6 +546,82 @@ def test_one_decoder_position_per_token(setup, monkeypatch, beam):
     assert open_pairs[0] == len(pairs) and open_pairs[-1] < len(pairs)
     # the encoder states are projected to cross-attention K/V once per layer
     assert sum(".cross." in name for name in projected) == 2 * m.config.n_dec_layers
+
+
+def test_generating_no_pairs_returns_nothing(setup):
+    model, _, _ = setup
+    assert model.generate_comments([], []) == []
+
+
+def test_greedy_steps_copy_no_cache_buffer(setup, monkeypatch):
+    """At beam 1, until a pair ends, no self-attention row moves, so the
+    cache keeps its buffer objects from step to step."""
+    model, vocab, _ = setup
+    m = eos_prone(model, vocab, scale=0.0)   # an <eos> logit of 0 never wins here
+    seqs, aspects = [story_ids(vocab, t) for t in TEXTS], [0, 2, 1]
+    kept, real = [], DecoderCache.reorder
+
+    def spy(cache, rows, stories=None):
+        before = dict(cache.buffers)
+        real(cache, rows, stories)
+        kept.append(bool(before) and all(cache.buffers[n] is b for n, b in before.items()))
+
+    monkeypatch.setattr(DecoderCache, "reorder", spy)
+    got = m.generate_comments(seqs, aspects, max_new_tokens=8)
+    monkeypatch.undo()
+    assert kept == [True] * 8
+    for s, k, ids in zip(seqs, aspects, got):
+        assert len(ids) == 8
+        assert np.array_equal(ids, greedy_comment(m, s, k, max_new_tokens=8))
+
+
+@pytest.mark.parametrize("beam", [1, 2])
+def test_generation_chunks_within_the_token_budgets(setup, monkeypatch, beam):
+    """Shuffled pairs of mixed lengths, decoded in groups of at most
+    DECODE_TOKENS encoder tokens and encoded in chunks of at most
+    INFER_TOKENS, equal the per-pair searches in input order."""
+    model, vocab, cfg = setup
+    words = " ".join(TEXTS * 2).split()
+    counts = np.random.default_rng(1).permutation([1, 3, 3, 6, 11, 17, 25, 47])
+    seqs = [story_ids(vocab, " ".join(words[:n])) for n in counts]
+    aspects = [i % 3 for i in range(len(seqs))]
+    infer_budget, decode_budget = 36, 80
+    monkeypatch.setattr(model_mod, "INFER_TOKENS", infer_budget)
+    monkeypatch.setattr(model_mod, "DECODE_TOKENS", decode_budget)
+    for m in (model, eos_prone(model, vocab)):
+        chunks, groups, projected = [], [], []
+        real_encode, real_search, real_heads = (m.comment_encoder_states, m._search,
+                                                model_mod._heads)
+
+        def encode_spy(story_id_seqs, aspect_ks):
+            states, lengths = real_encode(story_id_seqs, aspect_ks)
+            chunks.append((len(lengths), lengths.max()))
+            return states, lengths
+
+        def search_spy(states, *args):
+            groups.append(states.shape[:2])
+            return real_search(states, *args)
+
+        def heads_spy(params, name, x, n_heads):
+            projected.append(name)
+            return real_heads(params, name, x, n_heads)
+
+        monkeypatch.setattr(m, "comment_encoder_states", encode_spy)
+        monkeypatch.setattr(m, "_search", search_spy)
+        monkeypatch.setattr(model_mod, "_heads", heads_spy)
+        got = m.generate_comments(seqs, aspects, max_new_tokens=8, beam=beam)
+        assert sum(rows for rows, _ in chunks) == sum(rows for rows, _ in groups) == len(seqs)
+        assert all(rows * t <= infer_budget or rows == 1 for rows, t in chunks)
+        assert all(rows * t <= decode_budget or rows == 1 for rows, t in groups)
+        assert max(rows for rows, _ in chunks) > 1 and len(groups) > 1
+        assert any(rows == 1 and t > infer_budget for rows, t in chunks)
+        # the cross-attention K/V are projected once per layer per group
+        assert sum(".cross." in n for n in projected) == 2 * cfg.n_dec_layers * len(groups)
+        monkeypatch.setattr(model_mod, "_heads", real_heads)
+        for s, k, ids in zip(seqs, aspects, got):
+            assert np.array_equal(ids, reference_beam(m, s, k, max_new_tokens=8, width=beam))
+            if beam == 1:
+                assert np.array_equal(ids, greedy_comment(m, s, k, max_new_tokens=8))
 
 
 def test_tied_candidates_keep_expansion_order(setup):
