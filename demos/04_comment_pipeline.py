@@ -1,8 +1,10 @@
 """Comment supervision end to end: augment labels, train, generate.
 
 Crowd-labeled comments are scarce, so the pipeline stretches them in
-two ways.  A pair of small encoder classifiers labels raw unlabeled
-comments (keeping only confident, reasonably sized ones), and a
+two ways.  Two compact ``Model``s, trained through their aspect heads to
+classify a comment's aspect and its sentiment, label raw unlabeled
+comments (keeping only confident, reasonably sized ones; ``Model.infer``
+scores the whole pool in one call per filter), and a
 cross-attention decoder learns to write aspect-conditioned comments,
 which doubles as a perplexity probe of how well the evaluator reads a
 story.
@@ -129,7 +131,7 @@ def generation_demo():
     for step in range(1, 401):
         total, n_tok = None, 0
         for sids, k, cids in triples:
-            term = model.teacher_forced_nll(sids, k, cids, reduce="sum")
+            term = model.comment_nll([sids], [k], [cids], reduce="sum")
             total = term if total is None else total + term
             n_tok += len(cids) - 1
         loss = total / float(n_tok)
@@ -141,7 +143,7 @@ def generation_demo():
     print(f"\ndecoder fine-tune: per-token NLL {float(loss.data):.4f} "
           f"after {step} steps, perplexity {corpus_perplexity(model, triples):.2f}")
     for (sids, k, _), want in zip(triples, comments):
-        got = vocab.decode(model.generate_comment(sids, k, max_new_tokens=20))
+        got = vocab.decode(model.generate_comments([sids], [k], max_new_tokens=20)[0])
         mark = "==" if got == want else "!="
         print(f"  aspect {k}: '{got}'  {mark} crowd")
 

@@ -3,9 +3,10 @@
 Reader comments are treated as little documents: LDA with collapsed
 Gibbs sampling proposes topic clusters, UMass coherence picks the topic
 count, and an operator names the topics (the shipped default taxonomy
-has the ten aspects the method settled on).  A compact encoder
-classifier then filters unlabeled comments into (aspect, rating)
-annotations to grow the training corpus.
+has the ten aspects the method settled on).  Two compact ``Model``s,
+whose aspect heads classify whole comments by aspect and by sentiment,
+then filter unlabeled comments into (aspect, rating) annotations to
+grow the training corpus.
 """
 
 import json
@@ -17,13 +18,13 @@ from scipy import sparse
 
 from . import autodiff as ad
 from . import rng as rng_mod
-from .autodiff import Tensor
 from .corpus import STOPWORDS
 from .errors import ContractViolation, DataError
 from .jsonl import atomic_write
-from .model import ModelConfig, encode, init_params
+from .losses import confidence_loss
+from .model import Model, ModelConfig, predict_aspects
 from .optim import AdamW, LrSchedule, lr_at, steps_per_epoch
-from .vocab import Vocabulary, build_vocab, pad_batch, tokenize, words
+from .vocab import build_vocab, tokenize, words
 
 DEFAULT_TAXONOMY = (
     ("opening/beginning", "structure"),
@@ -300,69 +301,34 @@ def select_num_topics(docs: list[np.ndarray], vocab: list[str], candidates,
     return best
 
 
-# -- encoder classifiers ----------------------------------------------------
+# -- comment filters --------------------------------------------------------
 
-@dataclass
-class TextClassifier:
-    """Compact encoder plus a softmax class head over whole comments."""
-
-    params: dict[str, Tensor]
-    config: ModelConfig
-    vocab: Vocabulary
-    n_classes: int
-
-    def _encode(self, texts: list[str]) -> Tensor:
-        seqs = [tokenize(t, self.vocab, self.config.max_len) for t in texts]
-        ids, lengths = pad_batch(seqs, self.vocab.pad_id)
-        v_s, _ = encode(self.params, self.config, ids, lengths)
-        return v_s
-
-    def predict_proba_batch(self, texts: list[str]) -> np.ndarray:
-        with ad.no_grad():
-            logits = ad.linear(self._encode(texts), self.params["w_cls"])
-            return ad.softmax(logits, axis=-1).data
-
-    def predict_proba(self, text: str) -> np.ndarray:
-        return self.predict_proba_batch([text])[0]
-
-    def predict_batch(self, texts: list[str]) -> np.ndarray:
-        return np.argmax(self.predict_proba_batch(texts), axis=-1)
-
-    def predict_class(self, text: str) -> int:
-        """1-based class for sentiment-style heads."""
-        return int(self.predict_batch([text])[0]) + 1
-
-    def accuracy(self, texts: list[str], labels) -> float:
-        pred = self.predict_batch(texts)
-        return float(np.mean(pred == np.asarray(labels)))
-
-
-def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
-                      vocab: Vocabulary | None, epochs: int, lr: float,
-                      batch_size: int, seed: int) -> TextClassifier:
+def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epochs: int,
+                      lr: float, batch_size: int, seed: int,
+                      min_per_class: int = 1) -> Model:
+    """A compact ``Model`` whose aspect head is an ``n_classes``-way text
+    classifier, trained with the joint trainer's confidence loss on one-hot
+    targets; the decoder and the other heads stay untouched."""
+    labels = np.asarray(labels, dtype=np.int64)
     if len(texts) != len(labels):
         raise ContractViolation("texts and labels differ in length")
-    present = set(int(l) for l in labels)
-    missing = sorted(set(range(n_classes)) - present)
-    if missing:
-        raise ContractViolation(f"classes without examples: {missing}")
-    if vocab is None:
-        vocab = build_vocab(texts, size=2000, n_aspects=0)
+    bad = sorted(set(labels[(labels < 0) | (labels >= n_classes)].tolist()))
+    if bad:
+        raise ContractViolation(f"labels {bad} outside [0, {n_classes})")
+    counts = np.bincount(labels, minlength=n_classes)
+    if np.any(counts < max(1, min_per_class)):
+        raise ContractViolation(f"need >= {max(1, min_per_class)} examples per "
+                                f"class, got {counts.tolist()}")
+    vocab = build_vocab(texts, size=2000, n_aspects=n_classes)
     config = ModelConfig(vocab_size=len(vocab), d_model=48, n_enc_layers=1,
                          n_dec_layers=1, n_heads=2, window=16, max_len=64,
-                         n_aspects=max(1, n_classes), dropout=0.0)
-    init_rng = rng_mod.stream(seed, "classifier_init")
-    params = init_params(config, init_rng)
-    params["w_cls"] = Tensor(
-        init_rng.normal(0.0, 0.02, (config.d_model, n_classes)).astype(np.float32),
-        requires_grad=True)
-    # the decoder and scoring heads stay untouched; train only what the
-    # classifier forward pass reaches
-    trainable = {n: p for n, p in params.items()
-                 if n == "w_cls" or n.startswith("enc") or n in ("tok_emb", "pos_emb")}
+                         n_aspects=n_classes, dropout=0.0)
+    model = Model(config, vocab, rng=rng_mod.stream(seed, "classifier_init"))
+    trainable = {n: p for n, p in model.params.items()
+                 if n == "w_ac" or n.startswith("enc") or n in ("tok_emb", "pos_emb")}
     opt = AdamW(trainable)
     seqs = [tokenize(t, vocab, config.max_len) for t in texts]
-    labels = np.asarray(labels, dtype=np.int64)
+    one_hot = np.eye(n_classes)[labels]
     order_rng = rng_mod.stream(seed, "classifier_shuffle")
     n = len(seqs)
     total_steps = epochs * steps_per_epoch(n, batch_size)
@@ -372,88 +338,74 @@ def _train_classifier(texts: list[str], labels: np.ndarray, n_classes: int,
         order = order_rng.permutation(n)
         for start in range(0, n, batch_size):
             chunk = order[start: start + batch_size]
-            ids, lengths = pad_batch([seqs[i] for i in chunk], vocab.pad_id)
-            v_s, _ = encode(params, config, ids, lengths)
-            logits = ad.linear(v_s, params["w_cls"])
-            logp = ad.log_softmax(logits, axis=-1)
-            nll = -ad.gather_last(logp, labels[chunk]).mean()
+            v_s, _, _ = model.encode_stories([seqs[i] for i in chunk])
+            loss = confidence_loss(predict_aspects(model.params, v_s)[0], one_hot[chunk])
             ad.zero_grads(trainable)
-            ad.forward_backward(nll, trainable)
+            ad.forward_backward(loss, trainable)
             opt.step(lr=lr_at(sched, step))
             step += 1
-    return TextClassifier(params=params, config=config, vocab=vocab,
-                          n_classes=n_classes)
+    return model
 
 
 def train_aspect_classifier(records: list[CommentRecord], n_aspects: int = 10,
-                            vocab: Vocabulary | None = None, epochs: int = 30,
-                            lr: float = 3e-3, batch_size: int = 16,
-                            seed: int = 0, min_per_class: int = 1) -> TextClassifier:
+                            epochs: int = 30, lr: float = 3e-3, batch_size: int = 16,
+                            seed: int = 0, min_per_class: int = 1) -> Model:
     """K-way aspect classifier over crowd-labeled comments."""
     crowd = [r for r in records if r.source == "crowd"]
-    counts = np.zeros(n_aspects, dtype=np.int64)
-    for r in crowd:
-        counts[r.aspect] += 1
-    if np.any(counts < min_per_class):
-        raise ContractViolation(
-            f"need >= {min_per_class} comments per aspect, got {counts.tolist()}")
-    texts = [r.text for r in crowd]
-    labels = np.asarray([r.aspect for r in crowd], dtype=np.int64)
-    return _train_classifier(texts, labels, n_aspects, vocab, epochs, lr,
-                             batch_size, seed)
+    return _train_classifier([r.text for r in crowd], [r.aspect for r in crowd],
+                             n_aspects, epochs, lr, batch_size, seed, min_per_class)
 
 
-def train_sentiment_scorer(records: list[CommentRecord],
-                           vocab: Vocabulary | None = None, epochs: int = 30,
+def train_sentiment_scorer(records: list[CommentRecord], epochs: int = 30,
                            lr: float = 3e-3, batch_size: int = 16,
-                           seed: int = 0, min_per_class: int = 1) -> TextClassifier:
-    """5-way sentiment scorer; labels derive from the 0-1 ratings."""
+                           seed: int = 0) -> Model:
+    """5-way sentiment scorer; head class c - 1 stands for the rating
+    ``rating_from_class(c)``."""
     crowd = [r for r in records if r.source == "crowd"]
-    texts = [r.text for r in crowd]
-    labels = np.asarray([class_from_rating(r.rating) - 1 for r in crowd],
-                        dtype=np.int64)
-    if len(set(labels.tolist())) < 5 and min_per_class > 0:
-        missing = sorted(set(range(5)) - set(labels.tolist()))
-        raise ContractViolation(f"sentiment classes without examples: {missing}")
-    return _train_classifier(texts, labels, 5, vocab, epochs, lr, batch_size, seed)
+    return _train_classifier([r.text for r in crowd],
+                             [class_from_rating(r.rating) - 1 for r in crowd],
+                             5, epochs, lr, batch_size, seed)
 
 
 # -- augmentation -----------------------------------------------------------
 
-def augment_comments(raw_comments: list[dict], classifier, scorer,
+def augment_comments(raw_comments: list[dict], classifier: Model, scorer: Model,
                      confidence: float = 0.9, min_words: int = 15,
                      max_words: int = 50,
                      per_aspect_cap: int | None = None,
                      ) -> tuple[list[CommentRecord], dict]:
     """Filter unlabeled comments into augmented (aspect, rating) records.
 
-    Keeps a comment iff its best aspect probability strictly exceeds
-    ``confidence`` and its word count lies in [min_words, max_words].
+    Keeps a comment iff its word count lies in [min_words, max_words],
+    its best aspect probability strictly exceeds ``confidence`` and its
+    aspect is under ``per_aspect_cap``, applied in input order.  Class
+    probabilities are the filters' aspect heads: one ``Model.infer`` call
+    scores every comment of the right length, one more the kept ones.
     The audit dict counts every rejection by reason.
     """
-    kept: list[CommentRecord] = []
     audit = {"total": len(raw_comments), "kept": 0, "rejected_length": 0,
              "rejected_confidence": 0, "rejected_cap": 0}
-    per_aspect: dict[int, int] = {}
-    for rec in raw_comments:
-        text = rec["text"]
-        wc = len(text.split())
-        if wc < min_words or wc > max_words:
-            audit["rejected_length"] += 1
-            continue
-        probs = np.asarray(classifier.predict_proba(text), dtype=np.float64)
-        if float(probs.max()) <= confidence:
-            audit["rejected_confidence"] += 1
-            continue
+    pool = [rec for rec in raw_comments
+            if min_words <= len(rec["text"].split()) <= max_words]
+    audit["rejected_length"] = len(raw_comments) - len(pool)
+
+    def class_probs(model: Model, recs) -> np.ndarray:
+        seqs = [tokenize(r["text"], model.vocab, model.config.max_len) for r in recs]
+        return model.infer(seqs)[1]
+
+    kept, per_aspect = [], {}
+    for rec, probs in zip(pool, class_probs(classifier, pool)):
         aspect = int(np.argmax(probs))
-        if per_aspect_cap is not None and per_aspect.get(aspect, 0) >= per_aspect_cap:
+        if float(probs[aspect]) <= confidence:
+            audit["rejected_confidence"] += 1
+        elif per_aspect_cap is not None and per_aspect.get(aspect, 0) >= per_aspect_cap:
             audit["rejected_cap"] += 1
-            continue
-        sentiment = int(scorer.predict_class(text))
-        kept.append(CommentRecord(story_id=str(rec.get("story_id", "")),
-                                  text=text, aspect=aspect,
-                                  rating=rating_from_class(sentiment),
-                                  source="augmented"))
-        per_aspect[aspect] = per_aspect.get(aspect, 0) + 1
-        audit["kept"] += 1
-    return kept, audit
+        else:
+            kept.append((rec, aspect))
+            per_aspect[aspect] = per_aspect.get(aspect, 0) + 1
+    audit["kept"] = len(kept)
+    sentiments = np.argmax(class_probs(scorer, [rec for rec, _ in kept]), axis=-1) + 1
+    return [CommentRecord(story_id=str(rec.get("story_id", "")), text=rec["text"],
+                          aspect=aspect, rating=rating_from_class(int(c)),
+                          source="augmented")
+            for (rec, aspect), c in zip(kept, sentiments)], audit

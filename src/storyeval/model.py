@@ -351,16 +351,6 @@ class Model:
                                 states, enc_lengths, rng=rng)
         return sequence_nll(logits, targets, mask, reduce=reduce)
 
-    def teacher_forced_nll(self, story_ids: np.ndarray, aspect_k: int,
-                           comment_ids: np.ndarray, reduce: str = "mean") -> Tensor:
-        """``comment_nll`` of a single (story, aspect, comment) triple."""
-        return self.comment_nll([story_ids], [aspect_k], [comment_ids], reduce=reduce)
-
-    def generate_comment(self, story_ids: np.ndarray, aspect_k: int,
-                         max_new_tokens: int = 40, beam: int = 1) -> np.ndarray:
-        """``generate_comments`` of a single (story, aspect) pair."""
-        return self.generate_comments([story_ids], [aspect_k], max_new_tokens, beam)[0]
-
     def generate_comments(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                           max_new_tokens: int = 40, beam: int = 1) -> list[np.ndarray]:
         """Beam-search comment ids per (story, aspect) pair, <bos>/<eos> stripped, decoded

@@ -32,6 +32,7 @@ from .losses import (
     rating_loss,
 )
 from .losses import confidence_loss as conf_loss
+from .metrics import pairwise_accuracy
 from .model import Model, predict_aspects, predict_preference
 from .optim import AdamW, LrSchedule, lr_at, steps_per_epoch
 from .vocab import tokenize
@@ -120,11 +121,9 @@ def pair_scores(model: Model, stories: dict[str, Story],
 
 def evaluate_pairs(model: Model, stories: dict[str, Story],
                    pairs: list[RankedPair]) -> float:
-    """Fraction of pairs where the preferred story scores strictly higher."""
-    if not pairs:
-        raise ContractViolation("no pairs to evaluate")
+    """``pairwise_accuracy``: the fraction of pairs whose preferred story scores higher."""
     hi, lo = pair_scores(model, stories, pairs)
-    return float(np.mean(hi > lo))
+    return pairwise_accuracy(zip(hi, lo))
 
 
 class Trainer:

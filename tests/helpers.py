@@ -6,15 +6,19 @@ for batched inference, dense masked attention for banded window
 attention and for the fused decoder attention, the numpy-array Gibbs
 sampler and pair-scan UMass coherence for the list-based LDA, the
 full-prefix decoding loops (greedy and per-hypothesis beam search) for
-cached, batched comment generation, and ``reference_train_step``, the
+cached, batched comment generation, ``reference_train_step``, the
 three-pass train step (preferred, rejected and negative stories each
-encoded on their own) for the one-pass ``Trainer.train_step``."""
+encoded on their own) for the one-pass ``Trainer.train_step``, and
+``reference_augment``, the per-comment filter loop, for the two-call
+``augment_comments``; ``TableModel`` stands in for its filters."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from storyeval import autodiff as ad
 from storyeval import rng as rng_mod
-from storyeval.aspects import LdaModel
+from storyeval.aspects import CommentRecord, LdaModel, rating_from_class
 from storyeval.autodiff import NEG_INF
 from storyeval.errors import ContractViolation
 from storyeval.losses import (
@@ -28,6 +32,7 @@ from storyeval.losses import (
 from storyeval.model import _ff, decoder_logits, predict_aspects, predict_preference
 from storyeval.optim import lr_at
 from storyeval.training import LogRow
+from storyeval.vocab import build_vocab, tokenize
 
 
 def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -441,3 +446,57 @@ def reference_train_step(trainer, batch):
                                l_c=breakdown.L_c, l_total=breakdown.L_total))
     trainer.step += 1
     return breakdown
+
+
+class TableModel:
+    """A comment filter with known outputs: ``infer`` returns, as its aspect
+    head, the probability row that ``table`` gives each comment's leading word."""
+
+    def __init__(self, table: dict[str, list[float]]):
+        self.table = {word: np.asarray(row, dtype=np.float64) for word, row in table.items()}
+        self.n_classes = len(next(iter(self.table.values())))
+        self.vocab = build_vocab(table, size=len(table) + 6 + self.n_classes,
+                                 n_aspects=self.n_classes)
+        self.config = SimpleNamespace(max_len=64)
+
+    def infer(self, id_seqs):
+        a_c = np.asarray([self.table[self.vocab.tokens[ids[1]]] for ids in id_seqs])
+        a_c = a_c.reshape(len(id_seqs), self.n_classes)
+        return np.zeros(len(id_seqs)), a_c, np.zeros_like(a_c)
+
+
+def reference_augment(raw_comments, classifier, scorer, confidence: float = 0.9,
+                      min_words: int = 15, max_words: int = 50,
+                      per_aspect_cap: int | None = None):
+    """``augment_comments`` one comment at a time, each scored by its own
+    ``infer`` call; the loop that the two batched calls replaced."""
+
+    def probs(model, text):
+        return model.infer([tokenize(text, model.vocab, model.config.max_len)])[1][0]
+
+    kept = []
+    audit = {"total": len(raw_comments), "kept": 0, "rejected_length": 0,
+             "rejected_confidence": 0, "rejected_cap": 0}
+    per_aspect: dict[int, int] = {}
+    for rec in raw_comments:
+        text = rec["text"]
+        wc = len(text.split())
+        if wc < min_words or wc > max_words:
+            audit["rejected_length"] += 1
+            continue
+        p = np.asarray(probs(classifier, text), dtype=np.float64)
+        if float(p.max()) <= confidence:
+            audit["rejected_confidence"] += 1
+            continue
+        aspect = int(np.argmax(p))
+        if per_aspect_cap is not None and per_aspect.get(aspect, 0) >= per_aspect_cap:
+            audit["rejected_cap"] += 1
+            continue
+        sentiment = int(np.argmax(probs(scorer, text))) + 1
+        kept.append(CommentRecord(story_id=str(rec.get("story_id", "")),
+                                  text=text, aspect=aspect,
+                                  rating=rating_from_class(sentiment),
+                                  source="augmented"))
+        per_aspect[aspect] = per_aspect.get(aspect, 0) + 1
+        audit["kept"] += 1
+    return kept, audit

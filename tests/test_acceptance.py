@@ -36,6 +36,8 @@ from storyeval.synthetic import (
 from storyeval.training import TrainConfig, TrainData, Trainer, evaluate_pairs, score_texts
 from storyeval.vocab import BOS, CLS, EOS, PAD, SEP, UNK, Vocabulary, aspect_token, build_vocab, tokenize
 
+from helpers import TableModel
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "prepare"
 
@@ -203,8 +205,8 @@ def test_02_loss_gradients_match_finite_differences():
             return losses.rating_loss(a_r, y_rate, sel)
 
         def comment_mle():
-            return model.teacher_forced_nll(ids_a, comment_aspect,
-                                            comment, reduce="mean")
+            return model.comment_nll([ids_a], [comment_aspect], [comment],
+                                     reduce="mean")
 
         def discrimination():
             p_a, _ = scores()
@@ -497,28 +499,6 @@ def test_09_lda_planted_topics():
 
 # -- 10: augmentation keeps exactly the rule-defined subset ------------------
 
-class _TableClassifier:
-    """Known outputs keyed on each comment's leading token."""
-
-    def __init__(self, table, n_aspects=10):
-        self.table = table
-        self.n_aspects = n_aspects
-
-    def predict_proba(self, text):
-        aspect, pmax = self.table[text.split()[0]]
-        probs = np.full(self.n_aspects, (1.0 - pmax) / (self.n_aspects - 1))
-        probs[aspect] = pmax
-        return probs
-
-
-class _TableScorer:
-    def __init__(self, table):
-        self.table = table
-
-    def predict_class(self, text):
-        return self.table[text.split()[0]]
-
-
 def test_10_augmentation_exactness():
     word_counts = (10, 15, 26, 34, 42, 50)
     confidences = (0.85, 0.905, 0.95)
@@ -528,10 +508,12 @@ def test_10_augmentation_exactness():
         tag = f"c{i:02d}"
         raw.append({"story_id": f"s{i:02d}",
                     "text": tag + " " + " ".join(f"f{j}" for j in range(wc - 1))})
-        probs[tag] = (i % 10, confidences[(i // 3) % 3])
-        klasses[tag] = (i % 5) + 1
-    classifier = _TableClassifier(probs)
-    scorer = _TableScorer(klasses)
+        pmax = confidences[(i // 3) % 3]
+        probs[tag] = np.full(10, (1.0 - pmax) / 9)
+        probs[tag][i % 10] = pmax
+        klasses[tag] = np.eye(5)[i % 5]      # sentiment class (i % 5) + 1
+    classifier = TableModel(probs)
+    scorer = TableModel(klasses)
     kept, audit = augment_comments(raw, classifier, scorer)
 
     # hand-applied rules: 15 <= words <= 50 AND max confidence > 0.9
@@ -610,7 +592,7 @@ def test_12_comment_memorization_and_uniform_ppl():
     for _ in range(400):
         total, n_tok = None, 0
         for k, cids in triples:
-            term = model.teacher_forced_nll(story_ids, k, cids, reduce="sum")
+            term = model.comment_nll([story_ids], [k], [cids], reduce="sum")
             total = term if total is None else total + term
             n_tok += len(cids) - 1
         loss = total / float(n_tok)
@@ -620,8 +602,8 @@ def test_12_comment_memorization_and_uniform_ppl():
         nll = float(loss.data)
         if nll < 0.05:
             break
-    decoded = [vocab.decode(model.generate_comment(story_ids, k,
-                                                   max_new_tokens=20))
+    decoded = [vocab.decode(model.generate_comments([story_ids], [k],
+                                                    max_new_tokens=20)[0])
                for k, _ in triples]
     exact = sum(got == want for got, want in zip(decoded, comments))
 

@@ -20,8 +20,10 @@ from storyeval.aspects import (
     umass_coherence,
 )
 from storyeval.errors import ContractViolation, DataError
+from storyeval.model import Model
+from storyeval.vocab import tokenize
 
-from helpers import reference_lda_fit, reference_umass_coherence
+from helpers import TableModel, reference_augment, reference_lda_fit, reference_umass_coherence
 
 
 class TestTaxonomy:
@@ -330,33 +332,45 @@ def _aspect_fixture():
     return records
 
 
+def _crowd_fixture():
+    # the aspect fixture with every sentiment class rated
+    return [CommentRecord(story_id=f"s{i}", text=r.text, aspect=r.aspect,
+                          rating=(i % 5) / 4)
+            for i, r in enumerate(_aspect_fixture())]
+
+
+def _class_probs(model, texts):
+    return model.infer([tokenize(t, model.vocab, model.config.max_len) for t in texts])[1]
+
+
 class TestClassifiers:
-    def test_aspect_classifier_learns_separable(self, monkeypatch):
+    def test_aspect_classifier_learns_separable(self):
         records = _aspect_fixture()
         clf = train_aspect_classifier(records, n_aspects=2, epochs=40,
                                       lr=3e-3, seed=0)
+        assert isinstance(clf, Model)
+        assert (clf.config.d_model, clf.config.n_enc_layers, clf.config.n_heads,
+                clf.config.window, clf.config.max_len, clf.config.n_aspects,
+                clf.config.dropout) == (48, 1, 2, 16, 64, 2, 0.0)
+        assert clf.vocab.n_aspects == 2
         texts = [r.text for r in records]
         labels = [r.aspect for r in records]
-        assert clf.accuracy(texts, labels) == 1.0
-        probs = clf.predict_proba(records[0].text)
-        assert probs.shape == (2,)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-5)
-        # the encoder still builds a graph for training; a prediction builds none
-        assert clf._encode(texts)._parents
-        encoded, plain = [], clf._encode
-
-        def spy(batch):
-            encoded.append(plain(batch))
-            return encoded[-1]
-
-        monkeypatch.setattr(clf, "_encode", spy)
-        clf.predict_proba_batch(texts)
-        assert encoded[0]._parents == () and not encoded[0].requires_grad
+        probs = _class_probs(clf, texts)
+        assert probs.shape == (len(texts), 2)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-5
+        assert float(np.mean(np.argmax(probs, axis=1) == labels)) == 1.0
 
     def test_missing_aspect_rejected(self):
         records = [r for r in _aspect_fixture() if r.aspect == 0]
         with pytest.raises(ContractViolation):
             train_aspect_classifier(records, n_aspects=2)
+
+    @pytest.mark.parametrize("aspect", [-1, 2])
+    def test_out_of_range_aspect_rejected(self, aspect):
+        records = _aspect_fixture() + [CommentRecord(
+            story_id="s", text="an aspect this taxonomy lacks", aspect=aspect, rating=0.5)]
+        with pytest.raises(ContractViolation, match="outside"):
+            train_aspect_classifier(records, n_aspects=2, epochs=1)
 
     def test_min_per_class_enforced(self):
         records = _aspect_fixture()[:7]  # aspect 1 has only one example
@@ -369,22 +383,9 @@ class TestClassifiers:
             train_sentiment_scorer(records)
 
 
-class _StubClassifier:
-    """Duck-typed stand-in keyed on a leading tag word."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def predict_proba(self, text):
-        return np.asarray(self.table[text.split()[0]], dtype=np.float64)
-
-
-class _StubScorer:
-    def __init__(self, cls):
-        self.cls = cls
-
-    def predict_class(self, text):
-        return self.cls
+def _scorer(cls, tags=("good", "meh", "edge")):
+    """A sentiment filter that gives every tagged comment class ``cls``."""
+    return TableModel({t: np.eye(5)[cls - 1] for t in tags})
 
 
 def _long(tag, n=20):
@@ -393,46 +394,46 @@ def _long(tag, n=20):
 
 class TestAugment:
     def test_short_comment_rejected_for_length(self):
-        clf = _StubClassifier({"good": [0.99, 0.01]})
+        clf = TableModel({"good": [0.99, 0.01]})
         kept, audit = augment_comments(
             [{"story_id": "s", "text": "good but too short"}], clf,
-            _StubScorer(5))
+            _scorer(5))
         assert kept == []
         assert audit["rejected_length"] == 1
 
     def test_overlong_comment_rejected(self):
-        clf = _StubClassifier({"good": [0.99, 0.01]})
+        clf = TableModel({"good": [0.99, 0.01]})
         kept, audit = augment_comments(
-            [{"story_id": "s", "text": _long("good", 51)}], clf, _StubScorer(5))
+            [{"story_id": "s", "text": _long("good", 51)}], clf, _scorer(5))
         assert kept == []
         assert audit["rejected_length"] == 1
 
     def test_boundary_lengths_kept(self):
-        clf = _StubClassifier({"good": [0.99, 0.01]})
+        clf = TableModel({"good": [0.99, 0.01]})
         for n in (15, 50):
             kept, _ = augment_comments(
                 [{"story_id": "s", "text": _long("good", n)}], clf,
-                _StubScorer(3))
+                _scorer(3))
             assert len(kept) == 1
 
     def test_low_confidence_rejected(self):
-        clf = _StubClassifier({"meh": [0.85, 0.15]})
+        clf = TableModel({"meh": [0.85, 0.15]})
         kept, audit = augment_comments(
-            [{"story_id": "s", "text": _long("meh")}], clf, _StubScorer(3))
+            [{"story_id": "s", "text": _long("meh")}], clf, _scorer(3))
         assert kept == []
         assert audit["rejected_confidence"] == 1
 
     def test_confidence_boundary_is_strict(self):
-        clf = _StubClassifier({"edge": [0.9, 0.1]})
+        clf = TableModel({"edge": [0.9, 0.1]})
         kept, audit = augment_comments(
-            [{"story_id": "s", "text": _long("edge")}], clf, _StubScorer(3))
+            [{"story_id": "s", "text": _long("edge")}], clf, _scorer(3))
         assert kept == []
         assert audit["rejected_confidence"] == 1
 
     def test_kept_record_fields(self):
-        clf = _StubClassifier({"good": [0.05, 0.95]})
+        clf = TableModel({"good": [0.05, 0.95]})
         kept, audit = augment_comments(
-            [{"story_id": "st9", "text": _long("good")}], clf, _StubScorer(4))
+            [{"story_id": "st9", "text": _long("good")}], clf, _scorer(4))
         assert audit["kept"] == 1
         rec = kept[0]
         assert rec.story_id == "st9"
@@ -441,20 +442,53 @@ class TestAugment:
         assert rec.source == "augmented"
 
     def test_per_aspect_cap(self):
-        clf = _StubClassifier({"good": [0.99, 0.01]})
+        clf = TableModel({"good": [0.99, 0.01]})
         raw = [{"story_id": f"s{i}", "text": _long("good")} for i in range(5)]
-        kept, audit = augment_comments(raw, clf, _StubScorer(5),
+        kept, audit = augment_comments(raw, clf, _scorer(5),
                                        per_aspect_cap=2)
         assert len(kept) == 2
         assert audit["rejected_cap"] == 3
 
     def test_audit_totals_balance(self):
-        clf = _StubClassifier({"good": [0.99, 0.01], "meh": [0.6, 0.4]})
+        clf = TableModel({"good": [0.99, 0.01], "meh": [0.6, 0.4]})
         raw = [{"story_id": "a", "text": _long("good")},
                {"story_id": "b", "text": _long("meh")},
                {"story_id": "c", "text": "good tiny"}]
-        kept, audit = augment_comments(raw, clf, _StubScorer(1))
+        kept, audit = augment_comments(raw, clf, _scorer(1))
         assert audit["total"] == 3
         assert audit["kept"] + audit["rejected_length"] + \
             audit["rejected_confidence"] + audit["rejected_cap"] == 3
         assert kept[0].rating == 0.0
+
+    def test_trained_filters_match_per_comment_oracle(self, monkeypatch):
+        crowd = _crowd_fixture()
+        clf = train_aspect_classifier(crowd, n_aspects=2, epochs=10, seed=0)
+        scorer = train_sentiment_scorer(crowd, epochs=10, seed=0)
+        # pairs of crowd texts, which score lower, first, so a rejected comment
+        # that counted toward the cap would change which crowd texts are kept;
+        # then six halves too short to score and the crowd texts themselves
+        texts = [r.text for r in crowd]
+        pool = [f"{a} and {b}" for a, b in zip(texts, reversed(texts))]
+        pool += [" ".join(t.split()[:4]) for t in texts[::2]] + texts
+        raw = [{"story_id": f"r{i}", "text": t} for i, t in enumerate(pool)]
+        sized = [t for t in pool if 5 <= len(t.split()) <= 30]
+        # a confidence halfway between two neighbouring scores splits the pool
+        best = np.sort(_class_probs(clf, sized).max(axis=1))
+        mid = len(best) // 2
+        confidence = float(best[mid - 1] + best[mid]) / 2
+        kwargs = dict(confidence=confidence, min_words=5, max_words=30, per_aspect_cap=5)
+
+        calls, real_infer = [], Model.infer
+
+        def spy(model, id_seqs):
+            calls.append(len(id_seqs))
+            return real_infer(model, id_seqs)
+
+        monkeypatch.setattr(Model, "infer", spy)
+        kept, audit = augment_comments(raw, clf, scorer, **kwargs)
+        assert calls == [len(sized), audit["kept"]]
+        monkeypatch.setattr(Model, "infer", real_infer)
+        want_kept, want_audit = reference_augment(raw, clf, scorer, **kwargs)
+        assert kept == want_kept and audit == want_audit
+        assert all(audit[k] > 0 for k in ("kept", "rejected_length",
+                                          "rejected_confidence", "rejected_cap"))

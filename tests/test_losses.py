@@ -271,7 +271,7 @@ class TestGradientFlowThroughHeads:
                             vocab.eos_id])
 
         def make_loss():
-            return model.teacher_forced_nll(ids[1], 1, comment)
+            return model.comment_nll([ids[1]], [1], [comment])
 
         check_sampled_grads(make_loss, model.params, np.random.default_rng(2))
 

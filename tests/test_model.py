@@ -313,8 +313,8 @@ def test_confidences_live_on_the_simplex(setup):
 def test_greedy_generation_deterministic(setup):
     model, vocab, _ = setup
     ids = story_ids(vocab, TEXTS[2])
-    a = model.generate_comment(ids, 1, max_new_tokens=8)
-    b = model.generate_comment(ids, 1, max_new_tokens=8)
+    a = model.generate_comments([ids], [1], max_new_tokens=8)[0]
+    b = model.generate_comments([ids], [1], max_new_tokens=8)[0]
     assert np.array_equal(a, b)
 
 
@@ -333,12 +333,12 @@ def test_beam_width_one_equals_greedy(setup):
     for m, text, k in cases:
         ids = story_ids(vocab, text)
         want = greedy_comment(m, ids, k, max_new_tokens=8)
-        got = m.generate_comment(ids, k, max_new_tokens=8, beam=1)
+        got = m.generate_comments([ids], [k], max_new_tokens=8, beam=1)[0]
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
         lengths.append(len(got))
     assert lengths[-1] == 0 and max(lengths) > 0
-    beam = model.generate_comment(story_ids(vocab, TEXTS[0]), 0, max_new_tokens=8, beam=2)
+    beam = model.generate_comments([story_ids(vocab, TEXTS[0])], [0], max_new_tokens=8, beam=2)[0]
     assert beam.dtype == np.int64
 
 
@@ -346,7 +346,7 @@ def test_invalid_aspect_rejected(setup):
     model, vocab, _ = setup
     ids = story_ids(vocab, TEXTS[0])
     with pytest.raises(ContractViolation):
-        model.generate_comment(ids, 99)
+        model.generate_comments([ids], [99])
 
 
 def test_uniform_decoder_nll_is_log_vocab(setup):
@@ -357,9 +357,9 @@ def test_uniform_decoder_nll_is_log_vocab(setup):
     saved = model.params["w_out"].data.copy()
     model.params["w_out"].data[:] = 0.0
     try:
-        nll = model.teacher_forced_nll(ids, 0, comment, reduce="mean")
+        nll = model.comment_nll([ids], [0], [comment], reduce="mean")
         assert abs(float(nll.data) - np.log(len(vocab))) < 1e-9
-        total = model.teacher_forced_nll(ids, 0, comment, reduce="sum")
+        total = model.comment_nll([ids], [0], [comment], reduce="sum")
         assert abs(float(total.data) - 3 * np.log(len(vocab))) < 1e-9
     finally:
         model.params["w_out"].data[:] = saved
@@ -369,9 +369,9 @@ def test_nll_requires_bos_eos(setup):
     model, vocab, _ = setup
     ids = story_ids(vocab, TEXTS[1])
     with pytest.raises(ContractViolation):
-        model.teacher_forced_nll(ids, 0, np.array([vocab.id_of("the")]))
+        model.comment_nll([ids], [0], [np.array([vocab.id_of("the")])])
     with pytest.raises(ContractViolation):
-        model.teacher_forced_nll(ids, 0, np.array([vocab.bos_id, vocab.unk_id]))
+        model.comment_nll([ids], [0], [np.array([vocab.bos_id, vocab.unk_id])])
 
 
 def test_evaluate_story_output_contract(setup):
@@ -398,7 +398,7 @@ def test_batched_perplexity_matches_per_item_nll(setup, monkeypatch):
         items.append((story_ids(vocab, TEXTS[i % 3]), i % 3,
                       np.asarray([vocab.bos_id] + body + [vocab.eos_id])))
     assert len({len(c) for _, _, c in items}) > 1
-    total = sum(float(model.teacher_forced_nll(s, k, c, reduce="sum").data)
+    total = sum(float(model.comment_nll([s], [k], [c], reduce="sum").data)
                 for s, k, c in items)
     tokens = sum(len(c) - 1 for _, _, c in items)
     # one run of the default budget, then runs of at most two stories
@@ -507,7 +507,7 @@ def test_one_decoder_position_per_token(setup, monkeypatch, beam):
     m = eos_prone(model, vocab, scale=7.0)   # two pairs end early at every width
     seqs = [story_ids(vocab, t) for t in TEXTS]
     pairs = [(s, k) for s in seqs for k in range(3)]
-    singles = [m.generate_comment(s, k, max_new_tokens=8, beam=beam) for s, k in pairs]
+    singles = [m.generate_comments([s], [k], max_new_tokens=8, beam=beam)[0] for s, k in pairs]
     # the per-pair reference search steps while any hypothesis of the pair is
     # open; the longest prefix it feeds the decoder counts its steps
     ref_steps, real_prefix = [], helpers.prefix_step_logits
@@ -632,4 +632,4 @@ def test_tied_candidates_keep_expansion_order(setup):
     ids = story_ids(vocab, TEXTS[0])
     for width in (5, 9):
         want = reference_beam(flat, ids, 1, max_new_tokens=4, width=width)
-        assert np.array_equal(flat.generate_comment(ids, 1, 4, width), want)
+        assert np.array_equal(flat.generate_comments([ids], [1], 4, width)[0], want)
