@@ -317,8 +317,8 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
         raise ContractViolation(f"labels {bad} outside [0, {n_classes})")
     counts = np.bincount(labels, minlength=n_classes)
     if np.any(counts < max(1, min_per_class)):
-        raise ContractViolation(f"need >= {max(1, min_per_class)} examples per "
-                                f"class, got {counts.tolist()}")
+        raise DataError(f"need >= {max(1, min_per_class)} examples per "
+                        f"class, got {counts.tolist()}")
     vocab = build_vocab(texts, size=2000, n_aspects=n_classes)
     config = ModelConfig(vocab_size=len(vocab), d_model=48, n_enc_layers=1,
                          n_dec_layers=1, n_heads=2, window=16, max_len=64,

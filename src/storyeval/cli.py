@@ -1,9 +1,10 @@
 """Operator command line: dataset prep, training, scoring and reports.
 
 Every command is deterministic given its inputs and seed, and every
-artifact embeds a short hash of the effective settings plus the seed:
-JSONL files carry one leading ``{"meta": ...}`` record, JSON reports a
-``meta`` key, the training CSV a leading comment line.
+artifact embeds the seed and a short hash of the command's flags other
+than its file paths (``train``: of its merged config): JSONL files carry
+one leading ``{"meta": ...}`` record, JSON reports a ``meta`` key, the
+training CSV a leading comment line.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
 failure.
@@ -16,6 +17,7 @@ import json
 import os
 import platform
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from .aspects import (
     AspectTaxonomy,
     CommentRecord,
     augment_comments,
+    class_from_rating,
     lda_fit,
     prepare_comment_docs,
     select_num_topics,
@@ -47,7 +50,6 @@ from .errors import (
     ConfigError,
     ContractViolation,
     DataError,
-    EmptyTextError,
     NumericFailure,
     StoryTooShortError,
     UndefinedCorrelationError,
@@ -113,8 +115,12 @@ def settings_hash(settings: dict) -> str:
     return hashlib.sha256(dumps(settings).encode("utf-8")).hexdigest()[:16]
 
 
-def _meta(settings: dict, seed: int) -> dict:
-    return {"config_hash": settings_hash(settings), "seed": int(seed)}
+def _meta(args, **derived) -> dict:
+    """An artifact's provenance: the hash of every parsed flag except ``fn``
+    and the command's ``files``, with ``derived`` values in place of raw ones."""
+    skip = {"fn", "files", *args.files}
+    settings = {k: v for k, v in vars(args).items() if k not in skip} | derived
+    return {"config_hash": settings_hash(settings), "seed": args.seed}
 
 
 def environment() -> dict:
@@ -129,11 +135,7 @@ def environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
-def write_artifact_jsonl(path, records, settings: dict, seed: int,
-                         extra_meta: dict | None = None) -> None:
-    meta = _meta(settings, seed)
-    if extra_meta:
-        meta.update(extra_meta)
+def write_artifact_jsonl(path, records, meta: dict) -> None:
     write_jsonl(path, [{"meta": meta}] + list(records))
 
 
@@ -148,46 +150,66 @@ def data_records(path, required: dict | None = None, parse=None) -> list:
             if not isinstance(r, dict) or "meta" not in r]
 
 
-def _deep_update(dst: dict, src: dict) -> dict:
-    for key, value in src.items():
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _deep_update(dst[key], value)
-        else:
-            dst[key] = value
-    return dst
-
-
-def _apply_set(cfg: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"--set expects key.path=value, got '{assignment}'")
-    key, _, raw = assignment.partition("=")
+def _json_object(path) -> dict:
+    """A settings file's JSON object; a missing or malformed file is a config error."""
     try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"{path}: file missing") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _parse_flag(args, name: str, parse):
+    """``parse`` of flag ``name``'s text; text it cannot read is a config error."""
+    text = getattr(args, name)
+    try:
+        return parse(text)
+    except ValueError:
+        raise ConfigError(f"--{name.replace('_', '-')} cannot read '{text}'") from None
+
+
+def _override(cfg: dict, preset: dict, key: str, value) -> None:
+    """Set the dotted ``key`` of ``cfg`` to ``value``, a dict key by key.  The
+    key must be in ``preset`` and the value of the preset's type: an int
+    passes for a float, a string or null where the preset holds null, and
+    a section is never replaced whole."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _override(cfg, preset, f"{key}.{name}" if key else name, item)
+        return
+    *sections, leaf = key.split(".")
+    for part in sections:
+        if not isinstance(preset.get(part), dict):
             raise ConfigError(f"unknown config section '{part}' in '{key}'")
-        node = node[part]
-    if parts[-1] not in node:
+        cfg, preset = cfg[part], preset[part]
+    if leaf not in preset:
         raise ConfigError(f"unknown config key '{key}'")
-    node[parts[-1]] = value
+    want = type(preset[leaf])
+    kinds = {float: (float, int), type(None): (str, type(None))}.get(want, (want,))
+    if type(value) not in kinds:
+        names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+        raise ConfigError(f"config key '{key}' must be {names}, got {type(value).__name__}")
+    cfg[leaf] = value
 
 
 def load_run_config(args) -> dict:
-    cfg = copy.deepcopy(PRESETS[args.preset])
+    preset = PRESETS[args.preset]
+    cfg = copy.deepcopy(preset)
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file missing: {path}")
-        try:
-            _deep_update(cfg, json.loads(path.read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        _override(cfg, preset, "", _json_object(args.config))
     for assignment in args.set or []:
-        _apply_set(cfg, assignment)
+        if "=" not in assignment:
+            raise ConfigError(f"--set expects key.path=value, got '{assignment}'")
+        key, _, raw = assignment.partition("=")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _override(cfg, preset, key, value)
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -201,14 +223,20 @@ def _load_stories(path) -> dict[str, Story]:
 
 
 def _load_pairs(path, read=data_records) -> list[RankedPair]:
-    return [RankedPair(prompt_id=r["prompt_id"], high_id=r["high_id"],
-                       low_id=r["low_id"])
+    return [RankedPair(r["prompt_id"], r["high_id"], r["low_id"])
             for r in read(path, {"prompt_id": str, "high_id": str, "low_id": str})]
 
 
-def _load_comment_records(path) -> list[CommentRecord]:
+def _load_comment_records(path, parse=CommentRecord.from_record) -> list[CommentRecord]:
     return data_records(path, {"story_id": str, "text": str, "aspect": int,
-                               "rating": (int, float)}, CommentRecord.from_record)
+                               "rating": (int, float)}, parse)
+
+
+def _crowd_record(rec: dict) -> CommentRecord:
+    """A crowd comment whose rating is one of the sentiment scorer's classes."""
+    record = CommentRecord.from_record(rec)
+    class_from_rating(record.rating)
+    return record
 
 
 def _story(stories: dict[str, Story], story_id: str, path) -> Story:
@@ -238,14 +266,10 @@ def _nonempty_records(path, required: dict | None = None) -> list[dict]:
 # -- prepare-pairs -----------------------------------------------------------
 
 def cmd_prepare(args) -> int:
-    settings = {"command": "prepare-pairs", "min_words": args.min_words,
-                "max_words": args.max_words, "exclude_from": args.exclude_from,
-                "exclude_to": args.exclude_to, "high_min": args.high_min,
-                "low_max": args.low_max, "ratios": args.ratios,
-                "max_pairs_per_prompt": args.max_pairs_per_prompt,
-                "seed": args.seed}
-    records = data_records(args.input)
-    stories, bad = parse_stories(records)
+    ratios = _parse_flag(args, "ratios", lambda text: tuple(float(x) for x in text.split(",")))
+    for name in ("exclude_from", "exclude_to"):
+        _parse_flag(args, name, lambda text: text and date.fromisoformat(text))
+    stories, bad = parse_stories(data_records(args.input))
     kept, rejected = filter_stories(stories, min_words=args.min_words,
                                     max_words=args.max_words,
                                     exclude_from=args.exclude_from,
@@ -255,20 +279,17 @@ def cmd_prepare(args) -> int:
     if not pairs:
         raise DataError("no ranked pairs survive filtering; relax --min-words/"
                         "--max-words or the vote thresholds")
-    ratios = tuple(float(x) for x in args.ratios.split(","))
     splits = split_by_prompt(pairs, ratios=ratios, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_artifact_jsonl(out / "stories.jsonl",
-                         [s.to_record() for s in kept], settings, args.seed)
+    meta = _meta(args)
+    write_artifact_jsonl(out / "stories.jsonl", [s.to_record() for s in kept], meta)
     for name in ("train", "val", "test"):
         write_artifact_jsonl(out / f"{name}_pairs.jsonl",
-                             [{"prompt_id": p.prompt_id, "high_id": p.high_id,
-                               "low_id": p.low_id} for p in splits[name]],
-                             settings, args.seed)
+                             [p.to_record() for p in splits[name]], meta)
     stats = corpus_stats(splits, kept)
     stats.update({"parse_rejects": len(bad), "filter_rejects": len(rejected),
-                  "meta": _meta(settings, args.seed)})
+                  "meta": meta})
     write_json(out / "stats.json", stats)
     print(f"kept {len(kept)} stories, {len(pairs)} pairs "
           f"(train {len(splits['train'])}, val {len(splits['val'])}, "
@@ -283,22 +304,17 @@ def cmd_make_negatives(args) -> int:
     unknown = sorted(set(kinds) - {"shuffle", "repeat", "substitute"})
     if unknown:
         raise ConfigError(f"unknown perturbation kinds: {', '.join(unknown)}")
-    settings = {"command": "make-negatives", "kinds": kinds, "seed": args.seed}
     stories = _load_stories(args.input)
     records, skipped = [], {}
     for sid in sorted(stories):
         for kind in kinds:
             try:
-                neg = generate_negative(stories[sid], kind, seed=args.seed)
+                records.append(generate_negative(stories[sid], kind, seed=args.seed).to_record())
             except (StoryTooShortError, DataError):
                 skipped[kind] = skipped.get(kind, 0) + 1
-                continue
-            records.append({"source_story_id": neg.source_story_id,
-                            "kind": neg.kind, "text": neg.text})
     if not records:
         raise DataError("no negatives could be generated")
-    write_artifact_jsonl(args.out, records, settings, args.seed,
-                         extra_meta={"skipped": skipped})
+    write_artifact_jsonl(args.out, records, {**_meta(args, kinds=kinds), "skipped": skipped})
     print(f"wrote {len(records)} negatives "
           f"({len(skipped)} kinds had skips: {skipped or 'none'}) -> {args.out}")
     return EXIT_OK
@@ -311,14 +327,11 @@ def cmd_extract_aspects(args) -> int:
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
         raise DataError("no usable comments after tokenization")
-    settings = {"command": "extract-aspects", "topics": args.topics,
-                "candidates": args.candidates, "iterations": args.iterations,
-                "min_count": args.min_count, "seed": args.seed}
-    if args.topics:
+    if args.topics is not None:
         model = lda_fit(docs, words, args.topics, iterations=args.iterations,
                         seed=args.seed)
     else:
-        candidates = [int(c) for c in args.candidates.split(",")]
+        candidates = _parse_flag(args, "candidates", lambda text: [int(c) for c in text.split(",")])
         model = select_num_topics(docs, words, candidates, seed=args.seed,
                                   iterations=args.iterations)
     n_topics = model.n_topics
@@ -326,13 +339,13 @@ def cmd_extract_aspects(args) -> int:
     coherence = umass_coherence(model, docs, top_n=args.top_words)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    meta = _meta(args)
     report = {"n_topics": n_topics, "umass_coherence": coherence,
-              "top_words": {str(t): top[t] for t in range(n_topics)},
-              "meta": _meta(settings, args.seed)}
+              "top_words": {str(t): top[t] for t in range(n_topics)}, "meta": meta}
     write_json(out / "topics.json", report)
     names = [f"topic-{t} ({'/'.join(top[t][:3])})" for t in range(n_topics)]
     AspectTaxonomy(names=names, groups=["discovered"] * n_topics).save(
-        out / "taxonomy.json", meta=_meta(settings, args.seed))
+        out / "taxonomy.json", meta=meta)
     print(f"{n_topics} topics (UMass {coherence:.2f}); "
           f"edit {out / 'taxonomy.json'} to name them")
     for t in range(n_topics):
@@ -343,32 +356,28 @@ def cmd_extract_aspects(args) -> int:
 # -- augment-comments --------------------------------------------------------
 
 def cmd_augment(args) -> int:
-    crowd = _load_comment_records(args.crowd)
+    crowd = _load_comment_records(args.crowd, _crowd_record)
     raw = data_records(args.raw, {"text": str})
-    n_aspects = args.n_aspects
-    if args.taxonomy:
-        n_aspects = len(AspectTaxonomy.load(args.taxonomy))
+    n_aspects = len(AspectTaxonomy.load(args.taxonomy)) if args.taxonomy else args.n_aspects
     for rec in crowd:
         _check_aspects(args.crowd, [rec.aspect], n_aspects)
-    settings = {"command": "augment-comments", "n_aspects": n_aspects,
-                "confidence": args.confidence, "min_words": args.min_words,
-                "max_words": args.max_words, "per_aspect_cap": args.cap,
-                "epochs": args.epochs, "lr": args.lr, "seed": args.seed}
-    classifier = train_aspect_classifier(crowd, n_aspects=n_aspects,
-                                         epochs=args.epochs, lr=args.lr,
-                                         seed=args.seed)
-    scorer = train_sentiment_scorer(crowd, epochs=args.epochs, lr=args.lr,
-                                    seed=args.seed)
+    try:
+        classifier = train_aspect_classifier(crowd, n_aspects=n_aspects,
+                                             epochs=args.epochs, lr=args.lr,
+                                             seed=args.seed)
+        scorer = train_sentiment_scorer(crowd, epochs=args.epochs, lr=args.lr,
+                                        seed=args.seed)
+    except DataError as exc:
+        raise DataError(f"{args.crowd}: {exc}") from exc
     kept, audit = augment_comments(raw, classifier, scorer,
                                    confidence=args.confidence,
                                    min_words=args.min_words,
                                    max_words=args.max_words,
-                                   per_aspect_cap=args.cap)
+                                   per_aspect_cap=args.per_aspect_cap)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_artifact_jsonl(out / "augmented.jsonl",
-                         [r.to_record() for r in kept], settings, args.seed)
-    audit["meta"] = _meta(settings, args.seed)
+    audit["meta"] = _meta(args, n_aspects=n_aspects)
+    write_artifact_jsonl(out / "augmented.jsonl", [r.to_record() for r in kept], audit["meta"])
     write_json(out / "audit.json", audit)
     print(f"kept {audit['kept']}/{audit['total']} comments "
           f"(length {audit['rejected_length']}, confidence "
@@ -426,7 +435,7 @@ def cmd_train(args) -> int:
     log_path = out / "train_log.csv"
     result = trainer.train(checkpoint_path=ckpt_path, log_path=log_path,
                            resume=args.resume)
-    meta = _meta(cfg, cfg["seed"])
+    meta = {"config_hash": settings_hash(cfg), "seed": cfg["seed"]}
     log_body = log_path.read_text(encoding="utf-8")
     with atomic_write(log_path) as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n" + log_body)
@@ -458,12 +467,8 @@ def _load_model(checkpoint_path, vocab_path) -> Model:
 
 def cmd_score(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
-    settings = {"command": "score", "checkpoint": str(args.checkpoint),
-                "top_aspects": args.top_aspects,
-                "max_new_tokens": args.max_new_tokens, "beam": args.beam,
-                "seed": args.seed}
     records = data_records(args.stories)
-    record_errors = (EmptyTextError, ContractViolation, DataError)
+    record_errors = (ContractViolation, DataError)
     outputs, seqs = [], []
     for rec in records:
         out = {"id": rec.get("id", "")}
@@ -492,8 +497,7 @@ def cmd_score(args) -> int:
         for (i, k), ids in zip(jobs, toks):
             scored[i]["comments"][str(k)] = model.vocab.decode(ids)
     failures = sum("error" in out for out in outputs)
-    write_artifact_jsonl(args.out, outputs, settings, args.seed,
-                         extra_meta={"failures": failures})
+    write_artifact_jsonl(args.out, outputs, {**_meta(args), "failures": failures})
     print(f"scored {len(outputs) - failures}/{len(records)} stories -> {args.out}")
     return EXIT_OK
 
@@ -512,8 +516,6 @@ def _prompt_texts(path) -> dict[str, str]:
 
 def cmd_compare(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
-    settings = {"command": "compare", "checkpoint": str(args.checkpoint),
-                "seed": args.seed}
     side_a = _prompt_texts(args.stories_a)
     side_b = _prompt_texts(args.stories_b)
     shared = sorted(set(side_a) & set(side_b))
@@ -535,7 +537,7 @@ def cmd_compare(args) -> int:
                                                   else "tie"),
         "note": "pairwise win percentage is the headline figure; mean "
                 "scores are shown for reference only",
-        "meta": _meta(settings, args.seed),
+        "meta": _meta(args),
     }
     if args.out:
         write_json(args.out, report)
@@ -548,17 +550,16 @@ def cmd_compare(args) -> int:
 
 # -- evaluate ----------------------------------------------------------------
 
+SPEC_FIELDS = {"stories": str, "pairs": str, "judgments": str, "aspect_annotations": str,
+               "comment_references": str, "n_permutations": int, "recall_ks": list}
+
+
 def cmd_evaluate(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
-    spec_path = Path(args.eval_spec)
-    if not spec_path.exists():
-        raise ConfigError(f"eval spec missing: {spec_path}")
-    try:
-        spec = json.loads(spec_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{spec_path}: not valid JSON: {exc}") from exc
-    settings = {"command": "evaluate", "checkpoint": str(args.checkpoint),
-                "eval_spec": spec, "seed": args.seed}
+    spec = _json_object(args.eval_spec)
+    problem = field_error(spec, {k: t for k, t in SPEC_FIELDS.items() if k in spec})
+    if problem:
+        raise ConfigError(f"{args.eval_spec}: {problem}")
     report = MetricReport()
     skipped: list[str] = []
     stories = _load_stories(spec["stories"]) if spec.get("stories") else None
@@ -586,7 +587,7 @@ def cmd_evaluate(args) -> int:
                             f"test needs at least 5")
         human = np.asarray([float(r["human"]) for r in recs])
         pred = score_texts(model, [r["text"] for r in recs])
-        n_perm = int(spec.get("n_permutations", 2000))
+        n_perm = spec.get("n_permutations", 2000)
         try:
             report.rho = spearman(pred, human)
             report.tau = kendall(pred, human)
@@ -650,7 +651,7 @@ def cmd_evaluate(args) -> int:
         print("skipped: " + "; ".join(skipped))
     if args.out:
         payload = report.to_dict()
-        payload["meta"] = _meta(settings, args.seed)
+        payload["meta"] = _meta(args, eval_spec=spec)
         if skipped:
             payload["skipped"] = skipped
         write_json(args.out, payload)
@@ -665,8 +666,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and run the story preference evaluator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare-pairs", help="filter stories and build "
-                       "ranked train/val/test pairs")
+    def seeded(default=0) -> argparse.ArgumentParser:
+        """A ``--seed`` parent parser per default: children share a parent's actions."""
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument("--seed", type=int, default=default)
+        return shared
+
+    trained = argparse.ArgumentParser(add_help=False)
+    trained.add_argument("--checkpoint", required=True)
+    trained.add_argument("--vocab", required=True)
+
+    p = sub.add_parser("prepare-pairs", parents=[seeded()], help="filter stories and "
+                       "build ranked train/val/test pairs")
     p.add_argument("input", help="raw stories JSONL")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--min-words", type=int, default=200)
@@ -678,19 +689,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low-max", type=int, default=0)
     p.add_argument("--max-pairs-per-prompt", type=int, default=None)
     p.add_argument("--ratios", default="0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_prepare)
+    p.set_defaults(fn=cmd_prepare, files=("input", "out_dir"))
 
-    p = sub.add_parser("make-negatives", help="write perturbed negative "
-                       "stories for coherence training")
+    p = sub.add_parser("make-negatives", parents=[seeded()], help="write perturbed "
+                       "negative stories for coherence training")
     p.add_argument("input", help="stories JSONL")
     p.add_argument("--out", required=True)
     p.add_argument("--kinds", default="shuffle,repeat,substitute")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_make_negatives)
+    p.set_defaults(fn=cmd_make_negatives, files=("input", "out"))
 
-    p = sub.add_parser("extract-aspects", help="discover aspect topics from "
-                       "comments with LDA")
+    p = sub.add_parser("extract-aspects", parents=[seeded()], help="discover aspect "
+                       "topics from comments with LDA")
     p.add_argument("input", help="comments JSONL with a 'text' field")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--topics", type=int, default=None,
@@ -699,11 +708,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=500)
     p.add_argument("--min-count", type=int, default=2)
     p.add_argument("--top-words", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_extract_aspects)
+    p.set_defaults(fn=cmd_extract_aspects, files=("input", "out_dir"))
 
-    p = sub.add_parser("augment-comments", help="label unannotated comments "
-                       "with trained filter classifiers")
+    p = sub.add_parser("augment-comments", parents=[seeded()], help="label unannotated "
+                       "comments with trained filter classifiers")
     p.add_argument("--crowd", required=True, help="labeled comments JSONL")
     p.add_argument("--raw", required=True, help="unlabeled comments JSONL")
     p.add_argument("--out-dir", required=True)
@@ -712,52 +720,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float, default=0.9)
     p.add_argument("--min-words", type=int, default=15)
     p.add_argument("--max-words", type=int, default=50)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", dest="per_aspect_cap", type=int, default=None)
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_augment)
+    p.set_defaults(fn=cmd_augment, files=("crowd", "raw", "out_dir", "taxonomy"))
 
-    p = sub.add_parser("train", help="train the evaluator")
+    # no --seed default: the config's seed stands unless one is given
+    p = sub.add_parser("train", parents=[seeded(None)], help="train the evaluator")
     p.add_argument("--config", default=None, help="JSON run config")
     p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
     p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                    help="override a config value, e.g. train.epochs=4")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("score", help="score stories and generate comments")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
+    p = sub.add_parser("score", parents=[seeded(), trained],
+                       help="score stories and generate comments")
     p.add_argument("--stories", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--top-aspects", type=int, default=3)
     p.add_argument("--max-new-tokens", type=int, default=40)
     p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_score)
+    p.set_defaults(fn=cmd_score, files=("vocab", "stories", "out"))
 
-    p = sub.add_parser("compare", help="pairwise-compare two story sets "
-                       "sharing prompt ids")
+    p = sub.add_parser("compare", parents=[seeded(), trained], help="pairwise-compare "
+                       "two story sets sharing prompt ids")
     p.add_argument("stories_a")
     p.add_argument("stories_b")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_compare)
+    p.set_defaults(fn=cmd_compare, files=("stories_a", "stories_b", "vocab", "out"))
 
-    p = sub.add_parser("evaluate", help="run the metric suite per an eval "
-                       "spec file")
+    p = sub.add_parser("evaluate", parents=[seeded(), trained], help="run the metric "
+                       "suite per an eval spec file")
     p.add_argument("eval_spec", help="JSON file naming metric inputs")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--vocab", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--max-new-tokens", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_evaluate)
+    p.set_defaults(fn=cmd_evaluate, files=("eval_spec", "vocab", "out"))
 
     return parser
 
@@ -767,18 +766,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ContractViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, EmptyTextError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ContractViolation as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

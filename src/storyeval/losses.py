@@ -19,10 +19,6 @@ from .errors import ContractViolation
 LOG_EPS = 1e-12
 
 
-def _batch_mean(x: Tensor) -> Tensor:
-    return x.mean() if x.data.ndim > 0 else x
-
-
 def _log_clamped(x: Tensor) -> Tensor:
     return ad.log(ad.clamp_min(x, LOG_EPS))
 
@@ -33,7 +29,7 @@ def margin_rank_loss(p_high, p_low, margin: float = 0.3) -> Tensor:
         raise ContractViolation("margin must be positive")
     p_high = as_tensor(p_high)
     p_low = as_tensor(p_low)
-    return _batch_mean(ad.relu(p_low - p_high + margin))
+    return ad.relu(p_low - p_high + margin).mean()
 
 
 def coherence_rank_loss(p_low, p_neg, margin: float = 0.3) -> Tensor:
@@ -54,38 +50,26 @@ def confidence_loss(a_c, y_a_c) -> Tensor:
     if np.any(y.sum(axis=-1) < 1):
         raise ContractViolation("each item needs at least one selected aspect")
     per_item = -(Tensor(y.astype(a_c.data.dtype)) * _log_clamped(a_c)).sum(axis=-1)
-    return _batch_mean(per_item)
+    return per_item.mean()
 
 
-def rating_loss(a_r, y_a_r, selected) -> Tensor:
-    """Binary cross-entropy on the selected aspects only.
-
-    ``selected`` is an index collection for a single K-vector, or a 0/1
-    mask matching a batched (B, K) input.  Items with nothing selected
-    contribute zero and trigger a warning.
+def rating_loss(a_r, y_a_r, mask) -> Tensor:
+    """Binary cross-entropy on the aspects a 0/1 ``mask`` of ``a_r``'s shape
+    selects, summed per item and averaged over the batch.  Items with
+    nothing selected contribute zero and trigger a warning.
     """
     a_r = as_tensor(a_r)
     y = np.asarray(y_a_r, dtype=np.float64)
-    if a_r.data.ndim == 1:
-        mask = np.zeros(a_r.data.shape, dtype=np.float64)
-        idx = np.asarray(sorted(selected), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= a_r.data.shape[-1]):
-            raise ContractViolation("selected aspect index out of range")
-        mask[idx] = 1.0
-    else:
-        mask = np.asarray(selected, dtype=np.float64)
-        if mask.shape != a_r.data.shape:
-            raise ContractViolation("selection mask must match a_r shape")
-    if mask.sum() == 0 or (mask.ndim > 1 and np.any(mask.sum(axis=-1) == 0)):
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != a_r.data.shape:
+        raise ContractViolation("selection mask must match a_r shape")
+    if np.any(mask.sum(axis=-1) == 0):
         warnings.warn("rating_loss: item with empty aspect selection contributes 0",
                       stacklevel=2)
-    if mask.sum() == 0:
-        return Tensor(np.zeros((), dtype=a_r.data.dtype))
     y_t = Tensor(y.astype(a_r.data.dtype))
     m_t = Tensor(mask.astype(a_r.data.dtype))
     bce = y_t * _log_clamped(a_r) + (1.0 - y_t) * _log_clamped(1.0 - a_r)
-    per_item = -(m_t * bce).sum(axis=-1)
-    return _batch_mean(per_item)
+    return -(m_t * bce).sum(axis=-1).mean()
 
 
 def sequence_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
@@ -129,7 +113,7 @@ def discrimination_loss(p_s, label, smoothing: float = 0.0) -> Tensor:
     target = y * (1.0 - smoothing) + (1.0 - y) * smoothing
     t = Tensor(np.asarray(target, dtype=p_s.data.dtype))
     bce = -(t * _log_clamped(p_s) + (1.0 - t) * _log_clamped(1.0 - p_s))
-    return _batch_mean(bce)
+    return bce.mean()
 
 
 @dataclass

@@ -1,11 +1,11 @@
 """Evaluation metrics: ranking accuracy, correlations, recall, text overlap.
 
-Rank correlations delegate to scipy for the point statistics; the
-significance test is a seeded two-sided permutation test because the
-desk-scale samples are small enough to make parametric p-values shaky.
-It scores every permutation at once from centred ranks (Spearman) or
-pairwise sign matrices (Kendall), whose denominators do not change
-under permutation.
+Rank correlations are scored from centred ranks (Spearman) or pairwise
+sign matrices (Kendall), whose denominators do not change under
+permutation; a point statistic is the identity permutation's score.
+The significance test is a seeded two-sided permutation test, because
+the desk-scale samples are small enough to make parametric p-values
+shaky, and it scores every permutation at once.
 Perplexity sums ``Model.comment_nll`` under ``autodiff.no_grad`` over the
 ``model.token_chunks`` of its stories' lengths, ``INFER_TOKENS`` each.
 """
@@ -60,19 +60,13 @@ def _check_corr_inputs(x, y, min_n: int):
 def spearman(x, y) -> float:
     """Spearman rho with average ranks for ties."""
     x, y = _check_corr_inputs(x, y, 3)
-    rho = _scipy_stats.spearmanr(x, y).statistic
-    if not np.isfinite(rho):
-        raise UndefinedCorrelationError("spearman undefined for these inputs")
-    return float(rho)
+    return float(_spearman_perms(x, y, np.arange(len(y))[None])[0])
 
 
 def kendall(x, y) -> float:
     """Kendall tau-b (tie-corrected)."""
     x, y = _check_corr_inputs(x, y, 2)
-    tau = _scipy_stats.kendalltau(x, y).statistic
-    if not np.isfinite(tau):
-        raise UndefinedCorrelationError("kendall undefined for these inputs")
-    return float(tau)
+    return float(_kendall_perms(x, y, np.arange(len(y))[None])[0])
 
 
 def _spearman_perms(x, y, perms) -> np.ndarray:

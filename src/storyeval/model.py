@@ -67,8 +67,9 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        if min(self.d_model, self.n_heads) < 1 or self.d_model % self.n_heads:
+            raise ConfigError(f"d_model {self.d_model} must be a positive multiple of "
+                              f"n_heads {self.n_heads} >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
         if self.n_aspects < 1:

@@ -165,6 +165,7 @@ class Trainer:
                              for sid, recs in data.comments.items()}
 
     def _aspect_targets(self, recs: list[CommentRecord]):
+        """Multi-hot commented aspects, also the rating loss's mask, and mean ratings."""
         k = self.model.config.n_aspects
         y_ac = np.zeros(k, dtype=np.float64)
         y_ar = np.zeros(k, dtype=np.float64)
@@ -175,7 +176,7 @@ class Trainer:
             counts[r.aspect] += 1.0
         sel = counts > 0
         y_ar[sel] /= counts[sel]
-        return y_ac, y_ar, sel.astype(np.float64)
+        return y_ac, y_ar
 
     # -- single step --------------------------------------------------------
 
@@ -221,10 +222,9 @@ class Trainer:
                                               p_s[np.arange(2 * b, len(seqs))], cfg.margin)
         rows = [i for i, sid in enumerate(sids) if cfg.use_aspects and sid in self._targets]
         if rows:
-            y_ac, y_ar, sel = (np.stack(t) for t in
-                               zip(*(self._targets[sids[i]] for i in rows)))
+            y_ac, y_ar = (np.stack(t) for t in zip(*(self._targets[sids[i]] for i in rows)))
             a_c, a_r = predict_aspects(params, v_s[np.asarray(rows)])
-            l_ac, l_ar = conf_loss(a_c, y_ac), rating_loss(a_r, y_ar, sel)
+            l_ac, l_ar = conf_loss(a_c, y_ac), rating_loss(a_r, y_ar, y_ac)
         if cfg.use_comments:
             l_c = self._comment_loss(batch, rng)
         breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)

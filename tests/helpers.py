@@ -430,10 +430,9 @@ def reference_train_step(trainer, batch):
     if cfg.use_aspects and rows:
         pick = np.eye(2 * b, dtype=v_hi.dtype)[rows]
         v_sel = matmul(ad.Tensor(pick[:, :b]), v_hi) + matmul(ad.Tensor(pick[:, b:]), v_lo)
-        y_ac, y_ar, sel = (np.stack(t) for t in
-                           zip(*(trainer._targets[sids[i]] for i in rows)))
+        y_ac, y_ar = (np.stack(t) for t in zip(*(trainer._targets[sids[i]] for i in rows)))
         a_c, a_r = predict_aspects(params, v_sel)
-        l_ac, l_ar = confidence_loss(a_c, y_ac), rating_loss(a_r, y_ar, sel)
+        l_ac, l_ar = confidence_loss(a_c, y_ac), rating_loss(a_r, y_ar, y_ac)
     if cfg.use_comments:
         l_c = trainer._comment_loss(batch, rng)
     breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)

@@ -362,7 +362,7 @@ class TestClassifiers:
 
     def test_missing_aspect_rejected(self):
         records = [r for r in _aspect_fixture() if r.aspect == 0]
-        with pytest.raises(ContractViolation):
+        with pytest.raises(DataError):
             train_aspect_classifier(records, n_aspects=2)
 
     @pytest.mark.parametrize("aspect", [-1, 2])
@@ -374,12 +374,12 @@ class TestClassifiers:
 
     def test_min_per_class_enforced(self):
         records = _aspect_fixture()[:7]  # aspect 1 has only one example
-        with pytest.raises(ContractViolation):
+        with pytest.raises(DataError):
             train_aspect_classifier(records, n_aspects=2, min_per_class=3)
 
     def test_sentiment_missing_class_rejected(self):
         records = _aspect_fixture()  # only ratings 0.75 and 0.5 present
-        with pytest.raises(ContractViolation):
+        with pytest.raises(DataError):
             train_sentiment_scorer(records)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -179,14 +180,17 @@ class TestExtractAspects:
                     "--topics", 2]) == cli.EXIT_DATA
 
 
+def full_crowd(smoke) -> list[dict]:
+    """The smoke comments plus rating-0.5 ones: the scorer needs all five
+    rating levels in its training data."""
+    return read_jsonl(smoke / "comments.jsonl") + [
+        {"story_id": "p0000_hi", "aspect": 2, "rating": 0.5, "source": "crowd",
+         "text": f"the ending felt plain and vague overall take {i}"} for i in range(4)]
+
+
 class TestAugment:
     def test_end_to_end(self, smoke, tmp_path):
-        crowd = [r for r in read_jsonl(smoke / "comments.jsonl")]
-        # scorer needs all five rating levels in its training data
-        crowd += [{"story_id": "p0000_hi", "aspect": 2, "rating": 0.5,
-                   "source": "crowd",
-                   "text": f"the ending felt plain and vague overall take {i}"}
-                  for i in range(4)]
+        crowd = full_crowd(smoke)
         write_jsonl(tmp_path / "crowd.jsonl", crowd)
         write_jsonl(tmp_path / "raw.jsonl",
                     [{"text": r["text"] + " honestly"} for r in crowd[:12]]
@@ -204,6 +208,28 @@ class TestAugment:
         for r in kept:
             assert r["source"] == "augmented"
             assert 0.0 <= r["rating"] <= 1.0
+
+    @pytest.mark.parametrize("fault,message", [
+        ("off_grid", ":2: rating 0.3 is not on the 1..5 grid"),
+        ("no_sentiment_class_3", ": need >= 1 examples per class, got [18, 14, 0, 18, 14]"),
+        ("no_aspect_10", ": need >= 1 examples per class, got ["),
+    ])
+    def test_crowd_faults_are_data_errors_naming_the_file(self, smoke, tmp_path, capsys,
+                                                          fault, message):
+        crowd, flags = full_crowd(smoke), []
+        if fault == "off_grid":
+            crowd[1]["rating"] = 0.3
+        elif fault == "no_sentiment_class_3":
+            crowd = [r for r in crowd if r["rating"] != 0.5]
+        else:
+            flags = ["--n-aspects", 11]
+        write_jsonl(tmp_path / "crowd.jsonl", crowd)
+        assert run(["augment-comments", "--crowd", tmp_path / "crowd.jsonl",
+                    "--raw", smoke / "comments.jsonl", "--out-dir", tmp_path / "out",
+                    "--epochs", 1, *flags]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {tmp_path / 'crowd.jsonl'}{message}" in err
+        assert "Traceback" not in err
 
 
 class TestTrain:
@@ -720,3 +746,143 @@ class TestMalformedTaxonomy:
         err = capsys.readouterr().err
         assert f"{path}: {message}" in err
         assert "Traceback" not in err
+
+
+class TestMalformedSettings:
+    """A setting the program cannot use exits 2 with a message naming it."""
+
+    @pytest.mark.parametrize("kind,value,named", [
+        ("set", 'train.epochs="abc"', "'train.epochs' must be int, got str"),
+        ("set", "model.n_heads=0", "must be a positive multiple of n_heads 0 >= 1"),
+        ("set", "model.d_model=0", "d_model 0 must be a positive multiple of n_heads"),
+        ("config", [1, 2], "cfg.json: expected a JSON object, got list"),
+        ("config", {"model": {"nope": 1}}, "unknown config key 'model.nope'"),
+        ("config", {"train": {"nope": 1}}, "unknown config key 'train.nope'"),
+        ("config", {"data": {"nope": 1}}, "unknown config key 'data.nope'"),
+        ("config", {"train": {"epochs": "3"}}, "'train.epochs' must be int, got str"),
+        ("config", {"model": 5}, "'model' must be dict, got int"),
+        ("spec", [1], "spec.json: expected a JSON object, got list"),
+        ("spec", {"pairs": 5}, "field 'pairs' must be str, got int"),
+        ("spec", {"n_permutations": "x"}, "field 'n_permutations' must be int, got str"),
+        ("prepare-pairs", ["--ratios", "a,b"], "--ratios cannot read 'a,b'"),
+        ("prepare-pairs", ["--exclude-from", "notadate"], "--exclude-from cannot read 'notadate'"),
+        ("extract-aspects", ["--candidates", "a"], "--candidates cannot read 'a'"),
+        ("extract-aspects", ["--topics", "0"], "n_topics must be >= 1"),
+    ])
+    def test_exits_2_naming_the_setting(self, smoke, tmp_path, capsys, kind, value, named):
+        model = ["--checkpoint", smoke / "run" / "model.ckpt",
+                 "--vocab", smoke / "run" / "vocab.txt"]
+        if kind == "set":
+            argv = ["train", "--config", smoke / "cfg.json", "--set", value]
+        elif kind == "config":
+            cfg = value
+            if isinstance(value, dict):     # merged into the smoke run's config
+                cfg = json.loads((smoke / "cfg.json").read_text())
+                for section, entries in value.items():
+                    cfg[section] = ({**cfg[section], **entries} if isinstance(entries, dict)
+                                    else entries)
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv = ["train", "--config", tmp_path / "cfg.json"]
+        elif kind == "spec":
+            write_json(tmp_path / "spec.json", value if isinstance(value, list) else
+                       {"stories": str(smoke / "prep" / "stories.jsonl"), **value})
+            argv = ["evaluate", tmp_path / "spec.json", *model]
+        elif kind == "prepare-pairs":
+            argv = ["prepare-pairs", FIXTURE, *PREPARE_FLAGS, *value]
+        else:
+            argv = ["extract-aspects", smoke / "comments.jsonl", "--iterations", 5, *value]
+        if kind in ("set", "config", "prepare-pairs", "extract-aspects"):
+            argv += ["--out-dir", tmp_path / "out"]
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def artifact_inputs(smoke, tmp_path_factory):
+    """Every file the seven artifact commands read, in one directory that the
+    commands name by relative paths."""
+    root = tmp_path_factory.mktemp("artifacts")
+    for src in ("raw.jsonl", "prep/stories.jsonl", "prep/val_pairs.jsonl",
+                "comments.jsonl", "run/model.ckpt", "run/vocab.txt"):
+        shutil.copy(smoke / src, root)
+    shutil.copy(smoke / "run" / "model.ckpt", root / "other.ckpt")
+    write_jsonl(root / "crowd.jsonl", full_crowd(smoke))
+    stories = read_jsonl(root / "stories.jsonl")[1:]
+    for side, end in (("a", "_hi"), ("b", "_lo")):
+        write_jsonl(root / f"{side}.jsonl", [{"prompt_id": r["prompt_id"], "text": r["text"]}
+                                             for r in stories if r["id"].endswith(end)])
+    write_json(root / "spec.json", {"stories": "stories.jsonl", "pairs": "val_pairs.jsonl"})
+    return root
+
+
+MODEL_FLAGS = ["--checkpoint", "model.ckpt", "--vocab", "vocab.txt"]
+# each artifact command's argv, with OUT standing for its output, and the
+# file under OUT (or OUT itself) that holds its meta
+ARTIFACTS = {
+    "prepare-pairs": (["raw.jsonl", "--out-dir", "OUT", "--min-words", 20,
+                       "--max-words", 120], "stats.json"),
+    "make-negatives": (["stories.jsonl", "--out", "OUT"], ""),
+    "extract-aspects": (["comments.jsonl", "--out-dir", "OUT", "--topics", 2,
+                         "--iterations", 20], "topics.json"),
+    "augment-comments": (["--crowd", "crowd.jsonl", "--raw", "comments.jsonl",
+                          "--out-dir", "OUT", "--min-words", 5, "--max-words", 30,
+                          "--epochs", 1], "audit.json"),
+    "score": ([*MODEL_FLAGS, "--stories", "stories.jsonl", "--out", "OUT",
+               "--top-aspects", 1, "--max-new-tokens", 3], ""),
+    "compare": (["a.jsonl", "b.jsonl", *MODEL_FLAGS, "--out", "OUT"], ""),
+    "evaluate": (["spec.json", *MODEL_FLAGS, "--out", "OUT", "--max-new-tokens", 3], ""),
+}
+
+
+def artifact_hash(command: str, out: str, flags=()) -> str:
+    """Run ``command`` from the working directory and read its config_hash."""
+    argv, meta_file = ARTIFACTS[command]
+    assert run([command, *[out if a == "OUT" else a for a in argv], *flags]) == 0
+    text = (Path(out) / meta_file).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)["meta"]["config_hash"]
+    except json.JSONDecodeError:     # a JSONL artifact: the meta record leads
+        return json.loads(text.splitlines()[0])["meta"]["config_hash"]
+
+
+class TestProvenance:
+    """``config_hash`` covers every flag but a command's file paths.  The
+    checkpoint path and an eval spec's contents are hashed as written."""
+
+    @pytest.mark.parametrize("command", sorted(ARTIFACTS))
+    def test_hash_ignores_where_the_files_sit(self, artifact_inputs, tmp_path, monkeypatch,
+                                              command):
+        hashes = []
+        for where, out in (("here", "out_1"), ("there/deeper", "out_2")):
+            monkeypatch.chdir(shutil.copytree(artifact_inputs, tmp_path / where))
+            hashes.append(artifact_hash(command, out))
+        assert hashes[0] == hashes[1]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("prepare-pairs", "--min-words", 21), ("prepare-pairs", "--max-words", 119),
+        ("prepare-pairs", "--exclude-from", "2099-01-01"),
+        ("prepare-pairs", "--exclude-to", "1999-01-01"),
+        ("prepare-pairs", "--high-min", 100), ("prepare-pairs", "--low-max", 1),
+        ("prepare-pairs", "--max-pairs-per-prompt", 1),
+        ("prepare-pairs", "--ratios", "0.6,0.2,0.2"), ("prepare-pairs", "--seed", 1),
+        ("make-negatives", "--kinds", "shuffle,repeat"), ("make-negatives", "--seed", 1),
+        ("extract-aspects", "--topics", 3), ("extract-aspects", "--candidates", "2,3"),
+        ("extract-aspects", "--iterations", 21), ("extract-aspects", "--min-count", 3),
+        ("extract-aspects", "--top-words", 5), ("extract-aspects", "--seed", 1),
+        ("augment-comments", "--confidence", 0.5), ("augment-comments", "--min-words", 6),
+        ("augment-comments", "--max-words", 29), ("augment-comments", "--cap", 2),
+        ("augment-comments", "--epochs", 2), ("augment-comments", "--lr", 0.01),
+        ("augment-comments", "--seed", 1),
+        ("score", "--checkpoint", "other.ckpt"), ("score", "--top-aspects", 2),
+        ("score", "--max-new-tokens", 4), ("score", "--beam", 2), ("score", "--seed", 1),
+        ("compare", "--checkpoint", "other.ckpt"), ("compare", "--seed", 1),
+        ("evaluate", "--checkpoint", "other.ckpt"), ("evaluate", "--max-new-tokens", 4),
+        ("evaluate", "--seed", 1),
+    ])
+    def test_hash_changes_with_each_flag(self, artifact_inputs, tmp_path, monkeypatch,
+                                         command, flag, value):
+        monkeypatch.chdir(artifact_inputs)
+        base = artifact_hash(command, str(tmp_path / "base"))
+        assert artifact_hash(command, str(tmp_path / "changed"), [flag, value]) != base

@@ -109,25 +109,26 @@ class TestConfidence:
 
 class TestRating:
     def test_perfect_prediction_vanishes(self):
-        assert val(rating_loss(np.array([1.0 - 1e-12]), np.array([1.0]), {0})) <= 1e-9
+        assert val(rating_loss(np.array([[1.0 - 1e-12]]), np.array([[1.0]]),
+                               np.array([[1.0]]))) <= 1e-9
 
     def test_bce_at_half(self):
-        got = val(rating_loss(np.array([0.5]), np.array([0.5]), {0}))
+        got = val(rating_loss(np.array([[0.5]]), np.array([[0.5]]), np.array([[1.0]])))
         assert abs(got - np.log(2.0)) < TOL
 
     def test_bce_at_half_is_target_independent(self):
-        got = val(rating_loss(np.array([0.5]), np.array([0.8]), {0}))
+        got = val(rating_loss(np.array([[0.5]]), np.array([[0.8]]), np.array([[1.0]])))
         assert abs(got - np.log(2.0)) < TOL
 
     def test_unselected_aspects_contribute_nothing(self):
-        a = np.array([0.5, 0.01, 0.99])
-        y = np.array([0.5, 1.0, 0.0])
-        got = val(rating_loss(a, y, {0}))
+        a = np.array([[0.5, 0.01, 0.99]])
+        y = np.array([[0.5, 1.0, 0.0]])
+        got = val(rating_loss(a, y, np.array([[1.0, 0.0, 0.0]])))
         assert abs(got - np.log(2.0)) < TOL
 
     def test_empty_selection_warns_and_returns_zero(self):
         with pytest.warns(UserWarning):
-            got = val(rating_loss(np.array([0.5]), np.array([0.5]), set()))
+            got = val(rating_loss(np.array([[0.5]]), np.array([[0.5]]), np.array([[0.0]])))
         assert got == 0.0
 
     def test_batched_mask(self):
