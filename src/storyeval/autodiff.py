@@ -12,7 +12,8 @@ Every weight product is ``linear``: one node, one 2-D GEMM per operand
 each way, the bias folded in.  There is no ``matmul`` op and no ``@`` on
 tensors; the attention ops multiply their own arrays.  The encoder's
 ``window_attention`` takes and returns packed rows, only the real tokens
-of a padded batch, so every op around it runs on (N, d) rows.
+of a padded batch, so every op around it runs on (N, d) rows.  The losses
+use two ops of their own: the fused ``token_nll`` and a clamped ``log``.
 
 Dtype follows the arrays you pass in: build parameters in float32 for
 training, float64 when running finite-difference checks.  Inference runs
@@ -179,9 +180,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
 
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
-
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:
     """Wrap a plain value as a constant tensor, matching ``like``'s dtype."""
@@ -274,16 +272,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(out_data, (a,), backward, "reshape")
 
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    out_data = a.data.swapaxes(ax1, ax2)
-
-    def backward(g):
-        return (g.swapaxes(ax1, ax2),)
-
-    # a contiguous copy, so the result never aliases its input's data
-    return _node(np.ascontiguousarray(out_data), (a,), backward, "swapaxes")
-
-
 def take(a: Tensor, idx) -> Tensor:
     out_data = a.data[idx]
 
@@ -327,13 +315,14 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- elementwise nonlinearities ------------------------------------------
 
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
+def log(a: Tensor, floor: float = -np.inf) -> Tensor:
+    """``log(max(a, floor))``; the gradient is zero where the floor binds."""
+    clamped = np.maximum(a.data, floor)
 
     def backward(g):
-        return (g / a.data,)
+        return (g / clamped * (a.data > floor),)
 
-    return _node(out_data, (a,), backward, "log")
+    return _node(np.log(clamped), (a,), backward, "log")
 
 
 def relu(a: Tensor) -> Tensor:
@@ -359,16 +348,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward, "sigmoid")
 
 
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """Elementwise max(a, floor); gradient is zero where the floor binds."""
-    out_data = np.maximum(a.data, floor)
-
-    def backward(g):
-        return (g * (a.data > floor),)
-
-    return _node(out_data, (a,), backward, "clamp_min")
-
-
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -379,18 +358,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (out_data * (g - dot),)
 
     return _node(out_data, (a,), backward, "softmax")
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-
-    def backward(g):
-        soft = np.exp(out_data)
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
-
-    return _node(out_data, (a,), backward, "log_softmax")
 
 
 # -- structured ops -----------------------------------------------------
@@ -410,18 +377,20 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _node(out_data, (table,), backward, "embedding")
 
 
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick ``a[..., idx[...]]`` along the last axis (one pick per row)."""
-    idx = np.asarray(idx)
-    out_data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-    grids = np.indices(idx.shape)
+def token_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """``-sum(weights * log_softmax(logits)[..., targets])`` as one node."""
+    idx, w = np.asarray(targets)[..., None], np.asarray(weights, dtype=logits.dtype)
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, idx, axis=-1)[..., 0]
 
     def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, (*grids, idx), g)
-        return (buf,)
+        gw = -(g * w)[..., None]
+        d = np.exp(logp) * -gw
+        np.put_along_axis(d, idx, gw + np.take_along_axis(d, idx, axis=-1), axis=-1)
+        return (d,)
 
-    return _node(out_data, (a,), backward, "gather_last")
+    return _node(-(picked * w).sum(), (logits,), backward, "token_nll")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

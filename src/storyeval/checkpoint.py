@@ -7,7 +7,6 @@ artifact hashing and resume tests honest (zip-based containers stamp
 timestamps and break that).
 """
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -16,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, digest
 from .model import ModelConfig
 
 FORMAT = "storyeval-checkpoint-v1"
@@ -24,8 +23,7 @@ FORMAT = "storyeval-checkpoint-v1"
 
 def config_hash(config: ModelConfig) -> str:
     """Stable short hash of the model shape; guards resume mismatches."""
-    blob = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return digest(asdict(config))
 
 
 def _le(arr: np.ndarray) -> np.ndarray:

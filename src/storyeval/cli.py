@@ -54,7 +54,7 @@ from .errors import (
     StoryTooShortError,
     UndefinedCorrelationError,
 )
-from .jsonl import atomic_write, dumps, field_error, read_jsonl, write_json, write_jsonl
+from .jsonl import atomic_write, digest, field_error, read_jsonl, write_json, write_jsonl
 from .metrics import (
     MetricReport,
     bleu_avg,
@@ -111,16 +111,12 @@ PRESETS = {
 }
 
 
-def settings_hash(settings: dict) -> str:
-    return hashlib.sha256(dumps(settings).encode("utf-8")).hexdigest()[:16]
-
-
 def _meta(args, **derived) -> dict:
     """An artifact's provenance: the hash of every parsed flag except ``fn``
     and the command's ``files``, with ``derived`` values in place of raw ones."""
     skip = {"fn", "files", *args.files}
     settings = {k: v for k, v in vars(args).items() if k not in skip} | derived
-    return {"config_hash": settings_hash(settings), "seed": args.seed}
+    return {"config_hash": digest(settings), "seed": args.seed}
 
 
 def environment() -> dict:
@@ -170,6 +166,13 @@ def _parse_flag(args, name: str, parse):
         return parse(text)
     except ValueError:
         raise ConfigError(f"--{name.replace('_', '-')} cannot read '{text}'") from None
+
+
+def _check_flag(args, name: str, low: int, high: float = np.inf) -> None:
+    """Flag ``name`` must lie in [low, high]; outside, it is a config error."""
+    value = getattr(args, name)
+    if not low <= value <= high:
+        raise ConfigError(f"--{name.replace('_', '-')} {value} must be in [{low}, {high}]")
 
 
 def _override(cfg: dict, preset: dict, key: str, value) -> None:
@@ -323,6 +326,7 @@ def cmd_make_negatives(args) -> int:
 # -- extract-aspects ---------------------------------------------------------
 
 def cmd_extract_aspects(args) -> int:
+    _check_flag(args, "top_words", 1)
     texts = [r["text"] for r in data_records(args.input, {"text": str})]
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
@@ -435,7 +439,7 @@ def cmd_train(args) -> int:
     log_path = out / "train_log.csv"
     result = trainer.train(checkpoint_path=ckpt_path, log_path=log_path,
                            resume=args.resume)
-    meta = {"config_hash": settings_hash(cfg), "seed": cfg["seed"]}
+    meta = {"config_hash": digest(cfg), "seed": cfg["seed"]}
     log_body = log_path.read_text(encoding="utf-8")
     with atomic_write(log_path) as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n" + log_body)
@@ -467,8 +471,10 @@ def _load_model(checkpoint_path, vocab_path) -> Model:
 
 def cmd_score(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
+    _check_flag(args, "max_new_tokens", 1, model.config.max_len)
+    _check_flag(args, "beam", 1)
+    _check_flag(args, "top_aspects", 0)
     records = data_records(args.stories)
-    record_errors = (ContractViolation, DataError)
     outputs, seqs = [], []
     for rec in records:
         out = {"id": rec.get("id", "")}
@@ -477,25 +483,20 @@ def cmd_score(args) -> int:
             if problem:
                 raise DataError(problem)
             seqs.append(tokenize(rec["text"], model.vocab, model.config.max_len))
-        except record_errors as exc:
+        except (ContractViolation, DataError) as exc:
             out["error"] = f"{type(exc).__name__}: {exc}"
         outputs.append(out)
     scored = [out for out in outputs if "error" not in out]
     p_s, a_c, a_r = model.infer(seqs)
     jobs = [(i, k) for i, conf in enumerate(a_c)
             for k in np.argsort(-conf, kind="stable")[: args.top_aspects].tolist()]
-    try:
-        toks = model.generate_comments([seqs[i] for i, _ in jobs], [k for _, k in jobs],
-                                       args.max_new_tokens, args.beam)
-    except record_errors as exc:
-        for out in scored:
-            out["error"] = f"{type(exc).__name__}: {exc}"
-    else:
-        for i, out in enumerate(scored):
-            out.update(p_s=float(p_s[i]), a_c=[float(x) for x in a_c[i]],
-                       a_r=[float(x) for x in a_r[i]], comments={})
-        for (i, k), ids in zip(jobs, toks):
-            scored[i]["comments"][str(k)] = model.vocab.decode(ids)
+    toks = model.generate_comments([seqs[i] for i, _ in jobs], [k for _, k in jobs],
+                                   args.max_new_tokens, args.beam)
+    for i, out in enumerate(scored):
+        out.update(p_s=float(p_s[i]), a_c=[float(x) for x in a_c[i]],
+                   a_r=[float(x) for x in a_r[i]], comments={})
+    for (i, k), ids in zip(jobs, toks):
+        scored[i]["comments"][str(k)] = model.vocab.decode(ids)
     failures = sum("error" in out for out in outputs)
     write_artifact_jsonl(args.out, outputs, {**_meta(args), "failures": failures})
     print(f"scored {len(outputs) - failures}/{len(records)} stories -> {args.out}")
@@ -556,10 +557,16 @@ SPEC_FIELDS = {"stories": str, "pairs": str, "judgments": str, "aspect_annotatio
 
 def cmd_evaluate(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
+    _check_flag(args, "max_new_tokens", 1, model.config.max_len)
     spec = _json_object(args.eval_spec)
     problem = field_error(spec, {k: t for k, t in SPEC_FIELDS.items() if k in spec})
     if problem:
         raise ConfigError(f"{args.eval_spec}: {problem}")
+    k_max = model.config.n_aspects
+    ks = spec.get("recall_ks", [k for k in (1, 3, 5) if k <= k_max])
+    if not ks or any(type(k) is not int or not 1 <= k <= k_max for k in ks):
+        raise ConfigError(f"{args.eval_spec}: field 'recall_ks' must list ints in "
+                          f"[1, {k_max}], got {ks}")
     report = MetricReport()
     skipped: list[str] = []
     stories = _load_stories(spec["stories"]) if spec.get("stories") else None
@@ -606,7 +613,6 @@ def cmd_evaluate(args) -> int:
             recs = _nonempty_records(path, {"story_id": str, "aspects": list})
             for r in recs:
                 _check_aspects(path, r["aspects"], model.config.n_aspects)
-            ks = [int(k) for k in spec.get("recall_ks", (1, 3, 5))]
             _, a_c, _ = model.infer([tokenize(_story(stories, r["story_id"], path).text,
                                               model.vocab, model.config.max_len)
                                      for r in recs])

@@ -5,6 +5,7 @@ data always produces identical bytes, which the golden-file tests rely
 on.
 """
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -32,6 +33,11 @@ def atomic_write(path, binary: bool = False):
 
 def dumps(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def digest(obj) -> str:
+    """A short stable hash of a JSON value: 16 hex digits of its ``dumps``' sha256."""
+    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()[:16]
 
 
 def write_jsonl(path, records) -> None:

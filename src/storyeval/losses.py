@@ -19,8 +19,9 @@ from .errors import ContractViolation
 LOG_EPS = 1e-12
 
 
-def _log_clamped(x: Tensor) -> Tensor:
-    return ad.log(ad.clamp_min(x, LOG_EPS))
+def _bce(p: Tensor, t: Tensor) -> Tensor:
+    """Elementwise t log p + (1 - t) log(1 - p), both logs clamped."""
+    return t * ad.log(p, LOG_EPS) + (1 - t) * ad.log(1 - p, LOG_EPS)
 
 
 def margin_rank_loss(p_high, p_low, margin: float = 0.3) -> Tensor:
@@ -49,7 +50,7 @@ def confidence_loss(a_c, y_a_c) -> Tensor:
         raise ContractViolation("confidence targets must match a_c shape")
     if np.any(y.sum(axis=-1) < 1):
         raise ContractViolation("each item needs at least one selected aspect")
-    per_item = -(Tensor(y.astype(a_c.data.dtype)) * _log_clamped(a_c)).sum(axis=-1)
+    per_item = -(Tensor(y.astype(a_c.data.dtype)) * ad.log(a_c, LOG_EPS)).sum(axis=-1)
     return per_item.mean()
 
 
@@ -68,8 +69,7 @@ def rating_loss(a_r, y_a_r, mask) -> Tensor:
                       stacklevel=2)
     y_t = Tensor(y.astype(a_r.data.dtype))
     m_t = Tensor(mask.astype(a_r.data.dtype))
-    bce = y_t * _log_clamped(a_r) + (1.0 - y_t) * _log_clamped(1.0 - a_r)
-    return -(m_t * bce).sum(axis=-1).mean()
+    return -(m_t * _bce(a_r, y_t)).sum(axis=-1).mean()
 
 
 def sequence_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
@@ -84,15 +84,13 @@ def sequence_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = 
         raise ContractViolation("logits and targets disagree on shape")
     if targets.size == 0:
         raise ContractViolation("empty target sequence")
-    logp = ad.log_softmax(logits, axis=-1)
-    picked = ad.gather_last(logp, targets)
     if mask is None:
         mask = np.ones(targets.shape, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     n_tokens = float(mask.sum())
     if n_tokens == 0:
         raise ContractViolation("mask removes every target token")
-    total = -(picked * Tensor(mask.astype(logits.data.dtype))).sum()
+    total = ad.token_nll(logits, targets, mask)
     if reduce == "sum":
         return total
     if reduce == "mean":
@@ -112,8 +110,7 @@ def discrimination_loss(p_s, label, smoothing: float = 0.0) -> Tensor:
     y = np.asarray(label, dtype=np.float64)
     target = y * (1.0 - smoothing) + (1.0 - y) * smoothing
     t = Tensor(np.asarray(target, dtype=p_s.data.dtype))
-    bce = -(t * _log_clamped(p_s) + (1.0 - t) * _log_clamped(1.0 - p_s))
-    return bce.mean()
+    return (-_bce(p_s, t)).mean()
 
 
 @dataclass

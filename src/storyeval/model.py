@@ -70,10 +70,11 @@ class ModelConfig:
         if min(self.d_model, self.n_heads) < 1 or self.d_model % self.n_heads:
             raise ConfigError(f"d_model {self.d_model} must be a positive multiple of "
                               f"n_heads {self.n_heads} >= 1")
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if self.n_aspects < 1:
-            raise ConfigError("n_aspects must be >= 1")
+        for name in ("n_enc_layers", "n_dec_layers", "window", "max_len", "n_aspects"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout {self.dropout} must be in [0, 1)")
         if self.vocab_size < 7:
             raise ConfigError("vocab_size too small for reserved tokens")
 

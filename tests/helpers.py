@@ -1,6 +1,7 @@
 """Shared test utilities: the finite-difference gradient oracle, and the
 simple versions that faster code is checked against: the generic
-broadcasting ``matmul`` node for the fused ``ad.linear``, the two-pass
+broadcasting ``matmul`` node for the fused ``ad.linear`` (and the
+``swapaxes`` node of the dense attention oracle), the two-pass
 layer norm for the one-pass ``ad.layer_norm``, per-story scoring
 for batched inference, dense masked attention for banded window
 attention and for the fused decoder attention, the numpy-array Gibbs
@@ -52,6 +53,13 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     return ad._node(out_data, (a, b), backward, "matmul")
 
 
+def swapaxes(a: ad.Tensor, ax1: int, ax2: int) -> ad.Tensor:
+    """``a.data.swapaxes(ax1, ax2)`` copied contiguous, as one tape node;
+    only the dense attention oracle ``mha`` needs it."""
+    out_data = np.ascontiguousarray(a.data.swapaxes(ax1, ax2))
+    return ad._node(out_data, (a,), lambda g: (g.swapaxes(ax1, ax2),), "swapaxes")
+
+
 def reference_layer_norm(x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor,
                          eps: float = 1e-5) -> ad.Tensor:
     """Layer norm with a two-pass forward (mean, then ``var``) and a
@@ -95,14 +103,14 @@ def mha(params, prefix, xq, xkv, mask: np.ndarray, n_heads: int, rate: float, rn
     b, tq, d = xq.shape
     tk = xkv.shape[1]
     dk = d // n_heads
-    q = matmul(xq, params[f"{prefix}.wq"]).reshape(b, tq, n_heads, dk).swapaxes(1, 2)
-    k = matmul(xkv, params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
-    v = matmul(xkv, params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk).swapaxes(1, 2)
-    scores = matmul(q, k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dk)) + ad.Tensor(mask)
+    q = swapaxes(matmul(xq, params[f"{prefix}.wq"]).reshape(b, tq, n_heads, dk), 1, 2)
+    k = swapaxes(matmul(xkv, params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk), 1, 2)
+    v = swapaxes(matmul(xkv, params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk), 1, 2)
+    scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dk)) + ad.Tensor(mask)
     probs = ad.softmax(scores, axis=-1)
     if rate > 0.0:
         probs = ad.dropout(probs, rate, rng)
-    ctx = matmul(probs, v).swapaxes(1, 2).reshape(b, tq, d)
+    ctx = swapaxes(matmul(probs, v), 1, 2).reshape(b, tq, d)
     return matmul(ctx, params[f"{prefix}.wo"])
 
 

@@ -10,7 +10,7 @@ from storyeval import autodiff as ad
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation, NumericFailure
 
-from helpers import central_diff, matmul, max_rel_err, reference_layer_norm
+from helpers import central_diff, matmul, max_rel_err, reference_layer_norm, swapaxes
 
 
 def leaf(rng, *shape):
@@ -248,6 +248,39 @@ def test_embedding_backward_equals_add_at():
         assert np.array_equal(table.grad, want)
 
 
+def test_token_nll_matches_numpy_oracle():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 4, 7)) * 3.0
+    targets = rng.integers(0, 3, size=(3, 4))          # ids 0..2 only: many repeats
+    weights = rng.choice([0.0, 0.25, 1.0, 1.5], size=(3, 4))
+    weights[0, 0], weights[1, 1] = 0.0, 0.25
+    logits = Tensor(x, requires_grad=True)
+    out = ad.token_nll(logits, targets, weights)
+    out.backward()
+    logp = x - x.max(-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(-1, keepdims=True))
+    onehot = np.eye(7)[targets]
+    assert abs(out.item() - -(weights[..., None] * onehot * logp).sum()) <= 1e-12
+    want = weights[..., None] * (np.exp(logp) - onehot)
+    assert np.max(np.abs(logits.grad - want)) <= 1e-12
+    assert np.all(logits.grad[weights == 0.0] == 0.0)
+
+    small = Tensor(x.astype(np.float32), requires_grad=True)
+    out = ad.token_nll(small, targets, weights)
+    out.backward()
+    assert out.dtype == small.grad.dtype == np.float32
+
+
+def test_log_floor_gradient_zero_where_it_binds():
+    x = np.array([-1.0, 0.0, 1e-13, 0.5, 2.0])
+    floored, plain = Tensor(x, requires_grad=True), Tensor(x[3:], requires_grad=True)
+    ad.log(floored, 1e-12).sum().backward()
+    ad.log(plain).sum().backward()
+    assert np.array_equal(floored.grad[:3], [0.0, 0.0, 0.0])
+    assert np.array_equal(floored.grad[3:], plain.grad)
+    assert np.array_equal(ad.log(Tensor(x), 1e-12).data[:3], np.log([1e-12] * 3))
+
+
 def _op_configs():
     """One FD check per primitive op, several random shapes each."""
     cfgs = []
@@ -285,7 +318,7 @@ def _op_configs():
         lambda p: (ad.linear(p["x"], p["w"]) * c(np.random.default_rng(88), 3, 2)).sum()))
     register("reshape_swap", lambda rng: (
         {"a": leaf(rng, 2, 6)},
-        lambda p: (p["a"].reshape(2, 3, 2).swapaxes(0, 2) ** 2.0).sum()))
+        lambda p: (swapaxes(p["a"].reshape(2, 3, 2), 0, 2) ** 2.0).sum()))
     register("take", lambda rng: (
         {"a": leaf(rng, 5, 3)},
         lambda p: (p["a"][np.array([0, 2, 2])] * 3.0).sum()))
@@ -308,21 +341,19 @@ def _op_configs():
         {"a": leaf(rng, 8)},
         lambda p: (ad.dropout(p["a"], 0.3, np.random.default_rng(5))
                    * c(np.random.default_rng(90), 8)).sum()))
-    register("clamp_min", lambda rng: (
+    register("log_floor", lambda rng: (    # the floor binds on the entries below 0.1
         {"a": leaf(rng, 8)},
-        lambda p: ad.clamp_min(p["a"], 0.1).sum()))
+        lambda p: (ad.log(p["a"], 0.1) * c(np.random.default_rng(84), 8)).sum()))
     register("softmax", lambda rng: (
         {"a": leaf(rng, 3, 5)},
         lambda p: (ad.softmax(p["a"]) * c(np.random.default_rng(99), 3, 5)).sum()))
-    register("log_softmax", lambda rng: (
-        {"a": leaf(rng, 3, 5)},
-        lambda p: (ad.log_softmax(p["a"]) * c(np.random.default_rng(98), 3, 5)).sum()))
+    register("token_nll", lambda rng: (    # a zero, a fractional weight; repeated targets
+        {"a": leaf(rng, 2, 3, 5)},
+        lambda p: ad.token_nll(p["a"], np.array([[1, 4, 1], [0, 1, 1]]),
+                               np.array([[1.0, 0.0, 0.5], [2.0, 1.0, 0.25]]))))
     register("embedding", lambda rng: (
         {"t": leaf(rng, 6, 4)},
         lambda p: (ad.embedding(p["t"], np.array([[0, 2], [2, 5]])) ** 2.0).sum()))
-    register("gather_last", lambda rng: (
-        {"a": leaf(rng, 4, 5)},
-        lambda p: (ad.gather_last(p["a"], np.array([1, 0, 4, 2])) ** 2.0).sum()))
     register("layer_norm", lambda rng: (
         {"x": leaf(rng, 3, 6), "g": leaf(rng, 6), "b": leaf(rng, 6)},
         lambda p: (ad.layer_norm(p["x"], p["g"], p["b"])

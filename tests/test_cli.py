@@ -12,8 +12,9 @@ from storyeval import aspects, cli
 from storyeval.aspects import AspectTaxonomy
 from storyeval.checkpoint import load_checkpoint, save_checkpoint
 from storyeval.jsonl import read_jsonl, write_json, write_jsonl
+from storyeval.model import Model, ModelConfig
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
-from storyeval.vocab import Vocabulary
+from storyeval.vocab import Vocabulary, build_vocab
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "prepare"
@@ -453,6 +454,23 @@ class TestEvaluate:
             assert key in report, key
         assert report["ppl"] > 1.0
 
+    def test_default_recall_ks_stop_at_the_aspect_count(self, tmp_path):
+        # recall@5 is undefined for 3 aspects: the default reports @1 and @3
+        stories = make_preference_corpus(n_prompts=2, seed=0)
+        write_jsonl(tmp_path / "stories.jsonl", [s.to_record() for s in stories])
+        vocab = build_vocab([s.text for s in stories], size=200, n_aspects=3)
+        vocab.save(tmp_path / "vocab.txt")
+        cfg = ModelConfig(vocab_size=len(vocab), d_model=16, n_enc_layers=1, n_dec_layers=1,
+                          n_heads=2, window=8, max_len=64, n_aspects=3)
+        save_checkpoint(tmp_path / "m.ckpt", Model(cfg, vocab).params, cfg, seed=0)
+        write_jsonl(tmp_path / "ann.jsonl", [{"story_id": stories[0].id, "aspects": [0]}])
+        write_json(tmp_path / "spec.json", {"stories": str(tmp_path / "stories.jsonl"),
+                                            "aspect_annotations": str(tmp_path / "ann.jsonl")})
+        assert run(["evaluate", tmp_path / "spec.json", "--checkpoint", tmp_path / "m.ckpt",
+                    "--vocab", tmp_path / "vocab.txt", "--out", tmp_path / "r.json"]) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert "recall@1" in report and "recall@3" in report and "recall@5" not in report
+
     def test_empty_generation_scores_zero_overlap(self, smoke, tmp_path):
         # every decoder state becomes the all-ones vector and only <eos>
         # reads it, so greedy decoding stops before the first word
@@ -768,6 +786,18 @@ class TestMalformedSettings:
         ("prepare-pairs", ["--exclude-from", "notadate"], "--exclude-from cannot read 'notadate'"),
         ("extract-aspects", ["--candidates", "a"], "--candidates cannot read 'a'"),
         ("extract-aspects", ["--topics", "0"], "n_topics must be >= 1"),
+        ("set", "model.n_enc_layers=-1", "n_enc_layers -1 must be >= 1"),
+        ("set", "model.dropout=1.5", "dropout 1.5 must be in [0, 1)"),
+        ("set", "model.max_len=0", "max_len 0 must be >= 1"),
+        ("spec", {"recall_ks": ["a"]}, "field 'recall_ks' must list ints in [1, 10], got ['a']"),
+        ("spec", {"recall_ks": [1.5]}, "field 'recall_ks' must list ints in [1, 10], got [1.5]"),
+        ("spec", {"recall_ks": [0]}, "field 'recall_ks' must list ints in [1, 10], got [0]"),
+        ("spec", {"recall_ks": []}, "field 'recall_ks' must list ints in [1, 10], got []"),
+        ("extract-aspects", ["--top-words", "0"], "--top-words 0 must be in [1, inf]"),
+        ("score", ["--beam", "0"], "--beam 0 must be in [1, inf]"),
+        ("score", ["--top-aspects", "-1"], "--top-aspects -1 must be in [0, inf]"),
+        ("score", ["--max-new-tokens", "97"], "--max-new-tokens 97 must be in [1, 96]"),
+        ("evaluate", ["--max-new-tokens", "97"], "--max-new-tokens 97 must be in [1, 96]"),
     ])
     def test_exits_2_naming_the_setting(self, smoke, tmp_path, capsys, kind, value, named):
         model = ["--checkpoint", smoke / "run" / "model.ckpt",
@@ -783,10 +813,14 @@ class TestMalformedSettings:
                                     else entries)
             (tmp_path / "cfg.json").write_text(json.dumps(cfg))
             argv = ["train", "--config", tmp_path / "cfg.json"]
-        elif kind == "spec":
-            write_json(tmp_path / "spec.json", value if isinstance(value, list) else
-                       {"stories": str(smoke / "prep" / "stories.jsonl"), **value})
-            argv = ["evaluate", tmp_path / "spec.json", *model]
+        elif kind in ("spec", "evaluate"):
+            spec, flags = (value, []) if kind == "spec" else ({}, value)
+            write_json(tmp_path / "spec.json", spec if isinstance(spec, list) else
+                       {"stories": str(smoke / "prep" / "stories.jsonl"), **spec})
+            argv = ["evaluate", tmp_path / "spec.json", *model, *flags]
+        elif kind == "score":
+            argv = ["score", *model, "--stories", smoke / "prep" / "stories.jsonl",
+                    "--out", tmp_path / "scores.jsonl", *value]
         elif kind == "prepare-pairs":
             argv = ["prepare-pairs", FIXTURE, *PREPARE_FLAGS, *value]
         else:
