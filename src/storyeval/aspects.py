@@ -11,7 +11,6 @@ grow the training corpus.
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -20,7 +19,7 @@ from . import autodiff as ad
 from . import rng as rng_mod
 from .corpus import STOPWORDS
 from .errors import ContractViolation, DataError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, read_text
 from .losses import confidence_loss
 from .model import Model, ModelConfig, predict_aspects
 from .optim import AdamW, LrSchedule, lr_at, steps_per_epoch
@@ -69,7 +68,7 @@ class AspectTaxonomy:
     def load(cls, path) -> "AspectTaxonomy":
         """Read a saved taxonomy; a malformed file is a ``DataError`` naming it."""
         try:
-            entries = json.loads(Path(path).read_text(encoding="utf-8"))
+            entries = json.loads(read_text(path))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
         if isinstance(entries, dict):
@@ -304,8 +303,7 @@ def select_num_topics(docs: list[np.ndarray], vocab: list[str], candidates,
 # -- comment filters --------------------------------------------------------
 
 def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epochs: int,
-                      lr: float, batch_size: int, seed: int,
-                      min_per_class: int = 1) -> Model:
+                      lr: float, batch_size: int, seed: int) -> Model:
     """A compact ``Model`` whose aspect head is an ``n_classes``-way text
     classifier, trained with the joint trainer's confidence loss on one-hot
     targets; the decoder and the other heads stay untouched."""
@@ -316,9 +314,8 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
     if bad:
         raise ContractViolation(f"labels {bad} outside [0, {n_classes})")
     counts = np.bincount(labels, minlength=n_classes)
-    if np.any(counts < max(1, min_per_class)):
-        raise DataError(f"need >= {max(1, min_per_class)} examples per "
-                        f"class, got {counts.tolist()}")
+    if np.any(counts < 1):
+        raise DataError(f"need >= 1 examples per class, got {counts.tolist()}")
     vocab = build_vocab(texts, size=2000, n_aspects=n_classes)
     config = ModelConfig(vocab_size=len(vocab), d_model=48, n_enc_layers=1,
                          n_dec_layers=1, n_heads=2, window=16, max_len=64,
@@ -349,11 +346,11 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
 
 def train_aspect_classifier(records: list[CommentRecord], n_aspects: int = 10,
                             epochs: int = 30, lr: float = 3e-3, batch_size: int = 16,
-                            seed: int = 0, min_per_class: int = 1) -> Model:
+                            seed: int = 0) -> Model:
     """K-way aspect classifier over crowd-labeled comments."""
     crowd = [r for r in records if r.source == "crowd"]
     return _train_classifier([r.text for r in crowd], [r.aspect for r in crowd],
-                             n_aspects, epochs, lr, batch_size, seed, min_per_class)
+                             n_aspects, epochs, lr, batch_size, seed)
 
 
 def train_sentiment_scorer(records: list[CommentRecord], epochs: int = 30,

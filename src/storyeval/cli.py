@@ -7,7 +7,8 @@ one leading ``{"meta": ...}`` record, JSON reports a ``meta`` key, the
 training CSV a leading comment line.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.
+failure.  A file that cannot be read or written exits 3 naming its path
+(2 for ``train --config`` and the ``evaluate`` spec).
 """
 
 import argparse
@@ -54,7 +55,7 @@ from .errors import (
     StoryTooShortError,
     UndefinedCorrelationError,
 )
-from .jsonl import atomic_write, digest, field_error, read_jsonl, write_json, write_jsonl
+from .jsonl import atomic_write, digest, field_error, read_jsonl, read_text, write_json, write_jsonl
 from .metrics import (
     MetricReport,
     bleu_avg,
@@ -136,22 +137,17 @@ def write_artifact_jsonl(path, records, meta: dict) -> None:
 
 
 def data_records(path, required: dict | None = None, parse=None) -> list:
-    """JSONL records with any leading meta entries stripped, each passed
-    through ``parse`` if given; a record that breaks the ``required``
-    ``{field: type}`` mapping, or that ``parse`` rejects, is a data error."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file missing: {path}")
+    """``read_jsonl``'s records of ``path`` without its ``{"meta": ...}`` records."""
     return [r for r in read_jsonl(path, required, parse)
             if not isinstance(r, dict) or "meta" not in r]
 
 
 def _json_object(path) -> dict:
-    """A settings file's JSON object; a missing or malformed file is a config error."""
+    """A settings file's JSON object; a file that cannot be read or parsed is a config error."""
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: file missing") from None
+        value = json.loads(read_text(path))
+    except (OSError, DataError) as exc:
+        raise ConfigError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
@@ -443,11 +439,8 @@ def cmd_train(args) -> int:
     log_body = log_path.read_text(encoding="utf-8")
     with atomic_write(log_path) as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n" + log_body)
-    files = {}
-    for name in ("model.ckpt", "train_log.csv", "vocab.txt"):
-        fp = out / name
-        if fp.exists():
-            files[name] = hashlib.sha256(fp.read_bytes()).hexdigest()[:16]
+    files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+             for name in ("model.ckpt", "train_log.csv", "vocab.txt") if (out / name).exists()}
     manifest = {"meta": meta, "steps": trainer.step,
                 "best_val_acc": result.best_val_acc,
                 "best_step": result.best_step,
@@ -775,7 +768,7 @@ def main(argv=None) -> int:
     except (ConfigError, ContractViolation) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericFailure as exc:

@@ -6,6 +6,7 @@ on.
 """
 
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -24,11 +25,28 @@ def atomic_write(path, binary: bool = False):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
+        fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def read_text(path) -> str:
+    """``path``'s text; bytes that are not UTF-8 are a ``DataError`` naming the line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
 
 
 def dumps(record: dict) -> str:
@@ -68,28 +86,28 @@ def read_jsonl(path, required: dict | None = None, parse=None) -> list:
     ``parse`` turns every other record into an object, and a
     ``ContractViolation`` it raises is a ``DataError`` naming the line."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{number}: not valid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{number}: expected a JSON object, "
-                                f"got {type(record).__name__}")
-            if "meta" not in record:
-                problem = field_error(record, required or {})
-                if problem:
-                    raise DataError(f"{path}:{number}: {problem}")
-                if parse is not None:
-                    try:
-                        record = parse(record)
-                    except ContractViolation as exc:
-                        raise DataError(f"{path}:{number}: {exc}") from exc
-            out.append(record)
+    # a text-mode file's lines: str.splitlines also splits at U+0085/2028/2029
+    for number, line in enumerate(io.StringIO(read_text(path), newline=None), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{number}: not valid JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise DataError(f"{path}:{number}: expected a JSON object, "
+                            f"got {type(record).__name__}")
+        if "meta" not in record:
+            problem = field_error(record, required or {})
+            if problem:
+                raise DataError(f"{path}:{number}: {problem}")
+            if parse is not None:
+                try:
+                    record = parse(record)
+                except ContractViolation as exc:
+                    raise DataError(f"{path}:{number}: {exc}") from exc
+        out.append(record)
     return out
 
 

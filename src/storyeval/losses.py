@@ -98,18 +98,11 @@ def sequence_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = 
     raise ContractViolation(f"unknown reduce '{reduce}'")
 
 
-def discrimination_loss(p_s, label, smoothing: float = 0.0) -> Tensor:
-    """Plain BCE of the preference score against a hard 0/1 label.
-
-    Baseline objective: with ``smoothing`` s the target becomes
-    label·(1−s) + (1−label)·s.
-    """
-    if not 0.0 <= smoothing < 0.5:
-        raise ContractViolation("smoothing must be in [0, 0.5)")
+def discrimination_loss(p_s, label) -> Tensor:
+    """Baseline objective: plain BCE of the preference score against a hard
+    0/1 label."""
     p_s = as_tensor(p_s)
-    y = np.asarray(label, dtype=np.float64)
-    target = y * (1.0 - smoothing) + (1.0 - y) * smoothing
-    t = Tensor(np.asarray(target, dtype=p_s.data.dtype))
+    t = Tensor(np.asarray(label, dtype=p_s.data.dtype))
     return (-_bce(p_s, t)).mean()
 
 

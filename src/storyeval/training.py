@@ -246,17 +246,20 @@ class Trainer:
         return evaluate_pairs(self.model, self.data.stories,
                               self.data.val_pairs)
 
+    def _save(self, path) -> None:
+        if path is not None:
+            save_checkpoint(path, self.model.params, self.model.config,
+                            seed=self.config.seed, step=self.step,
+                            optimizer=self.opt.state(),
+                            extra={"best_val_acc": self.best_val_acc,
+                                   "best_step": self.best_step})
+
     def _maybe_checkpoint(self, path, acc: float) -> None:
         if np.isnan(acc) or acc <= self.best_val_acc:
             return
         self.best_val_acc = acc
         self.best_step = self.step
-        if path is not None:
-            save_checkpoint(path, self.model.params, self.model.config,
-                            seed=self.config.seed, step=self.step,
-                            optimizer=self.opt.state(),
-                            extra={"best_val_acc": acc,
-                                   "best_step": self.step})
+        self._save(path)
 
     def train(self, checkpoint_path=None, log_path=None,
               resume: bool = False) -> TrainResult:
@@ -304,12 +307,8 @@ class Trainer:
         # no step since the last validation: the parameters are the same
         final_acc = validated[1] if validated[0] == self.step else self.validation_accuracy()
         self._maybe_checkpoint(checkpoint_path, final_acc)
-        if checkpoint_path is not None and self.best_step < 0:
-            save_checkpoint(checkpoint_path, self.model.params,
-                            self.model.config, seed=self.config.seed,
-                            step=self.step, optimizer=self.opt.state(),
-                            extra={"best_val_acc": self.best_val_acc,
-                                   "best_step": self.best_step})
+        if self.best_step < 0:
+            self._save(checkpoint_path)
         return TrainResult(rows=self.rows, best_val_acc=self.best_val_acc,
                            best_step=self.best_step, final_val_acc=final_acc,
                            checkpoint_path=str(checkpoint_path)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, DataError, EmptyTextError
-from .jsonl import atomic_write
+from .jsonl import atomic_write, read_text
 
 CLS = "[CLS]"
 SEP = "<sep>"
@@ -98,7 +98,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path, n_aspects: int | None = None) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         if not lines:
             raise DataError(f"empty vocabulary file: {path}")
         if n_aspects is None:

@@ -209,8 +209,9 @@ def test_02_loss_gradients_match_finite_differences():
                                      reduce="mean")
 
         def discrimination():
-            p_a, _ = scores()
-            return losses.discrimination_loss(p_a, 1.0, smoothing=0.1)
+            p_a, p_b = scores()
+            return (losses.discrimination_loss(p_a, 1.0)
+                    + losses.discrimination_loss(p_b, 0.0))
 
         def joint():
             a_c, a_r = aspects()

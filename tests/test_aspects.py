@@ -372,11 +372,6 @@ class TestClassifiers:
         with pytest.raises(ContractViolation, match="outside"):
             train_aspect_classifier(records, n_aspects=2, epochs=1)
 
-    def test_min_per_class_enforced(self):
-        records = _aspect_fixture()[:7]  # aspect 1 has only one example
-        with pytest.raises(DataError):
-            train_aspect_classifier(records, n_aspects=2, min_per_class=3)
-
     def test_sentiment_missing_class_rejected(self):
         records = _aspect_fixture()  # only ratings 0.75 and 0.5 present
         with pytest.raises(DataError):

@@ -11,7 +11,8 @@ import pytest
 from storyeval import aspects, cli
 from storyeval.aspects import AspectTaxonomy
 from storyeval.checkpoint import load_checkpoint, save_checkpoint
-from storyeval.jsonl import read_jsonl, write_json, write_jsonl
+from storyeval.errors import DataError
+from storyeval.jsonl import dumps, read_jsonl, write_json, write_jsonl
 from storyeval.model import Model, ModelConfig
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
 from storyeval.vocab import Vocabulary, build_vocab
@@ -122,10 +123,6 @@ class TestPrepareGolden:
     def test_no_pairs_is_data_error(self, tmp_path):
         assert run(["prepare-pairs", FIXTURE, "--out-dir", tmp_path,
                     "--min-words", 5000]) == cli.EXIT_DATA
-
-    def test_missing_input_is_data_error(self, tmp_path):
-        assert run(["prepare-pairs", tmp_path / "nope.jsonl",
-                    "--out-dir", tmp_path]) == cli.EXIT_DATA
 
 
 class TestMakeNegatives:
@@ -920,3 +917,109 @@ class TestProvenance:
         monkeypatch.chdir(artifact_inputs)
         base = artifact_hash(command, str(tmp_path / "base"))
         assert artifact_hash(command, str(tmp_path / "changed"), [flag, value]) != base
+
+
+# every file a command reads: a file in its ARTIFACTS argv, a flag that argv
+# lacks, or an entry of the train config ("data:*") or the eval spec ("spec:*")
+READ_FAULTS = [
+    ("prepare-pairs", "raw.jsonl"), ("make-negatives", "stories.jsonl"),
+    ("extract-aspects", "comments.jsonl"), ("augment-comments", "crowd.jsonl"),
+    ("augment-comments", "comments.jsonl"), ("augment-comments", "--taxonomy"),
+    ("train", "--config"),
+    *[("train", f"data:{key}") for key in ("stories", "pairs_train", "pairs_val", "comments",
+                                           "taxonomy", "negatives", "vocab")],
+    *[(command, name) for command in ("score", "compare", "evaluate")
+      for name in ("model.ckpt", "vocab.txt")],
+    ("score", "stories.jsonl"), ("compare", "a.jsonl"), ("compare", "b.jsonl"),
+    ("evaluate", "spec.json"),
+    *[("evaluate", f"spec:{key}") for key in ("stories", "pairs", "judgments",
+                                              "aspect_annotations", "comment_references")],
+]
+# the file each --out-dir command writes that a directory in its place blocks;
+# an --out-dir whose parent is missing is made, so only --out has that fault
+OUT_DIR_FILES = {"prepare-pairs": "stats.json", "extract-aspects": "topics.json",
+                 "augment-comments": "audit.json", "train": "vocab.txt"}
+WRITE_FAULTS = [(command, fault) for command in sorted({*ARTIFACTS, "train"})
+                for fault in ("directory", "file_parent", "missing_parent")
+                if not (command in OUT_DIR_FILES and fault == "missing_parent")]
+
+
+def read_fault_argv(smoke, tmp_path, command, name, bad) -> list:
+    """``command``'s argv on the ``artifact_inputs`` files, reading ``bad`` for ``name``."""
+    if command == "train":
+        cfg = json.loads((smoke / "cfg.json").read_text())
+        if name.startswith("data:"):
+            cfg["data"][name[len("data:"):]] = str(bad)
+        write_json(tmp_path / "cfg.json", cfg)
+        return ["train", "--config", bad if name == "--config" else tmp_path / "cfg.json",
+                "--out-dir", tmp_path / "out"]
+    if name.startswith("spec:"):
+        write_json(tmp_path / "spec.json", {"stories": "stories.jsonl",
+                                            name[len("spec:"):]: str(bad)})
+        name, bad = "spec.json", tmp_path / "spec.json"
+    argv = [tmp_path / "out" if a == "OUT" else bad if a == name else a
+            for a in ARTIFACTS[command][0]]
+    return [command, *argv, *([name, bad] if name.startswith("--") else [])]
+
+
+class TestFileFaults:
+    """A file that cannot be read or written exits 3 naming it (2 for the
+    train config and the eval spec), never with a traceback."""
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("command,name", READ_FAULTS)
+    def test_unreadable_input_names_it(self, smoke, artifact_inputs, tmp_path, monkeypatch,
+                                       capsys, command, name, fault):
+        monkeypatch.chdir(artifact_inputs)
+        bad = tmp_path / "bad"
+        if fault == "directory":
+            bad.mkdir()
+        elif fault == "not_utf8":       # in a checkpoint, the manifest line
+            bad.write_bytes(b"\xff\n")
+        config = name in ("--config", "spec.json")
+        assert run(read_fault_argv(smoke, tmp_path, command, name, bad)) == \
+            (cli.EXIT_CONFIG if config else cli.EXIT_DATA)
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " if config else "data error: ")
+        named = f"{bad}:1: not UTF-8 text" \
+            if fault == "not_utf8" and name != "model.ckpt" else str(bad)
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,fault", WRITE_FAULTS)
+    def test_unwritable_output_names_it(self, smoke, artifact_inputs, tmp_path, monkeypatch,
+                                        capsys, command, fault):
+        monkeypatch.chdir(artifact_inputs)
+        out = named = tmp_path / "out"
+        if fault == "directory":        # a directory where the output file belongs
+            if command in OUT_DIR_FILES:
+                named = out / OUT_DIR_FILES[command]
+            named.mkdir(parents=True)
+        elif fault == "file_parent":    # a file where a directory belongs
+            (tmp_path / "file").write_text("")
+            out = named = tmp_path / "file"
+            if command not in OUT_DIR_FILES:
+                out = named = out / "out"
+        else:
+            out = named = tmp_path / "nodir" / "out"
+        argv = (["--config", smoke / "cfg.json", "--out-dir", out] if command == "train"
+                else [out if a == "OUT" else a for a in ARTIFACTS[command][0]])
+        assert run([command, *argv]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and f"'{named}'" in err
+        assert "Traceback" not in err
+
+    def test_read_jsonl_keeps_raw_line_separators(self, tmp_path):
+        records = [{"id": "a", "text": "one\x85two\u2028three\u2029four"}, {"id": "b"}]
+        path = tmp_path / "crlf.jsonl"
+        text = "".join(dumps(r) + "\r\n" for r in records)
+        path.write_bytes(text.encode("utf-8"))
+        assert read_jsonl(path) == records
+        path.write_bytes((text + "{bad\r\n").encode("utf-8"))
+        with pytest.raises(DataError, match=r"crlf\.jsonl:3: not valid JSON"):
+            read_jsonl(path)
+
+    def test_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(b'{"id": "a"}\r\n{"id": "\xff"}\n')
+        with pytest.raises(DataError, match=r"bytes\.jsonl:2: not UTF-8 text"):
+            read_jsonl(path)
