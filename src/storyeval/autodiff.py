@@ -363,7 +363,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- structured ops -----------------------------------------------------
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``table[ids]``; the backward scatter-adds by one sparse product."""
+    """Row lookup ``table[ids]`` of a table of any rank; the backward
+    scatter-adds by one sparse product."""
     ids = np.asarray(ids)
     out_data = table.data[ids]
 
@@ -372,7 +373,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         # (rows x positions) one-hot: row r sums the gradients of r's positions
         onehot = sparse.csr_matrix((np.ones(flat.size, g.dtype), (flat, np.arange(flat.size))),
                                    shape=(table.data.shape[0], flat.size))
-        return (onehot @ g.reshape(flat.size, -1),)
+        return ((onehot @ g.reshape(flat.size, -1)).reshape(table.data.shape),)
 
     return _node(out_data, (table,), backward, "embedding")
 
@@ -420,22 +421,20 @@ class WindowLayout:
     A batch of B sequences padded to T tokens is packed into its N =
     sum(lengths) real rows, sequence by sequence: packed row r is token
     ``ti[r]`` of sequence ``bi[r]``.  Row i may read key j when
-    |i - j| <= window or either one lies in the ``n_global`` prefix, and
+    |i - j| <= window or either one is row 0, the global [CLS] token, and
     j < its sequence's length.  Queries are split into chunks of ``window``
     rows; chunk n reads the span of three chunks centred on it, keys
     n*window - window ... n*window + 2*window - 1, from zero-padded keys.
     When the sequence fits in one span (T <= 3*window) the layout is one
-    chunk of all T rows over all T keys.  Every row also reads the prefix
-    keys as a second segment of the same softmax, so the band masks them
-    out; the prefix rows attend densely.  Built once per batch, it is
+    chunk of all T rows over all T keys.  Every row also reads the global
+    key as a second segment of the same softmax, so the band masks it
+    out; the global row attends densely.  Built once per batch, it is
     shared by every layer.
     """
 
-    def __init__(self, lengths: np.ndarray, seq_len: int, window: int,
-                 n_global: int, dtype):
+    def __init__(self, lengths: np.ndarray, seq_len: int, window: int, dtype):
         t = self.seq_len = seq_len
         self.bi, self.ti = np.nonzero(np.arange(t) < lengths[:, None])
-        self.n_global = g = max(0, min(n_global, t))
         self.n_seg = 1 if t <= 3 * window else 3
         self.chunk = c = t if self.n_seg == 1 else window
         self.n_chunks = n = -(-t // c)
@@ -444,12 +443,11 @@ class WindowLayout:
         i = starts + np.arange(c)                                  # (n, c) query rows
         j = starts + np.arange(c * self.n_seg) - self.left         # (n, span) key rows
         near = np.abs(i[:, :, None] - j[:, None, :]) <= window
-        key_ok = (j >= g) & (j[None] < lengths[:, None, None])     # (B, n, span)
+        key_ok = (j >= 1) & (j[None] < lengths[:, None, None])     # (B, n, span)
         band = near[None] & key_ok[:, :, None, :]
         self.band = np.where(band, 0.0, NEG_INF).astype(dtype)[:, None]   # (B,1,n,c,span)
         key_pad = np.where(np.arange(t) < lengths[:, None], 0.0, NEG_INF).astype(dtype)
-        self.prefix_keys = key_pad[:, None, None, :g]              # (B,1,1,G)
-        self.prefix_rows = key_pad[:, None, None, :]               # (B,1,1,T)
+        self.global_rows = key_pad[:, None, None, :]               # (B,1,1,T)
 
 
 def _spans(x: np.ndarray, chunk: int, n_chunks: int, span: int) -> np.ndarray:
@@ -490,7 +488,7 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
     """
     _, h, dk = q.shape
     b, t, bi, ti = layout.band.shape[0], layout.seq_len, layout.bi, layout.ti
-    c, n, ns, g, left = layout.chunk, layout.n_chunks, layout.n_seg, layout.n_global, layout.left
+    c, n, ns, left = layout.chunk, layout.n_chunks, layout.n_seg, layout.left
     rows, dtype, scale = n * c, q.dtype, 1.0 / float(np.sqrt(dk))
 
     def heads_first(x, pad_before, n_rows):
@@ -504,13 +502,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
     vp = heads_first(v.data, left, (n + ns - 1) * c)
     kw, vw = (_spans(x, c, n, c * ns) for x in (kp, vp))
     kt, vt = kp[:, :, left: left + t], vp[:, :, left: left + t]
-    kg, vg = kt[:, :, :g], vt[:, :, :g]
+    kg, vg = kt[:, :, :1], vt[:, :, :1]
     qc = qp.reshape(b, h, n, c, dk)
-    # every row: its band segment (B,H,n,c,span) and its prefix-key segment
-    # (B,H,rows,G) share one softmax, kept unnormalised as E; z is its sum
+    # every row: its band segment (B,H,n,c,span) and its global-key segment
+    # (B,H,rows,1) share one softmax, kept unnormalised as E; z is its sum;
+    # the global key is a sequence's first token, so it is never padding
     e_band = qc @ kw.swapaxes(-1, -2)
     e_band += layout.band
-    e_glob = qp @ kg.swapaxes(-1, -2) + layout.prefix_keys
+    e_glob = qp @ kg.swapaxes(-1, -2)
     top = np.maximum(e_band.max(-1).reshape(b, h, rows, 1),
                      e_glob.max(-1, keepdims=True, initial=NEG_INF))
     e_band -= top.reshape(b, h, n, c, 1)
@@ -523,19 +522,19 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
     o = (d_band @ vw).reshape(b, h, rows, dk)
     o += d_glob @ vg
     o /= z
-    # the prefix rows attend densely over all keys
-    s_rows = qp[:, :, :g] @ kt.swapaxes(-1, -2) + layout.prefix_rows
+    # the global row attends densely over all keys
+    s_rows = qp[:, :, :1] @ kt.swapaxes(-1, -2) + layout.global_rows
     p_rows = np.exp(s_rows - s_rows.max(-1, keepdims=True))
     p_rows /= p_rows.sum(-1, keepdims=True)
     d_rows, keep_rows = _drop(p_rows, rate, rng)
-    o[:, :, :g] = d_rows @ vt
+    o[:, :, :1] = d_rows @ vt
 
     def backward(grad):
         go = heads_first(grad, 0, rows)
         dot = (go * o).sum(-1, keepdims=True)                      # rowsum(dP * P)
-        go_rows, dot_rows = go[:, :, :g].copy(), dot[:, :, :g].copy()
-        go[:, :, :g] = 0.0
-        dot[:, :, :g] = 0.0
+        go_rows, dot_rows = go[:, :, :1].copy(), dot[:, :, :1].copy()
+        go[:, :, :1] = 0.0
+        dot[:, :, :1] = 0.0
         go /= z                                                    # P = E / z
         dot /= z
         goc = go.reshape(b, h, n, c, dk)
@@ -549,14 +548,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
         ds_glob = e_glob * (dp_glob - dot)
         ds_rows = p_rows * (dp_rows - dot_rows)
         dq = (ds_band @ kw).reshape(b, h, rows, dk) + ds_glob @ kg
-        dq[:, :, :g] += ds_rows @ kt
+        dq[:, :, :1] += ds_rows @ kt
         dkp, dvp = np.zeros_like(kp), np.zeros_like(vp)
         _fold(dkp, ds_band.swapaxes(-1, -2) @ qc, c, ns)
         _fold(dvp, d_band.swapaxes(-1, -2) @ goc, c, ns)
         dkt, dvt = dkp[:, :, left: left + t], dvp[:, :, left: left + t]
-        dkt[:, :, :g] += ds_glob.swapaxes(-1, -2) @ qp
-        dvt[:, :, :g] += d_glob.swapaxes(-1, -2) @ go
-        dkt += ds_rows.swapaxes(-1, -2) @ qp[:, :, :g]
+        dkt[:, :, :1] += ds_glob.swapaxes(-1, -2) @ qp
+        dvt[:, :, :1] += d_glob.swapaxes(-1, -2) @ go
+        dkt += ds_rows.swapaxes(-1, -2) @ qp[:, :, :1]
         dvt += d_rows.swapaxes(-1, -2) @ go_rows
         return dq[bi, :, ti] * scale, dkt[bi, :, ti], dvt[bi, :, ti]
 

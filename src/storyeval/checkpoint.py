@@ -4,7 +4,10 @@ A checkpoint is one file: a JSON manifest line followed by the raw
 little-endian bytes of every array, concatenated in manifest order.
 Writing the same state twice produces byte-identical files, which keeps
 artifact hashing and resume tests honest (zip-based containers stamp
-timestamps and break that).
+timestamps and break that).  The manifest holds a ``jsonl.digest`` of
+each array's bytes, and loading refuses an array whose bytes changed.
+Format v2 models read a comment's aspect from the decoder's first input;
+v1 models read it from the encoder's, so v1 files are refused.
 """
 
 import json
@@ -15,10 +18,13 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
-from .jsonl import atomic_write, digest
+from .jsonl import atomic_write, digest, field_error
 from .model import ModelConfig
 
-FORMAT = "storyeval-checkpoint-v1"
+FORMAT = "storyeval-checkpoint-v2"
+MANIFEST_FIELDS = {"config": dict, "config_hash": str, "seed": int, "step": int,
+                   "optimizer": (dict, type(None)), "extra": dict, "arrays": list}
+ARRAY_FIELDS = {"name": str, "shape": list, "dtype": str, "sha256": str}
 
 
 def config_hash(config: ModelConfig) -> str:
@@ -49,16 +55,12 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig,
                     seed: int, step: int = 0, optimizer: dict | None = None,
                     extra: dict | None = None) -> str:
     """Write a checkpoint and return its config hash."""
-    arrays: list[tuple[str, np.ndarray]] = []
-    for name in sorted(params):
-        arrays.append((f"param.{name}", params[name].data))
+    arrays = [(f"param.{name}", params[name].data) for name in sorted(params)]
     opt_meta = None
     if optimizer is not None:
         opt_meta = {"step_count": int(optimizer["step_count"])}
-        for name in sorted(optimizer["m"]):
-            arrays.append((f"opt.m.{name}", optimizer["m"][name]))
-        for name in sorted(optimizer["v"]):
-            arrays.append((f"opt.v.{name}", optimizer["v"][name]))
+        arrays += [(f"opt.{k}.{name}", optimizer[k][name])
+                   for k in ("m", "v") for name in sorted(optimizer[k])]
     manifest = {
         "format": FORMAT,
         "config": asdict(config),
@@ -67,8 +69,8 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig,
         "step": int(step),
         "optimizer": opt_meta,
         "extra": extra or {},
-        "arrays": [{"name": n, "shape": list(a.shape), "dtype": _le(a).dtype.str}
-                   for n, a in arrays],
+        "arrays": [{"name": n, "shape": list(a.shape), "dtype": _le(a).dtype.str,
+                    "sha256": digest(memoryview(_le(a)))} for n, a in arrays],
     }
     header = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     with atomic_write(path, binary=True) as fh:
@@ -79,18 +81,31 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig,
     return manifest["config_hash"]
 
 
-def load_checkpoint(path) -> Checkpoint:
+def _manifest(path, line: bytes) -> tuple[dict, ModelConfig]:
+    """The manifest and its model config; a manifest of another format or
+    of the wrong shape is a ``DataError`` naming ``path``."""
+    try:
+        manifest = json.loads(line.decode("utf-8"))
+        if manifest.get("format") != FORMAT:
+            raise DataError(f"{path}: checkpoint format {manifest.get('format')!r}, "
+                            f"expected {FORMAT!r}")
+        problem = field_error(manifest, MANIFEST_FIELDS) or next(
+            filter(None, (field_error(meta, ARRAY_FIELDS) for meta in manifest["arrays"])), None)
+        if problem:
+            raise DataError(f"{path}: bad manifest: {problem}")
+        return manifest, ModelConfig(**manifest["config"])
+    except (ValueError, AttributeError, TypeError) as exc:   # not JSON, not an object, bad key
+        raise DataError(f"{path}: bad manifest: {exc}") from None
+
+
+def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
+    """The checkpoint at ``path``; without ``optimizer``, as inference loads
+    it, the optimizer arrays are neither checked nor decoded."""
     raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
         raise DataError(f"{path}: not a checkpoint (no manifest line)")
-    try:
-        manifest = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: bad manifest: {exc}") from exc
-    if manifest.get("format") != FORMAT:
-        raise DataError(f"{path}: unknown format {manifest.get('format')!r}")
-    config = ModelConfig(**manifest["config"])
+    manifest, config = _manifest(path, raw[:nl])
     if config_hash(config) != manifest["config_hash"]:
         raise ConfigError(f"{path}: config hash mismatch")
     offset = nl + 1
@@ -101,22 +116,21 @@ def load_checkpoint(path) -> Checkpoint:
         end = offset + count * dt.itemsize
         if end > len(raw):
             raise DataError(f"{path}: truncated at array {meta['name']}")
-        arr = np.frombuffer(raw[offset:end], dtype=dt).reshape(meta["shape"])
-        loaded[meta["name"]] = arr.astype(dt.newbyteorder("="))
+        if optimizer or not meta["name"].startswith("opt."):
+            if digest(memoryview(raw)[offset:end]) != meta["sha256"]:
+                raise DataError(f"{path}: array {meta['name']} does not match its sha256")
+            arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(meta["shape"])
+            loaded[meta["name"]] = arr.astype(dt.newbyteorder("="))     # a writeable copy
         offset = end
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
-    params = {n[len("param."):]: Tensor(a.copy(), requires_grad=True)
-              for n, a in loaded.items() if n.startswith("param.")}
-    optimizer = None
-    if manifest["optimizer"] is not None:
-        optimizer = {
-            "step_count": manifest["optimizer"]["step_count"],
-            "m": {n[len("opt.m."):]: a.copy() for n, a in loaded.items()
-                  if n.startswith("opt.m.")},
-            "v": {n[len("opt.v."):]: a.copy() for n, a in loaded.items()
-                  if n.startswith("opt.v.")},
-        }
-    return Checkpoint(params=params, config=config, seed=manifest["seed"],
-                      step=manifest["step"], optimizer=optimizer,
-                      extra=manifest["extra"])
+
+    def group(prefix: str) -> dict[str, np.ndarray]:
+        return {n[len(prefix):]: a for n, a in loaded.items() if n.startswith(prefix)}
+
+    opt = manifest["optimizer"] if optimizer else None
+    if opt is not None:
+        opt = {"step_count": opt["step_count"], "m": group("opt.m."), "v": group("opt.v.")}
+    return Checkpoint(params={n: Tensor(a, requires_grad=True) for n, a in group("param.").items()},
+                      config=config, seed=manifest["seed"], step=manifest["step"],
+                      optimizer=opt, extra=manifest["extra"])

@@ -13,7 +13,6 @@ failure.  A file that cannot be read or written exits 3 naming its path
 
 import argparse
 import copy
-import hashlib
 import json
 import os
 import platform
@@ -439,7 +438,7 @@ def cmd_train(args) -> int:
     log_body = log_path.read_text(encoding="utf-8")
     with atomic_write(log_path) as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n" + log_body)
-    files = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+    files = {name: digest((out / name).read_bytes())
              for name in ("model.ckpt", "train_log.csv", "vocab.txt") if (out / name).exists()}
     manifest = {"meta": meta, "steps": trainer.step,
                 "best_val_acc": result.best_val_acc,
@@ -457,7 +456,7 @@ def cmd_train(args) -> int:
 # -- score -------------------------------------------------------------------
 
 def _load_model(checkpoint_path, vocab_path) -> Model:
-    ck = load_checkpoint(checkpoint_path)
+    ck = load_checkpoint(checkpoint_path, optimizer=False)
     vocab = Vocabulary.load(vocab_path)
     return Model(ck.config, vocab, params=ck.params)
 

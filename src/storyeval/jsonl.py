@@ -54,8 +54,9 @@ def dumps(record: dict) -> str:
 
 
 def digest(obj) -> str:
-    """A short stable hash of a JSON value: 16 hex digits of its ``dumps``' sha256."""
-    return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()[:16]
+    """16 hex digits of the sha256 of ``obj``: bytes, a memoryview or a JSON value's ``dumps``."""
+    data = obj if isinstance(obj, (bytes, memoryview)) else dumps(obj).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def write_jsonl(path, records) -> None:

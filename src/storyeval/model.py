@@ -2,23 +2,23 @@
 
 The encoder reads a [CLS]-prefixed story with banded sliding-window
 self-attention, one ``autodiff.window_attention`` node per layer (the
-[CLS] token, and in the comment path the aspect prefix, attends
-globally).  It is padding-free: a padded batch is packed into its real
-token rows, and the embeddings, layer norms, projections, feed-forward
-layers, dropout and residual adds all run on those (N, d) rows.  Each
-story's first row, its [CLS] state v_s, feeds three linear heads: a
-sigmoid preference score, a softmax over K aspect confidences, and K
-sigmoid ratings.  A causal decoder with cross-attention (each an
-``autodiff.attention`` node) generates aspect-conditioned comments; only
-this comment path maps the encoder states back to a padded (B, T, d)
-batch.
+[CLS] token attends globally).  It is padding-free: a padded batch is
+packed into its real token rows, and the embeddings, layer norms,
+projections, feed-forward layers, dropout and residual adds all run on
+those (N, d) rows.  Each story's first row, its [CLS] state v_s, feeds
+three linear heads: a sigmoid preference score, a softmax over K aspect
+confidences, and K sigmoid ratings.  A causal decoder with
+cross-attention (each an ``autodiff.attention`` node) reads the same
+packed states: the decoder's first input, ``<aspect_k>``, is the control
+code for a comment about aspect k, so one plain encoding of a story
+serves its heads and its comments on every aspect.
 
 ``token_chunks`` is the one batching rule of inference: length-sorted runs
 of at most a budget of padded tokens, so long stories are encoded with little
 padding and with per-layer temporaries near cache size.  ``Model.infer``, the
 one inference path for the heads, ``metrics.corpus_perplexity`` (through
-``Model.comment_nll``, the one teacher-forced comment loss) and
-``Model.generate_comments``, the one search, all batch by it.
+``Model.comment_nll``) and ``Model.generate_comments``, the one search, all
+batch by it.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -31,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, WindowLayout
 from .errors import ConfigError, ContractViolation
 from .losses import sequence_nll
-from .vocab import Vocabulary, conditioned_ids, pad_batch
+from .vocab import Vocabulary, pad_batch
 
 # padded tokens (rows x longest row) per Model.infer chunk.  Scoring 64
 # stories of 413-512 tokens (d_model 128, one BLAS thread, 2 MB L2) took
@@ -52,6 +52,21 @@ def token_chunks(lengths, budget: int) -> list[np.ndarray]:
             runs.append([])
         runs[-1].append(i)
     return [np.asarray(run) for run in runs]
+
+
+def story_rows(lengths: np.ndarray, picks) -> np.ndarray:
+    """The packed rows of stories ``picks``, in that order, of a batch of ``lengths``."""
+    n = lengths[picks]
+    starts = (np.cumsum(lengths) - lengths)[picks]
+    return np.repeat(starts - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def distinct(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct sequences of ``seqs``, first seen first, and each input's index among them."""
+    index: dict[bytes, int] = {}
+    picks = np.asarray([index.setdefault(np.asarray(s, np.int64).tobytes(), len(index))
+                        for s in seqs], dtype=np.int64)
+    return [seqs[i] for i in np.unique(picks, return_index=True)[1]], picks
 
 
 @dataclass
@@ -164,7 +179,7 @@ def _ff(params, prefix, x: Tensor) -> Tensor:
 
 
 def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
-           lengths: np.ndarray, n_global: int = 1,
+           lengths: np.ndarray,
            rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
     """Run the encoder; returns (v_s (B,d), token states (N,d)).
 
@@ -180,7 +195,7 @@ def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
     if np.min(lengths) < 1:
         raise ContractViolation("every sequence needs at least one token")
     rate = config.dropout if rng is not None else 0.0
-    layout = WindowLayout(lengths, t, config.window, n_global, params["tok_emb"].dtype)
+    layout = WindowLayout(lengths, t, config.window, params["tok_emb"].dtype)
     x = (ad.embedding(params["tok_emb"], ids[layout.bi, layout.ti])
          + ad.embedding(params["pos_emb"], layout.ti))
     x = ad.dropout(x, rate, rng)
@@ -251,9 +266,10 @@ def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
                    cache: DecoderCache | None = None) -> Tensor:
     """Causal decoder logits (B,Tc,V) of the comment positions ``comment_in``:
     teacher-forced comments (keys past ``comment_lengths`` hidden), or with
-    a ``DecoderCache`` the positions after its ``length`` cached ones.  B
-    may be a multiple of the encoder batch, each story's rows adjacent.
-    Dropout runs as in ``encode``: if and only if ``rng`` is given."""
+    a ``DecoderCache`` the positions after its ``length`` cached ones.  They
+    read packed ``enc_states`` of stories of ``enc_lengths``, one story per
+    comment or per group of adjacent rows.  Dropout runs as in ``encode``:
+    if and only if ``rng`` is given."""
     b, t = comment_in.shape
     start = cache.length if cache is not None else 0
     if start + t > config.max_len:
@@ -273,7 +289,11 @@ def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         kv = cache.cross.get(p) if cache is not None else None
         if kv is None:
-            kv = tuple(_heads(params, f"{p}.cross.{m}", enc_states, heads) for m in ("wk", "wv"))
+            # project the packed rows, then lay them out per story (padding repeats a last row)
+            rows = (np.cumsum(enc_lengths) - enc_lengths)[:, None] + np.minimum(
+                np.arange(enc_lengths.max()), enc_lengths[:, None] - 1)
+            kv = tuple(ad.embedding(_heads(params, f"{p}.cross.{m}", enc_states, heads), rows)
+                       for m in ("wk", "wv"))
             kv = cache.keep_cross(p, *kv) if cache is not None else kv
         x = x + ad.dropout(_attend(params, f"{p}.cross", normed, *kv, enc_lengths,
                                        False, heads, rate, rng), rate, rng)
@@ -300,10 +320,9 @@ class Model:
         self.params = params if params is not None else init_params(
             config, rng or np.random.default_rng(0), dtype=dtype)
 
-    def encode_stories(self, id_seqs: list[np.ndarray], n_global: int = 1, rng=None):
+    def encode_stories(self, id_seqs: list[np.ndarray], rng=None):
         ids, lengths = pad_batch(id_seqs, self.vocab.pad_id)
-        v_s, states = encode(self.params, self.config, ids, lengths,
-                             n_global=n_global, rng=rng)
+        v_s, states = encode(self.params, self.config, ids, lengths, rng=rng)
         return v_s, states, lengths
 
     def infer(self, id_seqs: list[np.ndarray]):
@@ -319,73 +338,73 @@ class Model:
                     part[run] = head.data
         return out
 
-    def comment_encoder_states(self, story_id_seqs: list[np.ndarray],
-                               aspect_ks: list[int], rng=None):
-        """Encode aspect-conditioned stories for the comment path; returns
-        padded (B,T,d) states and their lengths.  Cross-attention hides the
-        padded keys, so their gradient is exactly 0 and each story's last
-        real row stands in for them.  The row lookup is an ``embedding``,
-        whose backward is one sparse product."""
-        conds = [conditioned_ids(s, k, self.vocab, self.config.max_len)
-                 for s, k in zip(story_id_seqs, aspect_ks)]
-        _, states, lengths = self.encode_stories(conds, n_global=3, rng=rng)
-        last = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
-        return ad.embedding(states, (np.cumsum(lengths) - lengths)[:, None] + last), lengths
-
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
-                    comment_seqs: list[np.ndarray], reduce: str = "mean",
-                    rng=None) -> Tensor:
-        """Teacher-forced NLL of a batch of (story, aspect, comment) triples.
+                    comment_seqs: list[np.ndarray], reduce: str = "mean", rng=None) -> Tensor:
+        """``encoded_comment_nll`` of (story, aspect, comment) triples, each
+        distinct story encoded once."""
+        seqs, picks = distinct(story_id_seqs)
+        _, states, lengths = self.encode_stories(seqs, rng=rng)
+        return self.encoded_comment_nll(states, lengths, picks, aspect_ks, comment_seqs,
+                                        reduce=reduce, rng=rng)
 
-        Each comment must be <bos> ... <eos>.  Comments are right-padded
-        to one batch and padded targets are masked out, so ``mean``
-        divides by the number of predicted tokens in the whole batch.
-        """
+    def encoded_comment_nll(self, states: Tensor, lengths: np.ndarray, picks,
+                            aspect_ks: list[int], comment_seqs: list[np.ndarray],
+                            reduce: str = "mean", rng=None) -> Tensor:
+        """Teacher-forced NLL of comment i, <bos> w1 ... wn <eos>, about aspect
+        ``aspect_ks[i]`` of story ``picks[i]`` of packed ``states`` (stories of
+        ``lengths``): the decoder reads <aspect_k> w1 ... wn.  Padded targets are
+        masked out, so ``mean`` divides by the predicted tokens of the batch."""
         comment_seqs = [np.asarray(c, dtype=np.int64) for c in comment_seqs]
-        for c in comment_seqs:
-            if len(c) < 2 or c[0] != self.vocab.bos_id or c[-1] != self.vocab.eos_id:
-                raise ContractViolation("comment ids must be <bos> ... <eos>")
-        inputs, lengths = pad_batch([c[:-1] for c in comment_seqs], self.vocab.pad_id)
+        if any(len(c) < 2 or c[0] != self.vocab.bos_id or c[-1] != self.vocab.eos_id
+               for c in comment_seqs):
+            raise ContractViolation("comment ids must be <bos> ... <eos>")
+        inputs, comment_lengths = pad_batch(
+            [np.append(self.vocab.aspect_id(k), c[1:-1]) for k, c in zip(aspect_ks, comment_seqs)],
+            self.vocab.pad_id)
         targets, _ = pad_batch([c[1:] for c in comment_seqs], 0)
-        mask = np.arange(inputs.shape[1])[None, :] < lengths[:, None]
-        states, enc_lengths = self.comment_encoder_states(story_id_seqs, aspect_ks, rng=rng)
-        logits = decoder_logits(self.params, self.config, inputs, lengths,
-                                states, enc_lengths, rng=rng)
+        mask = np.arange(inputs.shape[1])[None, :] < comment_lengths[:, None]
+        picks = np.asarray(picks, dtype=np.int64)
+        logits = decoder_logits(self.params, self.config, inputs, comment_lengths,
+                                ad.embedding(states, story_rows(lengths, picks)),
+                                lengths[picks], rng=rng)
         return sequence_nll(logits, targets, mask, reduce=reduce)
 
     def generate_comments(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                           max_new_tokens: int = 40, beam: int = 1) -> list[np.ndarray]:
-        """Beam-search comment ids per (story, aspect) pair, <bos>/<eos> stripped, decoded
-        in ``token_chunks`` of ``DECODE_TOKENS`` encoder tokens; their ``INFER_TOKENS``
-        chunks are encoded into one zero-padded batch, whose padding cross-attention masks."""
+        """Beam-search comment ids per (story, aspect) pair, <aspect_k>/<eos> stripped,
+        decoded in ``token_chunks`` of ``DECODE_TOKENS`` encoder tokens; each group's
+        distinct stories are encoded once, in ``INFER_TOKENS`` chunks."""
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
-        lengths = np.asarray([len(conditioned_ids(s, k, self.vocab, self.config.max_len))
-                              for s, k in zip(story_id_seqs, aspect_ks)])
+        starts = np.asarray([self.vocab.aspect_id(k) for k in aspect_ks], dtype=np.int64)
+        lengths = np.asarray([len(s) for s in story_id_seqs], dtype=np.int64)
         results = {}
         with ad.no_grad():
             for group in token_chunks(lengths, DECODE_TOKENS):
-                states = np.zeros((len(group), lengths[group].max(), self.config.d_model),
+                seqs, picks = distinct([story_id_seqs[i] for i in group])
+                seq_lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
+                states = np.empty((seq_lengths.sum(), self.config.d_model),
                                   self.params["tok_emb"].dtype)
-                for chunk in token_chunks(lengths[group], INFER_TOKENS):
-                    part, _ = self.comment_encoder_states([story_id_seqs[i] for i in group[chunk]],
-                                                          [aspect_ks[i] for i in group[chunk]])
-                    states[chunk, :part.shape[1]] = part.data
-                results.update(zip(group, self._search(Tensor(states), lengths[group],
-                                                       max_new_tokens, beam)))
+                for chunk in token_chunks(seq_lengths, INFER_TOKENS):
+                    _, part, _ = self.encode_stories([seqs[i] for i in chunk])
+                    states[story_rows(seq_lengths, chunk)] = part.data
+                results.update(zip(group, self._search(
+                    Tensor(states[story_rows(seq_lengths, picks)]), lengths[group],
+                    starts[group], max_new_tokens, beam)))
         return [results[i] for i in range(len(lengths))]
 
-    def _search(self, states: Tensor, enc_lengths, max_new_tokens: int, beam: int) -> list:
-        """Beam search over padded encoder states.  Each step feeds every
-        hypothesis of every unfinished pair one position through a
-        ``DecoderCache``; a pair whose hypotheses have all emitted <eos> leaves
-        the batch.  Tokens are ranked by logits, not by float32 log-probabilities
-        that can round distinct logits into ties; scores add up in float64 and
-        equal scores keep the expansion order, so width 1 is exactly argmax."""
+    def _search(self, states: Tensor, enc_lengths, starts, max_new_tokens: int,
+                beam: int) -> list:
+        """Beam search from first inputs ``starts`` over packed states, one story per
+        pair.  Each step feeds every hypothesis of every unfinished pair one position
+        through a ``DecoderCache``; a pair whose hypotheses have all emitted <eos> leaves
+        the batch.  Tokens are ranked by logits, not by float32 log-probabilities that
+        can round distinct logits into ties; scores add up in float64 and equal scores
+        keep the expansion order, so width 1 is exactly argmax."""
         n, eos = len(enc_lengths), self.vocab.eos_id
         live, results = np.arange(n), [None] * n      # state row of each decoding pair
         scores, done = np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
-        seqs = np.full((n, 1, 1), self.vocab.bos_id)
+        seqs = np.asarray(starts).reshape(n, 1, 1)
         # states are read once, by the first step, which caches the cross K/V
         cache = DecoderCache(max_new_tokens)
         while cache.length < max_new_tokens and live.size:

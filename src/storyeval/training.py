@@ -3,9 +3,9 @@
 One step encodes a batch of ranked pairs (the preferred stories, the
 rejected ones and, with coherence training, one corrupted negative per
 rejected story) in a single encoder pass, and every loss component the
-run enables (preference ranking, coherence hinge, aspect heads) reads
-its rows of that one batch.  Comment generation adds a second encoder
-pass over aspect-conditioned stories.  One AdamW step follows.
+run enables (preference ranking, coherence hinge, aspect heads, and the
+comment decoder, conditioned by its aspect token) reads its rows of that
+one batch.  One AdamW step follows.
 Everything is deterministic for a fixed seed: batch order, negative and
 comment sampling and dropout all draw from named substreams.
 Validation, ``pair_scores`` and ``score_texts`` score stories through
@@ -180,24 +180,22 @@ class Trainer:
 
     # -- single step --------------------------------------------------------
 
-    def _comment_loss(self, batch, rng):
-        stories, aspects, comments = [], [], []
-        for p in batch:
-            cands = [(sid, k, ids) for sid in (p.high_id, p.low_id)
+    def _comment_picks(self, batch) -> list[tuple]:
+        """One (story row, aspect, comment ids) draw per pair that has a
+        comment on either story; row i is pair i's preferred story and row
+        len(batch) + i its rejected one."""
+        picks = []
+        for i, p in enumerate(batch):
+            cands = [(row, k, ids) for row, sid in ((i, p.high_id), (len(batch) + i, p.low_id))
                      for k, ids in self._comment_ids.get(sid, [])]
             if cands:
-                sid, k, ids = cands[int(self._pick_rng.integers(len(cands)))]
-                stories.append(self._ids[sid])
-                aspects.append(k)
-                comments.append(ids)
-        if not stories:
-            return 0.0
-        return self.model.comment_nll(stories, aspects, comments, reduce="mean", rng=rng)
+                picks.append(cands[int(self._pick_rng.integers(len(cands)))])
+        return picks
 
     def train_step(self, batch: list[RankedPair]) -> LossBreakdown:
         """One AdamW step on ``batch``.  The B high stories, the B low stories
         and one negative per low story that has any are encoded as one batch;
-        each loss reads its rows of that batch."""
+        each loss, the comment loss too, reads its rows of that batch."""
         cfg, params, b = self.config, self.model.params, len(batch)
         rng = self._drop_rng if self.model.config.dropout > 0 else None
         sids = [p.high_id for p in batch] + [p.low_id for p in batch]
@@ -208,7 +206,7 @@ class Trainer:
             if cands:
                 neg_of.append(b + i)
                 seqs.append(cands[int(self._pick_rng.integers(len(cands)))])
-        v_s, _, _ = self.model.encode_stories(seqs, rng=rng)
+        v_s, states, lengths = self.model.encode_stories(seqs, rng=rng)
         p_s = predict_preference(params, v_s)
         p_hi, p_lo = p_s[np.arange(b)], p_s[np.arange(b, 2 * b)]
         l_ps = l_ac = l_ar = l_c = 0.0
@@ -225,8 +223,9 @@ class Trainer:
             y_ac, y_ar = (np.stack(t) for t in zip(*(self._targets[sids[i]] for i in rows)))
             a_c, a_r = predict_aspects(params, v_s[np.asarray(rows)])
             l_ac, l_ar = conf_loss(a_c, y_ac), rating_loss(a_r, y_ar, y_ac)
-        if cfg.use_comments:
-            l_c = self._comment_loss(batch, rng)
+        picks = self._comment_picks(batch) if cfg.use_comments else []
+        if picks:      # (rows, aspects, comments)
+            l_c = self.model.encoded_comment_nll(states, lengths, *zip(*picks), rng=rng)
         breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
         lr = lr_at(self.schedule, self.step)
         ad.zero_grads(params)

@@ -36,6 +36,8 @@ def aspect_token(k: int) -> str:
 class Vocabulary:
     """Bijection between token strings and dense integer ids."""
 
+    cls_id, sep_id, pad_id, bos_id, eos_id, unk_id = range(6)    # the reserved tokens' ids
+
     def __init__(self, tokens: list[str], n_aspects: int):
         reserved = [CLS, SEP, PAD, BOS, EOS, UNK] + [aspect_token(k) for k in range(n_aspects)]
         if tokens[: len(reserved)] != reserved:
@@ -48,30 +50,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def cls_id(self) -> int:
-        return 0
-
-    @property
-    def sep_id(self) -> int:
-        return 1
-
-    @property
-    def pad_id(self) -> int:
-        return 2
-
-    @property
-    def bos_id(self) -> int:
-        return 3
-
-    @property
-    def eos_id(self) -> int:
-        return 4
-
-    @property
-    def unk_id(self) -> int:
-        return 5
 
     def aspect_id(self, k: int) -> int:
         if not 0 <= k < self.n_aspects:
@@ -105,7 +83,10 @@ class Vocabulary:
             n_aspects = 0
             while aspect_token(n_aspects) in lines[6:]:
                 n_aspects += 1
-        return cls(lines, n_aspects)
+        try:
+            return cls(lines, n_aspects)
+        except ContractViolation as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(texts, size: int, n_aspects: int = 10) -> Vocabulary:
@@ -131,20 +112,6 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
         raise EmptyTextError("text is empty after normalization")
     ids = [vocab.cls_id] + [vocab.id_of(t) for t in toks]
     return np.asarray(ids[:max_len], dtype=np.int64)
-
-
-def conditioned_ids(story_ids: np.ndarray, aspect_k: int, vocab: Vocabulary,
-                    max_len: int) -> np.ndarray:
-    """Prefix a tokenized story with its aspect condition.
-
-    Layout is [CLS] <aspect_k> <sep> story-words; the three prefix tokens
-    all get global attention in the encoder.
-    """
-    if story_ids[0] != vocab.cls_id:
-        raise ContractViolation("story ids must start with [CLS]")
-    prefix = [vocab.cls_id, vocab.aspect_id(aspect_k), vocab.sep_id]
-    out = np.concatenate([np.asarray(prefix, dtype=np.int64), story_ids[1:]])
-    return out[:max_len]
 
 
 def pad_batch(seqs: list[np.ndarray], pad_id: int) -> tuple[np.ndarray, np.ndarray]:

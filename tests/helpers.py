@@ -9,7 +9,8 @@ sampler and pair-scan UMass coherence for the list-based LDA, the
 full-prefix decoding loops (greedy and per-hypothesis beam search) for
 cached, batched comment generation, ``reference_train_step``, the
 three-pass train step (preferred, rejected and negative stories each
-encoded on their own) for the one-pass ``Trainer.train_step``, and
+encoded on their own, and the comment loss's stories encoded again) for
+the one-pass ``Trainer.train_step``, and
 ``reference_augment``, the per-comment filter loop, for the two-call
 ``augment_comments``; ``TableModel`` stands in for its filters."""
 
@@ -116,9 +117,15 @@ def mha(params, prefix, xq, xkv, mask: np.ndarray, n_heads: int, rate: float, rn
 
 def dense_decoder_logits(params, config, comment_in: np.ndarray,
                          comment_lengths: np.ndarray, enc_states, enc_lengths: np.ndarray):
-    """``model.decoder_logits`` (no dropout, no cache) with ``mha`` and dense masks."""
+    """``model.decoder_logits`` (no dropout, no cache) with ``mha`` and dense
+    masks; the packed encoder states are scattered into a zero-padded batch
+    first, so the cross projections run on the padded rows."""
     b, t = comment_in.shape
     dtype = params["tok_emb"].dtype
+    bi, ti = np.nonzero(np.arange(enc_lengths.max()) < enc_lengths[:, None])
+    padded = np.zeros((len(enc_lengths), enc_lengths.max(), config.d_model), dtype)
+    padded[bi, ti] = enc_states.data
+    enc_states = ad.Tensor(padded)
     pos = np.broadcast_to(np.arange(t), (b, t))
     x = ad.embedding(params["tok_emb"], comment_in) + ad.embedding(params["dec_pos_emb"], pos)
     self_mask = causal_mask(comment_lengths, t, dtype)
@@ -156,24 +163,37 @@ def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return g
 
 
-def sampled_central_diff(f, x: np.ndarray, flat_indices, h: float = 1e-4) -> dict:
-    """Central differences at selected flat indices of ``x`` only."""
-    flat = x.reshape(-1)
-    out = {}
-    for i in flat_indices:
-        orig = flat[i]
-        flat[i] = orig + h
+FD_RUNGS = 3   # steps h, h/10, h/100
+
+
+def rung_errors(f, x: np.ndarray, i: int, analytic: float, h: float, floor: float,
+                tol: float) -> list[float]:
+    """Relative errors of ``analytic`` against central differences of the
+    scalar ``f`` at flat entry ``i`` of ``x``, with steps h, h/10, h/100,
+    up to the first within ``tol``.  A step that straddles a relu or hinge
+    kink corrupts its difference quotient and a shorter one clears the
+    kink, while a wrong gradient misses at every step.  The error's
+    denominator is floored at ``floor``."""
+    flat, errors = x.reshape(-1), []
+    orig = flat[i]
+    for rung in range(FD_RUNGS):
+        step = h / 10.0 ** rung
+        flat[i] = orig + step
         hi = float(f())
-        flat[i] = orig - h
+        flat[i] = orig - step
         lo = float(f())
         flat[i] = orig
-        out[int(i)] = (hi - lo) / (2.0 * h)
-    return out
+        num = (hi - lo) / (2.0 * step)
+        errors.append(abs(num - analytic) / max(abs(num), abs(analytic), floor))
+        if errors[-1] <= tol:
+            break
+    return errors
 
 
 def check_sampled_grads(make_loss, params: dict, rng, n_per_tensor: int = 3,
                         h: float = 1e-4, tol: float = 1e-3) -> float:
-    """FD-check a few entries of every parameter tensor; returns worst error."""
+    """FD-check a few entries of every parameter tensor by ``rung_errors``
+    (floor 1e-3, as ``max_rel_err``); returns the worst accepted error."""
     for p in params.values():
         p.grad = None
     loss = make_loss()
@@ -183,12 +203,12 @@ def check_sampled_grads(make_loss, params: dict, rng, n_per_tensor: int = 3,
         size = p.data.size
         n = min(n_per_tensor, size)
         idx = rng.choice(size, size=n, replace=False)
-        fd = sampled_central_diff(lambda: make_loss().data, p.data, idx, h=h)
         grad_flat = (p.grad if p.grad is not None else np.zeros_like(p.data)).reshape(-1)
-        for i, val in fd.items():
-            err = max_rel_err(np.array([grad_flat[i]]), np.array([val]))
-            assert err <= tol, f"{name}[{i}]: rel err {err:.2e}"
-            worst = max(worst, err)
+        for i in idx:
+            errors = rung_errors(lambda: make_loss().data, p.data, int(i), grad_flat[i],
+                                 h, 1e-3, tol)
+            assert errors[-1] <= tol, f"{name}[{i}]: rel errs {errors}"
+            worst = max(worst, errors[-1])
     return worst
 
 
@@ -219,12 +239,11 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / scale))
 
 
-def window_mask(lengths: np.ndarray, seq_len: int, window: int, n_global: int,
-                dtype) -> np.ndarray:
-    """(B,1,T,T) sliding-window mask with global prefix rows and columns."""
+def window_mask(lengths: np.ndarray, seq_len: int, window: int, dtype) -> np.ndarray:
+    """(B,1,T,T) sliding-window mask with a global first row and column."""
     i = np.arange(seq_len)[:, None]
     j = np.arange(seq_len)[None, :]
-    local = (np.abs(i - j) <= window) | (i < n_global) | (j < n_global)
+    local = (np.abs(i - j) <= window) | (i == 0) | (j == 0)
     base = np.where(local, 0.0, NEG_INF).astype(dtype)
     key_pad = np.where(np.arange(seq_len)[None, :] < lengths[:, None], 0.0, NEG_INF)
     return base[None, None, :, :] + key_pad.astype(dtype)[:, None, None, :]
@@ -238,8 +257,7 @@ def dense_window_attention(q, k, v, mask: np.ndarray) -> np.ndarray:
     return np.swapaxes((e / e.sum(-1, keepdims=True)) @ v, 1, 2)
 
 
-def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray,
-                 n_global: int = 1):
+def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray):
     """``model.encode`` (no dropout) with masked dense T x T self-attention.
 
     This is the encoder that banded ``window_attention`` replaced.
@@ -248,7 +266,7 @@ def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray,
     dtype = params["tok_emb"].dtype
     pos = np.broadcast_to(np.arange(t), (b, t))
     x = ad.embedding(params["tok_emb"], ids) + ad.embedding(params["pos_emb"], pos)
-    mask = window_mask(lengths, t, config.window, n_global, dtype)
+    mask = window_mask(lengths, t, config.window, dtype)
     for i in range(config.n_enc_layers):
         p = f"enc{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
@@ -350,14 +368,15 @@ def prefix_step_logits(model, prefix: list[int], states, enc_lengths) -> np.ndar
 
 
 def greedy_comment(model, story_ids, aspect_k: int, max_new_tokens: int = 40) -> np.ndarray:
-    """Comment ids by argmax decoding, one full-prefix step per token.
+    """Comment ids by argmax decoding from <aspect_k>, one full-prefix step
+    per token.
 
     This is the greedy loop that width-1 beam search replaced.
     """
     vocab = model.vocab
     with ad.no_grad():
-        states, enc_lengths = model.comment_encoder_states([story_ids], [aspect_k])
-        seq = [vocab.bos_id]
+        _, states, enc_lengths = model.encode_stories([story_ids])
+        seq = [vocab.aspect_id(aspect_k)]
         out: list[int] = []
         for _ in range(max_new_tokens):
             nxt = int(np.argmax(prefix_step_logits(model, seq, states, enc_lengths)))
@@ -377,8 +396,8 @@ def reference_beam(model, story_ids, aspect_k: int, max_new_tokens: int = 40,
     """
     vocab = model.vocab
     with ad.no_grad():
-        states, enc_lengths = model.comment_encoder_states([story_ids], [aspect_k])
-        beams = [(0.0, [vocab.bos_id], False)]
+        _, states, enc_lengths = model.encode_stories([story_ids])
+        beams = [(0.0, [vocab.aspect_id(aspect_k)], False)]
         for _ in range(max_new_tokens):
             if all(done for _, _, done in beams):
                 break
@@ -402,7 +421,8 @@ def reference_beam(model, story_ids, aspect_k: int, max_new_tokens: int = 40,
 
 def reference_train_step(trainer, batch):
     """``Trainer.train_step`` with the preferred, rejected and negative
-    stories encoded in three separate passes.
+    stories encoded in three separate passes, and the stories its comment
+    loss picks encoded once more, by ``Model.comment_nll``.
 
     This is the step that one merged encoder pass replaced.  Its aspect
     rows, taken from two batches, are joined by 0/1 selection matmuls.
@@ -441,8 +461,11 @@ def reference_train_step(trainer, batch):
         y_ac, y_ar = (np.stack(t) for t in zip(*(trainer._targets[sids[i]] for i in rows)))
         a_c, a_r = predict_aspects(params, v_sel)
         l_ac, l_ar = confidence_loss(a_c, y_ac), rating_loss(a_r, y_ar, y_ac)
-    if cfg.use_comments:
-        l_c = trainer._comment_loss(batch, rng)
+    picks = trainer._comment_picks(batch) if cfg.use_comments else []
+    if picks:
+        rows, aspects, comments = zip(*picks)
+        l_c = model.comment_nll([trainer._ids[sids[r]] for r in rows], aspects, comments,
+                                rng=rng)
     breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
     lr = lr_at(trainer.schedule, trainer.step)
     ad.zero_grads(params)

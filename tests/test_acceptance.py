@@ -36,7 +36,7 @@ from storyeval.synthetic import (
 from storyeval.training import TrainConfig, TrainData, Trainer, evaluate_pairs, score_texts
 from storyeval.vocab import BOS, CLS, EOS, PAD, SEP, UNK, Vocabulary, aspect_token, build_vocab, tokenize
 
-from helpers import TableModel
+from helpers import TableModel, rung_errors
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "prepare"
@@ -238,26 +238,14 @@ def test_02_loss_gradients_match_finite_differences():
             live = sorted(n for n, g in grads.items() if np.abs(g).max() > 0)
             for name in rng.permutation(live)[:5]:
                 p = model.params[name]
-                flat = p.data.reshape(-1)
                 gflat = grads[name].reshape(-1)
                 nz = np.flatnonzero(np.abs(gflat) > 1e-12)
-                idx = int(rng.choice(nz if nz.size else np.arange(flat.size)))
-                orig = flat[idx]
-                ana = gflat[idx]
-                rel = math.inf
+                idx = int(rng.choice(nz if nz.size else np.arange(p.data.size)))
                 # a step that straddles a relu/hinge kink corrupts the
-                # difference quotient; one refinement resolves it
-                for h in (1e-4 * max(1.0, abs(orig)),
-                          1e-5 * max(1.0, abs(orig))):
-                    flat[idx] = orig + h
-                    f_hi = float(loss_fn().data)
-                    flat[idx] = orig - h
-                    f_lo = float(loss_fn().data)
-                    flat[idx] = orig
-                    num = (f_hi - f_lo) / (2.0 * h)
-                    rel = abs(num - ana) / max(abs(num), abs(ana), 1e-4)
-                    if rel <= 1e-3:
-                        break
+                # difference quotient; up to two refinements resolve it
+                h = 1e-4 * max(1.0, abs(p.data.reshape(-1)[idx]))
+                rel = rung_errors(lambda: loss_fn().data, p.data, idx, gflat[idx], h,
+                                  1e-4, 1e-3)[-1]
                 worst = max(worst, rel)
     dt = time.perf_counter() - t0
     ok = worst <= 1e-3 and n_configs >= 20 and dt < 120.0

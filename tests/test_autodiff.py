@@ -359,24 +359,22 @@ def _op_configs():
         lambda p: (ad.layer_norm(p["x"], p["g"], p["b"])
                    * c(np.random.default_rng(97), 3, 6)).sum()))
 
-    def window(name, lengths, t, w, n_global, seed, rate=0.0):
+    def window(name, lengths, t, w, seed, rate=0.0):
         """A window_attention case on packed (N,2,3) rows of ``lengths``."""
         lengths, n = np.array(lengths), int(np.sum(lengths))
         register(name, lambda rng: (
             {x: leaf(rng, n, 2, 3) for x in "qkv"},
             lambda p: (ad.window_attention(p["q"], p["k"], p["v"],
-                                           ad.WindowLayout(lengths, t, w, n_global, np.float64),
+                                           ad.WindowLayout(lengths, t, w, np.float64),
                                            rate, np.random.default_rng(5) if rate else None)
                        * c(np.random.default_rng(seed), n, 2, 3)).sum()))
 
     # window 2 < length 11 (chunks of 2, T not a multiple), second row padded
-    window("window_attention", [11, 7], 11, 2, 1, 96)
-    window("window_attention_prefix3", [6, 9], 9, 2, 3, 95)
-    window("window_attention_dropout", [11, 8], 11, 2, 1, 94, rate=0.3)  # same mask every call
-    window("window_attention_one_token", [1, 6], 6, 2, 1, 87)
-    window("window_attention_shorter_than_prefix", [2, 7], 7, 2, 3, 86)
+    window("window_attention", [11, 7], 11, 2, 96)
+    window("window_attention_dropout", [11, 8], 11, 2, 94, rate=0.3)  # same mask every call
+    window("window_attention_one_token", [1, 6], 6, 2, 87)
     # T = 17 > 3 * window: chunks of 3, and every length ends mid-chunk
-    window("window_attention_multichunk", [17, 11, 5], 17, 3, 1, 85)
+    window("window_attention_multichunk", [17, 11, 5], 17, 3, 85)
     # causal self-attention over padded keys (Tq = Tk)
     register("attention_causal", lambda rng: (
         {n: leaf(rng, 2, 5, 2, 3) for n in "qkv"},

@@ -180,3 +180,77 @@ class TestCorruption:
         path.write_bytes(header + blob[nl:])
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @staticmethod
+    def _rewrite(path, edit) -> None:
+        """Replace the manifest line of the checkpoint at ``path`` by ``edit``'s
+        return value for its parsed record."""
+        import json
+        blob = path.read_bytes()
+        nl = blob.find(b"\n")
+        path.write_bytes(json.dumps(edit(json.loads(blob[:nl]))).encode() + blob[nl:])
+
+    def test_v1_checkpoint_is_refused_naming_the_format(self, tmp_path):
+        config, params = _small_state()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, seed=0)
+
+        def v1(manifest):
+            for meta in manifest["arrays"]:
+                del meta["sha256"]
+            return {**manifest, "format": "storyeval-checkpoint-v1"}
+
+        self._rewrite(path, v1)
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert "'storyeval-checkpoint-v1'" in str(exc.value)
+
+    def test_flipped_array_byte_names_the_array(self, tmp_path):
+        config, params = _small_state()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, seed=0)
+        blob = bytearray(path.read_bytes())
+        names = sorted(params)
+        # one byte in the second array's body: after the manifest line and
+        # the first array
+        at = blob.find(b"\n") + 1 + params[names[0]].data.nbytes + 3
+        blob[at] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value) and f"param.{names[1]}" in str(exc.value)
+
+    def test_inference_load_skips_the_optimizer_arrays(self, tmp_path):
+        """A flipped byte in the last array, an optimizer moment, fails a
+        full load, which training resumes with, naming it; a load without
+        the optimizer neither checks nor decodes it."""
+        config, params = _small_state()
+        opt = AdamW(params)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, seed=0, optimizer=opt.state())
+        blob = bytearray(path.read_bytes())
+        blob[-2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(path)
+        assert f"opt.v.{sorted(params)[-1]}" in str(exc.value)
+        ck = load_checkpoint(path, optimizer=False)
+        assert ck.optimizer is None
+        for name, p in params.items():
+            np.testing.assert_array_equal(ck.params[name].data, p.data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: {k: v for k, v in m.items() if k != "config"},
+        lambda m: {**m, "config": {**m["config"], "colour": "blue"}},
+        lambda m: [1],
+        lambda m: {**m, "arrays": [5]},
+    ], ids=["no_config", "unknown_config_key", "array", "array_entry_not_an_object"])
+    def test_manifest_of_the_wrong_shape_is_data_error(self, tmp_path, edit):
+        config, params = _small_state()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, params, config, seed=0)
+        self._rewrite(path, edit)
+        with pytest.raises(DataError) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)

@@ -602,6 +602,54 @@ class TestMalformedJsonl:
         assert "Traceback" not in err
 
 
+def _corrupt_model_file(smoke, tmp_path, fault) -> tuple[Path, Path, Path]:
+    """(checkpoint, vocabulary, the one of them that is bad) for ``fault``."""
+    ckpt, vocab = tmp_path / "model.ckpt", tmp_path / "vocab.txt"
+    shutil.copy(smoke / "run" / "model.ckpt", ckpt)
+    shutil.copy(smoke / "run" / "vocab.txt", vocab)
+    if fault == "vocab_reserved_tokens":
+        vocab.write_text("hello\nworld\n", encoding="utf-8")
+        return ckpt, vocab, vocab
+    blob = bytearray(ckpt.read_bytes())
+    nl = blob.find(b"\n")
+    manifest = json.loads(blob[:nl])
+    if fault == "flipped_byte":     # in the first parameter array
+        blob[nl + 5] ^= 0x01
+    else:
+        manifest = {
+            "v1": lambda m: {**m, "format": "storyeval-checkpoint-v1"},
+            "no_config": lambda m: {k: v for k, v in m.items() if k != "config"},
+            "unknown_config_key": lambda m: {**m, "config": {**m["config"], "colour": 1}},
+            "array_manifest": lambda m: [1],
+        }[fault](manifest)
+    ckpt.write_bytes(json.dumps(manifest).encode() + bytes(blob[nl:]))
+    return ckpt, vocab, ckpt
+
+
+class TestCorruptModelFiles:
+    """A checkpoint of the old format, of the wrong manifest shape or with
+    a damaged array, and a vocabulary without its reserved tokens, exit 3
+    naming the file, never with a traceback."""
+
+    @pytest.mark.parametrize("fault", ["v1", "no_config", "unknown_config_key",
+                                       "array_manifest", "flipped_byte",
+                                       "vocab_reserved_tokens"])
+    @pytest.mark.parametrize("command", ["score", "compare", "evaluate"])
+    def test_exits_3_naming_the_file(self, smoke, tmp_path, capsys, command, fault):
+        ckpt, vocab, bad = _corrupt_model_file(smoke, tmp_path, fault)
+        stories = smoke / "prep" / "stories.jsonl"
+        inputs = {"score": ["--stories", stories, "--out", tmp_path / "out.jsonl"],
+                  "compare": [stories, stories, "--out", tmp_path / "out.json"],
+                  "evaluate": [tmp_path / "spec.json"]}[command]
+        write_json(tmp_path / "spec.json", {"stories": str(stories)})
+        assert run([command, *inputs, "--checkpoint", ckpt, "--vocab", vocab]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
+        assert "Traceback" not in err
+        if fault == "v1":
+            assert "storyeval-checkpoint-v1" in err
+
+
 class TestMissingField:
     @pytest.mark.parametrize("command,field", [
         ("extract-aspects", "text"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from storyeval import autodiff as ad
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation
 from storyeval.losses import (
@@ -18,7 +19,7 @@ from storyeval.losses import (
 from storyeval.model import Model, ModelConfig, predict_aspects, predict_preference
 from storyeval.vocab import build_vocab, tokenize
 
-from helpers import check_sampled_grads
+from helpers import FD_RUNGS, check_sampled_grads, rung_errors
 
 TOL = 1e-9
 
@@ -273,3 +274,40 @@ class TestGradientFlowThroughHeads:
             return discrimination_loss(p, np.array([1.0, 0.0]))
 
         check_sampled_grads(make_loss, model.params, np.random.default_rng(3))
+
+
+def test_wrong_backward_misses_at_every_rung(tiny_model, monkeypatch):
+    """Negative control for both finite-difference rules: with relu's
+    backward scaled by 1.01, every gradient through the feed-forward layers
+    is 1 % off, and no refinement of the step hides that.  The rules are
+    ``check_sampled_grads`` (h 1e-4, floor 1e-3) and test_02's
+    (h 1e-4 * max(1, |x|), floor 1e-4)."""
+    model, vocab, ids = tiny_model
+    comment = np.array([vocab.bos_id, vocab.id_of("the"), vocab.id_of("dog"),
+                        vocab.eos_id])
+    real_relu = ad.relu
+
+    def wrong_relu(a):
+        out = real_relu(a)
+        if out._backward is not None:
+            right = out._backward
+            out._backward = lambda g: tuple(1.01 * x for x in right(g))
+        return out
+
+    def make_loss():
+        return model.comment_nll([ids[1]], [1], [comment])
+
+    monkeypatch.setattr(ad, "relu", wrong_relu)
+    with pytest.raises(AssertionError):
+        check_sampled_grads(make_loss, model.params, np.random.default_rng(2))
+    ad.zero_grads(model.params)
+    make_loss().backward()
+    w1, checked = model.params["enc0.ff.w1"], 0
+    for i in np.flatnonzero(np.abs(w1.grad.reshape(-1)) > 2e-3)[:4]:
+        analytic = w1.grad.reshape(-1)[i]
+        for h, floor in ((1e-4, 1e-3), (1e-4 * max(1.0, abs(w1.data.reshape(-1)[i])), 1e-4)):
+            errors = rung_errors(lambda: make_loss().data, w1.data, int(i), analytic, h,
+                                 floor, 1e-3)
+            assert len(errors) == FD_RUNGS and min(errors) > 1e-3, errors
+            checked += 1
+    assert checked == 8

@@ -85,43 +85,41 @@ def test_banded_encoder_equals_dense_oracle(dtype, tol):
             p.data[:] = rng.normal(0.0, 0.4, p.shape)
     checked = 0
     for t in (10, 23, 37):
-        for n_global in (1, 3):
-            lengths = np.array([t, t - 6, 4, t - 1])
-            seqs = [rng.integers(7, 40, size=n) for n in lengths]
-            ids, lengths = pad_batch(seqs, 0)
-            v_s, states = encode(params, cfg, ids, lengths, n_global=n_global)
-            ref_v, ref_states = dense_encode(params, cfg, ids, lengths, n_global=n_global)
-            # packed states are the real rows only, story by story
-            bi, ti = np.nonzero(np.arange(ids.shape[1]) < lengths[:, None])
-            assert states.dtype == dtype
-            assert states.shape == (lengths.sum(), cfg.d_model)
-            assert np.max(np.abs(states.data - ref_states.data[bi, ti])) <= tol
-            heads = (predict_preference(params, v_s), *predict_aspects(params, v_s))
-            ref = (predict_preference(params, ref_v), *predict_aspects(params, ref_v))
-            for got, want in zip(heads, ref):
-                assert np.max(np.abs(got.data - want.data)) <= tol
-            checked += 1
-    assert checked == 6
+        lengths = np.array([t, t - 6, 4, t - 1])
+        seqs = [rng.integers(7, 40, size=n) for n in lengths]
+        ids, lengths = pad_batch(seqs, 0)
+        v_s, states = encode(params, cfg, ids, lengths)
+        ref_v, ref_states = dense_encode(params, cfg, ids, lengths)
+        # packed states are the real rows only, story by story
+        bi, ti = np.nonzero(np.arange(ids.shape[1]) < lengths[:, None])
+        assert states.dtype == dtype
+        assert states.shape == (lengths.sum(), cfg.d_model)
+        assert np.max(np.abs(states.data - ref_states.data[bi, ti])) <= tol
+        heads = (predict_preference(params, v_s), *predict_aspects(params, v_s))
+        ref = (predict_preference(params, ref_v), *predict_aspects(params, ref_v))
+        for got, want in zip(heads, ref):
+            assert np.max(np.abs(got.data - want.data)) <= tol
+        checked += 1
+    assert checked == 3
 
 
 def test_window_attention_equals_dense_oracle_on_random_layouts():
-    # windows from 1 up to past the length, prefixes longer than a chunk,
-    # single-token sequences and padded rows; the op reads and writes only
-    # the real rows, packed, and each must equal the oracle's row
+    # windows from 1 up to past the length, single-token sequences and
+    # padded rows; the op reads and writes only the real rows, packed, and
+    # each must equal the oracle's row
     rng = np.random.default_rng(3)
     for _ in range(60):
         b, t = int(rng.integers(1, 4)), int(rng.integers(1, 40))
-        window, n_global = int(rng.integers(1, 14)), int(rng.integers(1, 5))
+        window = int(rng.integers(1, 14))
         lengths = rng.integers(1, t + 1, size=b)
         lengths[0] = t
         q, k, v = (rng.standard_normal((b, t, 2, 3)) for _ in range(3))
-        layout = WindowLayout(lengths, t, window, n_global, np.float64)
+        layout = WindowLayout(lengths, t, window, np.float64)
         bi, ti = layout.bi, layout.ti
         assert np.array_equal(np.bincount(bi, minlength=b), lengths)
         got = ad.window_attention(*(Tensor(x[bi, ti]) for x in (q, k, v)), layout).data
-        want = dense_window_attention(q, k, v, window_mask(lengths, t, window, n_global,
-                                                           np.float64))
-        assert np.max(np.abs(got - want[bi, ti])) <= 1e-10, (b, t, window, n_global, lengths)
+        want = dense_window_attention(q, k, v, window_mask(lengths, t, window, np.float64))
+        assert np.max(np.abs(got - want[bi, ti])) <= 1e-10, (b, t, window, lengths)
 
 
 def test_encoder_projections_see_only_real_rows(setup, monkeypatch):
@@ -140,6 +138,37 @@ def test_encoder_projections_see_only_real_rows(setup, monkeypatch):
     encode(model.params, cfg, ids, lengths)
     # q, k, v, o and the two feed-forward layers of every block
     assert rows == [(lengths.sum(),)] * (6 * cfg.n_enc_layers)
+
+
+def test_comment_nll_encodes_each_story_once_and_projects_packed_rows(setup, monkeypatch):
+    """Four comments on three stories: one encode of the three, and the
+    cross-attention keys and values projected on each comment's story rows,
+    packed, with no padded row."""
+    model, vocab, cfg = setup
+    stories = [story_ids(vocab, t) for t in (TEXTS[0], "a child", TEXTS[2])]
+    picks = [stories[0], stories[1], stories[0].copy(), stories[2]]
+    comments = [np.array([vocab.bos_id, vocab.id_of("the"), vocab.eos_id])] * 4
+    encoded, projected = [], []
+    real_encode, real_heads = model_mod.encode, model_mod._heads
+
+    def encode_spy(params, config, ids, lengths, **kw):
+        encoded.append(ids.shape[0])
+        return real_encode(params, config, ids, lengths, **kw)
+
+    def heads_spy(params, name, x, n_heads):
+        if ".cross." in name:
+            projected.append(x.shape)
+        return real_heads(params, name, x, n_heads)
+
+    monkeypatch.setattr(model_mod, "encode", encode_spy)
+    monkeypatch.setattr(model_mod, "_heads", heads_spy)
+    got = model.comment_nll(picks, [0, 1, 2, 0], comments, reduce="sum")
+    monkeypatch.undo()
+    assert encoded == [3]
+    assert projected == [(sum(len(s) for s in picks), cfg.d_model)] * (2 * cfg.n_dec_layers)
+    want = sum(float(model.comment_nll([s], [k], [c], reduce="sum").data)
+               for s, k, c in zip(picks, [0, 1, 2, 0], comments))
+    assert abs(float(got.data) - want) <= 1e-10
 
 
 def test_oversize_input_rejected(setup):
@@ -453,7 +482,7 @@ def test_attention_equals_dense_oracle(causal, tq, tk, lengths):
 def test_decoder_equals_dense_oracle(setup):
     model, vocab, cfg = setup
     seqs = [story_ids(vocab, t) for t in TEXTS]
-    states, enc_lengths = model.comment_encoder_states(seqs, [0, 2, 1])
+    _, states, enc_lengths = model.encode_stories(seqs)
     rng = np.random.default_rng(3)
     lengths = np.array([6, 2, 4])
     comment = rng.integers(6, len(vocab), (3, 6))
@@ -468,11 +497,10 @@ def test_cached_steps_equal_full_prefix_loop(setup, dtype):
     _, vocab, cfg = setup
     model = Model(cfg, vocab, rng=np.random.default_rng(8), dtype=dtype)
     seqs = [story_ids(vocab, t) for t in TEXTS]
-    aspects = [2, 0, 1]
-    prefixes = [[vocab.bos_id] for _ in seqs]
+    prefixes = [[vocab.aspect_id(k)] for k in (2, 0, 1)]
     with ad.no_grad():
-        states, enc_lengths = model.comment_encoder_states(seqs, aspects)
-        singles = [model.comment_encoder_states([s], [k]) for s, k in zip(seqs, aspects)]
+        _, states, enc_lengths = model.encode_stories(seqs)
+        singles = [model.encode_stories([s])[1:] for s in seqs]
         cache = DecoderCache(10)
         for _ in range(10):
             last = np.asarray([p[-1] for p in prefixes])[:, None]
@@ -590,27 +618,30 @@ def test_generation_chunks_within_the_token_budgets(setup, monkeypatch, beam):
     monkeypatch.setattr(model_mod, "DECODE_TOKENS", decode_budget)
     for m in (model, eos_prone(model, vocab)):
         chunks, groups, projected = [], [], []
-        real_encode, real_search, real_heads = (m.comment_encoder_states, m._search,
+        real_encode, real_search, real_heads = (m.encode_stories, m._search,
                                                 model_mod._heads)
 
-        def encode_spy(story_id_seqs, aspect_ks):
-            states, lengths = real_encode(story_id_seqs, aspect_ks)
+        def encode_spy(id_seqs):
+            v_s, states, lengths = real_encode(id_seqs)
             chunks.append((len(lengths), lengths.max()))
-            return states, lengths
+            return v_s, states, lengths
 
-        def search_spy(states, *args):
-            groups.append(states.shape[:2])
-            return real_search(states, *args)
+        def search_spy(states, enc_lengths, *args):
+            groups.append((len(enc_lengths), enc_lengths.max()))
+            assert states.shape == (enc_lengths.sum(), cfg.d_model)
+            return real_search(states, enc_lengths, *args)
 
         def heads_spy(params, name, x, n_heads):
             projected.append(name)
             return real_heads(params, name, x, n_heads)
 
-        monkeypatch.setattr(m, "comment_encoder_states", encode_spy)
+        monkeypatch.setattr(m, "encode_stories", encode_spy)
         monkeypatch.setattr(m, "_search", search_spy)
         monkeypatch.setattr(model_mod, "_heads", heads_spy)
         got = m.generate_comments(seqs, aspects, max_new_tokens=8, beam=beam)
-        assert sum(rows for rows, _ in chunks) == sum(rows for rows, _ in groups) == len(seqs)
+        # the two 3-word stories are one story, encoded once for both pairs
+        assert sum(rows for rows, _ in groups) == len(seqs)
+        assert sum(rows for rows, _ in chunks) == len({s.tobytes() for s in seqs}) == 7
         assert all(rows * t <= infer_budget or rows == 1 for rows, t in chunks)
         assert all(rows * t <= decode_budget or rows == 1 for rows, t in groups)
         assert max(rows for rows, _ in chunks) > 1 and len(groups) > 1

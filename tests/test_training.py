@@ -317,13 +317,39 @@ class TestOnePassStep:
         model, data, batch = self._partial_setup()
         n_neg = sum(1 for p in batch if p.low_id in data.negatives)
         assert 0 < n_neg < len(batch)
-        for use_comments, expected in ((True, 2), (False, 1)):
+        for use_comments in (True, False):
             calls.clear()
             cfg = TrainConfig(batch_size=8, epochs=1, seed=0, use_aspects=True,
                               use_comments=use_comments, use_negatives=True)
-            Trainer(model, data, cfg).train_step(batch)
-            assert len(calls) == expected
-            assert calls[0] == 2 * len(batch) + n_neg
+            breakdown = Trainer(model, data, cfg).train_step(batch)
+            assert (breakdown.L_c > 0.0) == use_comments
+            assert calls == [2 * len(batch) + n_neg]
+
+    def test_shared_row_comment_loss_equals_a_separate_encode(self, monkeypatch):
+        """float32, dropout 0: the comment loss read from the step's rows
+        equals the loss on an encode of the picked stories alone."""
+        model, data, _ = _setup(with_comments=True, with_negatives=True)
+        batch = data.train_pairs[:8]
+        sids = [p.high_id for p in batch] + [p.low_id for p in batch]
+        seen, real = [], Model.encoded_comment_nll
+
+        def spy(self, states, lengths, rows, aspects, comments, **kw):
+            got = real(self, states, lengths, rows, aspects, comments, **kw)
+            _, alone, alone_lengths = self.encode_stories([trainer._ids[sids[r]] for r in rows])
+            want = real(self, alone, alone_lengths, np.arange(len(rows)), aspects, comments)
+            seen.append((float(got.data), float(want.data), len(rows), len(lengths)))
+            return got
+
+        monkeypatch.setattr(Model, "encoded_comment_nll", spy)
+        trainer = Trainer(model, data, TrainConfig(batch_size=8, epochs=1, seed=0,
+                                                   use_aspects=True, use_comments=True,
+                                                   use_negatives=True))
+        breakdown = trainer.train_step(batch)
+        [(got, want, n_rows, n_stories)] = seen
+        assert model.params["w_out"].dtype == np.float32
+        assert n_rows == len(batch) and n_stories > 2 * len(batch)
+        assert got == breakdown.L_c
+        assert abs(got - want) <= 1e-6 * abs(want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradients_keep_the_model_dtype(self, dtype):

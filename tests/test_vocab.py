@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from storyeval.errors import ContractViolation, EmptyTextError
+from storyeval.errors import ContractViolation, DataError, EmptyTextError
 from storyeval.vocab import (
     Vocabulary,
     aspect_token,
     build_vocab,
-    conditioned_ids,
     pad_batch,
     tokenize,
     words,
@@ -75,21 +74,17 @@ def test_reserved_order_enforced():
         Vocabulary(["<sep>", "[CLS]", "<pad>", "<bos>", "<eos>", "<unk>"], n_aspects=0)
 
 
+def test_file_without_reserved_tokens_is_data_error_naming_it(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("hello\nworld\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        Vocabulary.load(path)
+    assert str(path) in str(exc.value)
+
+
 def test_frequency_then_lexicographic_order():
     v = build_vocab(["b b a a c"], size=9, n_aspects=0)
     assert v.tokens[6:] == ["a", "b", "c"]
-
-
-def test_conditioned_ids_differ_only_at_aspect_slot(vocab):
-    story = tokenize("the cat sat on the mat", vocab, max_len=32)
-    a = conditioned_ids(story, 0, vocab, max_len=32)
-    b = conditioned_ids(story, 2, vocab, max_len=32)
-    assert a[0] == vocab.cls_id and a[2] == vocab.sep_id
-    assert a[1] == vocab.aspect_id(0)
-    assert b[1] == vocab.aspect_id(2)
-    diff = np.nonzero(a != b)[0]
-    assert diff.tolist() == [1]
-    assert aspect_token(0) == "<aspect_0>"
 
 
 def test_pad_batch_shapes(vocab):
