@@ -12,9 +12,9 @@ from storyeval import autodiff as ad
 
 # -- scalars ---------------------------------------------------------------
 
-x = ad.Tensor(3.0, requires_grad=True, name="x")
-y = ad.Tensor(2.0, requires_grad=True, name="y")
-z = x * y + x ** 2.0
+x = ad.Tensor(3.0, requires_grad=True)
+y = ad.Tensor(2.0, requires_grad=True)
+z = x * y + x * x
 z.backward()
 print("z = x*y + x^2 at (3, 2)")
 print(f"  z    = {z.item():.1f}   (expect 15.0)")
@@ -37,7 +37,7 @@ print("  db =", b.grad, " (summed over the rows of X, back to shape (2,))")
 
 def loss_at(theta: np.ndarray) -> float:
     t = ad.Tensor(theta, requires_grad=True)
-    h = ad.softmax(ad.layer_norm(t, gain, bias), axis=-1)
+    h = ad.softmax(ad.layer_norm(t, gain, bias))
     return float((h * h).sum().item())
 
 
@@ -47,7 +47,7 @@ gain = ad.Tensor(np.ones(6))
 bias = ad.Tensor(np.zeros(6))
 
 t = ad.Tensor(theta0.copy(), requires_grad=True)
-probe = ad.softmax(ad.layer_norm(t, gain, bias), axis=-1)
+probe = ad.softmax(ad.layer_norm(t, gain, bias))
 (probe * probe).sum().backward()
 analytic = t.grad.copy()
 

@@ -135,7 +135,6 @@ def generation_demo():
             total = term if total is None else total + term
             n_tok += len(cids) - 1
         loss = total / float(n_tok)
-        ad.zero_grads(model.params)
         ad.forward_backward(loss, model.params)
         opt.step(lr=3e-3)
         if float(loss.data) < 0.05:

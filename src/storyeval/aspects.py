@@ -337,7 +337,6 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
             chunk = order[start: start + batch_size]
             v_s, _, _ = model.encode_stories([seqs[i] for i in chunk])
             loss = confidence_loss(predict_aspects(model.params, v_s)[0], one_hot[chunk])
-            ad.zero_grads(trainable)
             ad.forward_backward(loss, trainable)
             opt.step(lr=lr_at(sched, step))
             step += 1

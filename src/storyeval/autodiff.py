@@ -8,12 +8,19 @@ topological order and is the only code that adds those gradients up, so
 ``Tensor.grad`` is a result to read, not a buffer to write into: it may
 share memory with another tensor's gradient.
 
-Every weight product is ``linear``: one node, one 2-D GEMM per operand
-each way, the bias folded in.  There is no ``matmul`` op and no ``@`` on
-tensors; the attention ops multiply their own arrays.  The encoder's
+The tape holds sixteen ops: ``add``, ``mul``, ``linear``, ``reshape``,
+``sum``, ``mean``, ``log``, ``relu``, ``sigmoid``, ``softmax``,
+``embedding``, ``token_nll``, ``layer_norm``, ``window_attention``,
+``attention`` and ``dropout``.  Every weight product is ``linear``: one
+node, one 2-D GEMM per operand each way, the bias folded in.  There is no
+``matmul`` op and no ``@`` on tensors; the attention ops multiply their
+own arrays.  ``Tensor[rows]`` is an ``embedding`` gather of whole rows by
+an integer array, the one indexing the tensors support.  The encoder's
 ``window_attention`` takes and returns packed rows, only the real tokens
 of a padded batch, so every op around it runs on (N, d) rows.  The losses
 use two ops of their own: the fused ``token_nll`` and a clamped ``log``.
+``forward_backward`` drops the parameters' old gradients before it
+backpropagates, so a training step never resets them itself.
 
 Dtype follows the arrays you pass in: build parameters in float32 for
 training, float64 when running finite-difference checks.  Inference runs
@@ -28,6 +35,7 @@ from scipy import sparse
 from .errors import ContractViolation, NumericFailure
 
 NEG_INF = -1e30      # additive mask value: exp() of it underflows to exactly 0
+LN_EPS = 1e-5
 _nan_checks = False
 _grad_enabled = True
 
@@ -63,9 +71,9 @@ def _checked(out: np.ndarray, node: str) -> np.ndarray:
 class Tensor:
     """A dense array with an optional gradient buffer and graph linkage."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         # a numpy scalar (a whole-array sum or mean) keeps its dtype
         self.data = data if isinstance(data, np.ndarray) else np.asarray(
             data, dtype=data.dtype if isinstance(data, np.generic) else np.float64)
@@ -73,7 +81,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
-        self.name = name
 
     @property
     def shape(self):
@@ -94,8 +101,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def backward(self) -> None:
         """Populate ``grad`` on every reachable tensor with requires_grad.
@@ -154,28 +160,20 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
-    def __rtruediv__(self, other):
-        return mul(other, power(self, -1.0))
+    def __truediv__(self, divisor: float):
+        return mul(self, 1.0 / divisor)
 
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
+    def __getitem__(self, rows):
+        return embedding(self, rows)
 
-    def __getitem__(self, idx):
-        return take(self, idx)
+    def sum(self, axis=None):
+        return sum_(self, axis=axis)
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return mean(self, axis=axis)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -206,7 +204,7 @@ def _sum_to_shape(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         g = g.sum(axis=0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
+            g = np.expand_dims(g.sum(axis=ax), ax)
     return g
 
 
@@ -232,16 +230,6 @@ def mul(a, b) -> Tensor:
         return _sum_to_shape(g * b.data, a.data.shape), _sum_to_shape(g * a.data, b.data.shape)
 
     return _node(out_data, (a, b), backward, "mul")
-
-
-def power(a: Tensor, exponent: float) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data ** exponent
-
-    def backward(g):
-        return (g * exponent * a.data ** (exponent - 1.0),)
-
-    return _node(out_data, (a,), backward, "power")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -272,42 +260,24 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _node(out_data, (a,), backward, "reshape")
 
 
-def take(a: Tensor, idx) -> Tensor:
-    out_data = a.data[idx]
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        return (buf,)
-
-    return _node(np.ascontiguousarray(out_data), (a,), backward, "take")
-
-
 # -- reductions ---------------------------------------------------------
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        g = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
 
     return _node(out_data, (a,), backward, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.data.shape[ax] for ax in axis]))
-    else:
-        count = a.data.shape[axis]
+def mean(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.mean(axis=axis)
+    count = a.data.size // out_data.size
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        g = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape) / count,)
 
     return _node(out_data, (a,), backward, "mean")
@@ -348,13 +318,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out_data, (a,), backward, "sigmoid")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    shifted = a.data - a.data.max(-1)[..., None]
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(-1)[..., None]
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = (g * out_data).sum(-1)[..., None]
         return (out_data * (g - dot),)
 
     return _node(out_data, (a,), backward, "softmax")
@@ -381,8 +352,8 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def token_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """``-sum(weights * log_softmax(logits)[..., targets])`` as one node."""
     idx, w = np.asarray(targets)[..., None], np.asarray(weights, dtype=logits.dtype)
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits.data - logits.data.max(-1)[..., None]
+    logp = shifted - np.log(np.exp(shifted).sum(-1)[..., None])
     picked = np.take_along_axis(logp, idx, axis=-1)[..., 0]
 
     def backward(g):
@@ -394,11 +365,11 @@ def token_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tenso
     return _node(-(picked * w).sum(), (logits,), backward, "token_nll")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last axis (variance floored by ``LN_EPS``), then scale and shift."""
     d = x.data.shape[-1]
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / d + eps)
+    xhat = x.data - x.data.mean(-1)[..., None]
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None] / d + LN_EPS)
     xhat *= inv
     out_data = xhat * gain.data
     out_data += bias.data
@@ -408,7 +379,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dgain, dbias = np.einsum("ij,ij->j", g2, xhat.reshape(-1, d)), g2.sum(axis=0)
         dx = g * gain.data
         proj = np.einsum("...i,...i->...", dx, xhat)[..., None] / d
-        dx -= dx.mean(axis=-1, keepdims=True) + xhat * proj
+        dx -= dx.mean(-1)[..., None] + xhat * proj
         dx *= inv
         return dx, dgain, dbias
 
@@ -511,12 +482,12 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
     e_band += layout.band
     e_glob = qp @ kg.swapaxes(-1, -2)
     top = np.maximum(e_band.max(-1).reshape(b, h, rows, 1),
-                     e_glob.max(-1, keepdims=True, initial=NEG_INF))
+                     e_glob.max(-1, initial=NEG_INF)[..., None])
     e_band -= top.reshape(b, h, n, c, 1)
     e_glob -= top
     np.exp(e_band, out=e_band)
     np.exp(e_glob, out=e_glob)
-    z = e_band.sum(-1).reshape(b, h, rows, 1) + e_glob.sum(-1, keepdims=True)
+    z = e_band.sum(-1).reshape(b, h, rows, 1) + e_glob.sum(-1)[..., None]
     d_band, keep_band = _drop(e_band, rate, rng)
     d_glob, keep_glob = _drop(e_glob, rate, rng)
     o = (d_band @ vw).reshape(b, h, rows, dk)
@@ -524,14 +495,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
     o /= z
     # the global row attends densely over all keys
     s_rows = qp[:, :, :1] @ kt.swapaxes(-1, -2) + layout.global_rows
-    p_rows = np.exp(s_rows - s_rows.max(-1, keepdims=True))
-    p_rows /= p_rows.sum(-1, keepdims=True)
+    p_rows = np.exp(s_rows - s_rows.max(-1)[..., None])
+    p_rows /= p_rows.sum(-1)[..., None]
     d_rows, keep_rows = _drop(p_rows, rate, rng)
     o[:, :, :1] = d_rows @ vt
 
     def backward(grad):
         go = heads_first(grad, 0, rows)
-        dot = (go * o).sum(-1, keepdims=True)                      # rowsum(dP * P)
+        dot = (go * o).sum(-1)[..., None]                          # rowsum(dP * P)
         go_rows, dot_rows = go[:, :, :1].copy(), dot[:, :, :1].copy()
         go[:, :, :1] = 0.0
         dot[:, :, :1] = 0.0
@@ -589,9 +560,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = 
     if causal:
         hidden = hidden | (np.arange(tk) > np.arange(tq)[:, None] + (tk - tq))
     s += np.where(hidden, NEG_INF, 0.0).astype(s.dtype)
-    s -= s.max(-1, keepdims=True)
+    s -= s.max(-1)[..., None]
     p = np.exp(s, out=s)
-    p /= p.sum(-1, keepdims=True)
+    p /= p.sum(-1)[..., None]
     d, keep = _drop(p, rate, rng)
     o = d @ vh                                                     # (B,H,Tq,dk)
 
@@ -600,7 +571,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = 
         dp = go @ vh.swapaxes(-1, -2)
         if keep is not None:
             dp *= keep
-        ds = p * (dp - (go * o).sum(-1, keepdims=True))
+        ds = p * (dp - (go * o).sum(-1)[..., None])
         return tuple(gx.transpose(0, 2, 1, 3) for gx in (
             (ds @ kt.swapaxes(-1, -2)) * scale, ds.swapaxes(-1, -2) @ qh, d.swapaxes(-1, -2) @ go))
 
@@ -621,15 +592,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def forward_backward(loss: Tensor, params: dict[str, Tensor]) -> None:
-    """Backprop from a scalar loss; unreachable params get zero grads."""
+    """Backprop from a scalar loss into fresh gradients: the params' old ones
+    are dropped first, and unreachable params get zero grads."""
     if not np.isfinite(loss.data):
         raise NumericFailure("loss")
+    for p in params.values():
+        p.grad = None
     loss.backward()
     for p in params.values():
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
-
-
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None

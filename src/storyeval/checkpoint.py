@@ -81,9 +81,17 @@ def save_checkpoint(path, params: dict[str, Tensor], config: ModelConfig,
     return manifest["config_hash"]
 
 
+def _numeric(dtype: str) -> bool:
+    try:
+        return np.dtype(dtype).kind in "iufc"
+    except TypeError:
+        return False
+
+
 def _manifest(path, line: bytes) -> tuple[dict, ModelConfig]:
     """The manifest and its model config; a manifest of another format or
-    of the wrong shape is a ``DataError`` naming ``path``."""
+    of the wrong shape, or an array whose dtype is not numeric or whose
+    shape is not non-negative ints, is a ``DataError`` naming ``path``."""
     try:
         manifest = json.loads(line.decode("utf-8"))
         if manifest.get("format") != FORMAT:
@@ -93,6 +101,12 @@ def _manifest(path, line: bytes) -> tuple[dict, ModelConfig]:
             filter(None, (field_error(meta, ARRAY_FIELDS) for meta in manifest["arrays"])), None)
         if problem:
             raise DataError(f"{path}: bad manifest: {problem}")
+        for meta in manifest["arrays"]:
+            if not _numeric(meta["dtype"]) or not all(
+                    type(n) is int and n >= 0 for n in meta["shape"]):
+                raise DataError(f"{path}: array {meta['name']}: dtype {meta['dtype']!r} "
+                                f"and shape {meta['shape']} must be numeric and "
+                                f"non-negative ints")
         return manifest, ModelConfig(**manifest["config"])
     except (ValueError, AttributeError, TypeError) as exc:   # not JSON, not an object, bad key
         raise DataError(f"{path}: bad manifest: {exc}") from None

@@ -213,21 +213,35 @@ def load_run_config(args) -> dict:
     return cfg
 
 
+def _nonempty_records(path, required: dict | None = None, parse=None) -> list:
+    """``data_records`` of an input file that must hold at least one record."""
+    recs = data_records(path, required, parse)
+    if not recs:
+        raise DataError(f"{path}: no records")
+    return recs
+
+
 def _load_stories(path) -> dict[str, Story]:
-    stories, rejects = parse_stories(data_records(path))
+    stories, rejects = parse_stories(_nonempty_records(path))
     if rejects:
         raise DataError(f"{path}: {len(rejects)} malformed story records")
     return {s.id: s for s in stories}
 
 
-def _load_pairs(path, read=data_records) -> list[RankedPair]:
-    return [RankedPair(r["prompt_id"], r["high_id"], r["low_id"])
-            for r in read(path, {"prompt_id": str, "high_id": str, "low_id": str})]
+def _load_pairs(path, stories: dict[str, Story]) -> list[RankedPair]:
+    """The ranked pairs of ``path``, at least one, each naming two of ``stories``."""
+    pairs = [RankedPair(r["prompt_id"], r["high_id"], r["low_id"])
+             for r in _nonempty_records(path, {"prompt_id": str, "high_id": str,
+                                               "low_id": str})]
+    for p in pairs:
+        _story(stories, p.high_id, path)
+        _story(stories, p.low_id, path)
+    return pairs
 
 
 def _load_comment_records(path, parse=CommentRecord.from_record) -> list[CommentRecord]:
-    return data_records(path, {"story_id": str, "text": str, "aspect": int,
-                               "rating": (int, float)}, parse)
+    return _nonempty_records(path, {"story_id": str, "text": str, "aspect": int,
+                                    "rating": (int, float)}, parse)
 
 
 def _crowd_record(rec: dict) -> CommentRecord:
@@ -253,14 +267,6 @@ def _check_aspects(path, aspect_ids: list, n_aspects: int) -> None:
             raise DataError(f"{path}: aspect id {k!r} outside [0, {n_aspects})")
 
 
-def _nonempty_records(path, required: dict | None = None) -> list[dict]:
-    """``data_records`` of an evaluation file that must hold at least one record."""
-    recs = data_records(path, required)
-    if not recs:
-        raise DataError(f"{path}: no records")
-    return recs
-
-
 # -- prepare-pairs -----------------------------------------------------------
 
 def cmd_prepare(args) -> int:
@@ -275,8 +281,8 @@ def cmd_prepare(args) -> int:
     pairs = build_pairs(kept, high_min=args.high_min, low_max=args.low_max,
                         max_pairs_per_prompt=args.max_pairs_per_prompt)
     if not pairs:
-        raise DataError("no ranked pairs survive filtering; relax --min-words/"
-                        "--max-words or the vote thresholds")
+        raise DataError(f"{args.input}: no ranked pairs survive filtering; relax "
+                        f"--min-words/--max-words or the vote thresholds")
     splits = split_by_prompt(pairs, ratios=ratios, seed=args.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -311,7 +317,7 @@ def cmd_make_negatives(args) -> int:
             except (StoryTooShortError, DataError):
                 skipped[kind] = skipped.get(kind, 0) + 1
     if not records:
-        raise DataError("no negatives could be generated")
+        raise DataError(f"{args.input}: no negatives could be generated")
     write_artifact_jsonl(args.out, records, {**_meta(args, kinds=kinds), "skipped": skipped})
     print(f"wrote {len(records)} negatives "
           f"({len(skipped)} kinds had skips: {skipped or 'none'}) -> {args.out}")
@@ -325,7 +331,7 @@ def cmd_extract_aspects(args) -> int:
     texts = [r["text"] for r in data_records(args.input, {"text": str})]
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
-        raise DataError("no usable comments after tokenization")
+        raise DataError(f"{args.input}: no usable comments after tokenization")
     if args.topics is not None:
         model = lda_fit(docs, words, args.topics, iterations=args.iterations,
                         seed=args.seed)
@@ -356,7 +362,7 @@ def cmd_extract_aspects(args) -> int:
 
 def cmd_augment(args) -> int:
     crowd = _load_comment_records(args.crowd, _crowd_record)
-    raw = data_records(args.raw, {"text": str})
+    raw = _nonempty_records(args.raw, {"text": str})
     n_aspects = len(AspectTaxonomy.load(args.taxonomy)) if args.taxonomy else args.n_aspects
     for rec in crowd:
         _check_aspects(args.crowd, [rec.aspect], n_aspects)
@@ -397,8 +403,8 @@ def cmd_train(args) -> int:
         raise ConfigError("comment training needs data.taxonomy naming the "
                           "aspect heads")
     stories = _load_stories(data_cfg["stories"])
-    train_pairs = _load_pairs(data_cfg["pairs_train"])
-    val_pairs = _load_pairs(data_cfg["pairs_val"])
+    train_pairs = _load_pairs(data_cfg["pairs_train"], stories)
+    val_pairs = _load_pairs(data_cfg["pairs_val"], stories)
     comments: dict[str, list[CommentRecord]] = {}
     texts = [s.text for s in stories.values()]
     if data_cfg.get("comments"):
@@ -413,7 +419,8 @@ def cmd_train(args) -> int:
                               f"model.n_aspects={cfg['model']['n_aspects']}")
     negatives: dict[str, list[str]] = {}
     if data_cfg.get("negatives"):
-        for r in data_records(data_cfg["negatives"], {"source_story_id": str, "text": str}):
+        for r in _nonempty_records(data_cfg["negatives"],
+                                   {"source_story_id": str, "text": str}):
             negatives.setdefault(r["source_story_id"], []).append(r["text"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -466,7 +473,7 @@ def cmd_score(args) -> int:
     _check_flag(args, "max_new_tokens", 1, model.config.max_len)
     _check_flag(args, "beam", 1)
     _check_flag(args, "top_aspects", 0)
-    records = data_records(args.stories)
+    records = _nonempty_records(args.stories)
     outputs, seqs = [], []
     for rec in records:
         out = {"id": rec.get("id", "")}
@@ -499,7 +506,7 @@ def cmd_score(args) -> int:
 
 def _prompt_texts(path) -> dict[str, str]:
     table = {}
-    for r in data_records(path, {"prompt_id": str, "text": str}):
+    for r in _nonempty_records(path, {"prompt_id": str, "text": str}):
         pid = r["prompt_id"]
         if pid in table:
             raise DataError(f"{path}: duplicate prompt_id '{pid}'")
@@ -567,11 +574,7 @@ def cmd_evaluate(args) -> int:
         if stories is None:
             skipped.append("ranking (needs 'stories' alongside 'pairs')")
         else:
-            path = spec["pairs"]
-            pairs = _load_pairs(path, _nonempty_records)
-            for p in pairs:
-                _story(stories, p.high_id, path)
-                _story(stories, p.low_id, path)
+            pairs = _load_pairs(spec["pairs"], stories)
             hi, lo = pair_scores(model, stories, pairs)
             report.acc = pairwise_accuracy(zip(hi, lo))
             report.dis = score_distance(zip(hi, lo))

@@ -218,7 +218,7 @@ def predict_preference(params: dict[str, Tensor], v_s: Tensor) -> Tensor:
 
 def predict_aspects(params: dict[str, Tensor], v_s: Tensor) -> tuple[Tensor, Tensor]:
     """(a_c, a_r): softmax confidences and sigmoid ratings, each (B,K)."""
-    a_c = ad.softmax(ad.linear(v_s, params["w_ac"]), axis=-1)
+    a_c = ad.softmax(ad.linear(v_s, params["w_ac"]))
     a_r = ad.sigmoid(ad.linear(v_s, params["w_ar"]))
     return a_c, a_r
 

@@ -228,7 +228,6 @@ class Trainer:
             l_c = self.model.encoded_comment_nll(states, lengths, *zip(*picks), rng=rng)
         breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
         lr = lr_at(self.schedule, self.step)
-        ad.zero_grads(params)
         ad.forward_backward(breakdown.graph_total, params)
         self.opt.step(lr=lr)
         self.rows.append(LogRow(step=self.step, lr=lr, l_ps=breakdown.L_ps,

@@ -1,7 +1,8 @@
 """Shared test utilities: the finite-difference gradient oracle, and the
+``tape_ops``, the op names ``autodiff`` declares, and the
 simple versions that faster code is checked against: the generic
 broadcasting ``matmul`` node for the fused ``ad.linear`` (and the
-``swapaxes`` node of the dense attention oracle), the two-pass
+``swapaxes`` and general-index ``take`` nodes of the dense oracles), the two-pass
 layer norm for the one-pass ``ad.layer_norm``, per-story scoring
 for batched inference, dense masked attention for banded window
 attention and for the fused decoder attention, the numpy-array Gibbs
@@ -14,6 +15,8 @@ the one-pass ``Trainer.train_step``, and
 ``reference_augment``, the per-comment filter loop, for the two-call
 ``augment_comments``; ``TableModel`` stands in for its filters."""
 
+import inspect
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +40,14 @@ from storyeval.training import LogRow
 from storyeval.vocab import build_vocab, tokenize
 
 
+def tape_ops() -> set[str]:
+    """The op names ``autodiff`` declares, one per ``return _node(...)``."""
+    source = inspect.getsource(ad)
+    declared = set(re.findall(r'backward,\s*"(\w+)"\)', source))
+    assert len(declared) == source.count("return _node(")
+    return declared
+
+
 def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """``a @ b`` with numpy broadcasting as one tape node.
 
@@ -52,6 +63,18 @@ def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
                 ad._sum_to_shape(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return ad._node(out_data, (a, b), backward, "matmul")
+
+
+def take(a: ad.Tensor, idx) -> ad.Tensor:
+    """``a.data[idx]`` for any numpy index, as one tape node; the dense
+    oracles slice tensors (``states[:, 0, :]``), which ``Tensor[rows]``, an
+    ``ad.embedding`` gather of whole rows, does not."""
+    def backward(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        return (buf,)
+
+    return ad._node(np.ascontiguousarray(a.data[idx]), (a,), backward, "take")
 
 
 def swapaxes(a: ad.Tensor, ax1: int, ax2: int) -> ad.Tensor:
@@ -108,7 +131,7 @@ def mha(params, prefix, xq, xkv, mask: np.ndarray, n_heads: int, rate: float, rn
     k = swapaxes(matmul(xkv, params[f"{prefix}.wk"]).reshape(b, tk, n_heads, dk), 1, 2)
     v = swapaxes(matmul(xkv, params[f"{prefix}.wv"]).reshape(b, tk, n_heads, dk), 1, 2)
     scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / np.sqrt(dk)) + ad.Tensor(mask)
-    probs = ad.softmax(scores, axis=-1)
+    probs = ad.softmax(scores)
     if rate > 0.0:
         probs = ad.dropout(probs, rate, rng)
     ctx = swapaxes(matmul(probs, v), 1, 2).reshape(b, tq, d)
@@ -274,7 +297,7 @@ def dense_encode(params, config, ids: np.ndarray, lengths: np.ndarray):
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         x = x + _ff(params, f"{p}.ff", normed)
     states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
-    return states[:, 0, :], states
+    return take(states, (slice(None), 0)), states
 
 
 def _reference_gibbs_sweep(word_ids, doc_ids, z, n_tw, n_t, n_dt, alpha, beta,
@@ -449,7 +472,7 @@ def reference_train_step(trainer, batch):
                 neg_seqs.append(cands[int(trainer._pick_rng.integers(len(cands)))])
         if neg_seqs:
             v_neg, _, _ = model.encode_stories(neg_seqs, rng=rng)
-            l_c2 = coherence_rank_loss(ad.take(p_lo, np.asarray(keep)),
+            l_c2 = coherence_rank_loss(p_lo[np.asarray(keep)],
                                        predict_preference(params, v_neg), cfg.margin)
             l_ps = l_ps + l_c2 if cfg.use_ps else l_c2
     l_ac = l_ar = l_c = 0.0
@@ -468,7 +491,6 @@ def reference_train_step(trainer, batch):
                                 rng=rng)
     breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
     lr = lr_at(trainer.schedule, trainer.step)
-    ad.zero_grads(params)
     ad.forward_backward(breakdown.graph_total, params)
     trainer.opt.step(lr=lr)
     trainer.rows.append(LogRow(step=trainer.step, lr=lr, l_ps=breakdown.L_ps,

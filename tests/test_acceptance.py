@@ -232,7 +232,6 @@ def test_02_loss_gradients_match_finite_differences():
         for loss_fn in builders(model, rng):
             n_configs += 1
             loss = loss_fn()
-            ad.zero_grads(model.params)
             ad.forward_backward(loss, model.params)
             grads = {n: p.grad.copy() for n, p in model.params.items()}
             live = sorted(n for n, g in grads.items() if np.abs(g).max() > 0)
@@ -585,7 +584,6 @@ def test_12_comment_memorization_and_uniform_ppl():
             total = term if total is None else total + term
             n_tok += len(cids) - 1
         loss = total / float(n_tok)
-        ad.zero_grads(model.params)
         ad.forward_backward(loss, model.params)
         opt.step(lr=3e-3)
         nll = float(loss.data)

@@ -281,6 +281,24 @@ class TestTrain:
                     "--set", "data.taxonomy=null",
                     "--out-dir", tmp_path]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("key,fault", [("pairs_train", "unknown_id"),
+                                           ("pairs_val", "unknown_id"), ("stories", "empty"),
+                                           ("pairs_train", "empty"), ("pairs_val", "empty")])
+    def test_pair_and_story_faults_name_the_file(self, smoke, tmp_path, capsys, key, fault):
+        bad = tmp_path / f"{key}.jsonl"
+        if fault == "empty":
+            bad.write_text("", encoding="utf-8")
+            message = f"{bad}: no records"
+        else:
+            pairs = read_jsonl(smoke / "prep" / f"{key[len('pairs_'):]}_pairs.jsonl")
+            pairs[-1] = {**pairs[-1], "low_id": "nope"}
+            write_jsonl(bad, pairs)
+            message = f"{bad}: unknown story id 'nope'"
+        assert run(["train", "--config", smoke / "cfg.json", "--set", f"data.{key}={bad}",
+                    "--out-dir", tmp_path / "run"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["train", "augment-comments"])
     @pytest.mark.parametrize("aspect", [-1, 10])
     def test_comment_aspect_out_of_range_is_data_error(self, smoke, tmp_path, capsys,
@@ -621,6 +639,10 @@ def _corrupt_model_file(smoke, tmp_path, fault) -> tuple[Path, Path, Path]:
             "no_config": lambda m: {k: v for k, v in m.items() if k != "config"},
             "unknown_config_key": lambda m: {**m, "config": {**m["config"], "colour": 1}},
             "array_manifest": lambda m: [1],
+            "bad_dtype": lambda m: {**m, "arrays": [{**m["arrays"][0], "dtype": "zz"},
+                                                    *m["arrays"][1:]]},
+            "bad_shape": lambda m: {**m, "arrays": [{**m["arrays"][0], "shape": ["x"]},
+                                                    *m["arrays"][1:]]},
         }[fault](manifest)
     ckpt.write_bytes(json.dumps(manifest).encode() + bytes(blob[nl:]))
     return ckpt, vocab, ckpt
@@ -632,8 +654,8 @@ class TestCorruptModelFiles:
     naming the file, never with a traceback."""
 
     @pytest.mark.parametrize("fault", ["v1", "no_config", "unknown_config_key",
-                                       "array_manifest", "flipped_byte",
-                                       "vocab_reserved_tokens"])
+                                       "array_manifest", "bad_dtype", "bad_shape",
+                                       "flipped_byte", "vocab_reserved_tokens"])
     @pytest.mark.parametrize("command", ["score", "compare", "evaluate"])
     def test_exits_3_naming_the_file(self, smoke, tmp_path, capsys, command, fault):
         ckpt, vocab, bad = _corrupt_model_file(smoke, tmp_path, fault)
@@ -648,6 +670,8 @@ class TestCorruptModelFiles:
         assert "Traceback" not in err
         if fault == "v1":
             assert "storyeval-checkpoint-v1" in err
+        if fault in ("bad_dtype", "bad_shape"):     # the first array, by name
+            assert "array param.dec0.cross.wk" in err
 
 
 class TestMissingField:
@@ -1014,7 +1038,7 @@ class TestFileFaults:
     """A file that cannot be read or written exits 3 naming it (2 for the
     train config and the eval spec), never with a traceback."""
 
-    @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8"])
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not_utf8", "empty"])
     @pytest.mark.parametrize("command,name", READ_FAULTS)
     def test_unreadable_input_names_it(self, smoke, artifact_inputs, tmp_path, monkeypatch,
                                        capsys, command, name, fault):
@@ -1024,6 +1048,8 @@ class TestFileFaults:
             bad.mkdir()
         elif fault == "not_utf8":       # in a checkpoint, the manifest line
             bad.write_bytes(b"\xff\n")
+        elif fault == "empty":
+            bad.write_bytes(b"")
         config = name in ("--config", "spec.json")
         assert run(read_fault_argv(smoke, tmp_path, command, name, bad)) == \
             (cli.EXIT_CONFIG if config else cli.EXIT_DATA)

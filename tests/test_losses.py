@@ -236,8 +236,8 @@ class TestGradientFlowThroughHeads:
         def make_loss():
             v_s, _, _ = model.encode_stories(ids)
             p = predict_preference(model.params, v_s)
-            pref = margin_rank_loss(p[0:1], p[1:2], 0.3)
-            coh = coherence_rank_loss(p[1:2], p[2:3], 0.3)
+            pref = margin_rank_loss(p[[0]], p[[1]], 0.3)
+            coh = coherence_rank_loss(p[[1]], p[[2]], 0.3)
             return pref + coh
 
         check_sampled_grads(make_loss, model.params, np.random.default_rng(0))
@@ -300,8 +300,7 @@ def test_wrong_backward_misses_at_every_rung(tiny_model, monkeypatch):
     monkeypatch.setattr(ad, "relu", wrong_relu)
     with pytest.raises(AssertionError):
         check_sampled_grads(make_loss, model.params, np.random.default_rng(2))
-    ad.zero_grads(model.params)
-    make_loss().backward()
+    ad.forward_backward(make_loss(), model.params)
     w1, checked = model.params["enc0.ff.w1"], 0
     for i in np.flatnonzero(np.abs(w1.grad.reshape(-1)) > 2e-3)[:4]:
         analytic = w1.grad.reshape(-1)[i]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from storyeval import autodiff as ad
 from storyeval import model as model_mod
 from storyeval import training as training_mod
 from storyeval import rng as rng_mod
@@ -21,11 +22,11 @@ from storyeval.training import (
 )
 from storyeval.vocab import build_vocab, tokenize
 
-from helpers import reference_heads, reference_train_step
+from helpers import reference_heads, reference_train_step, tape_ops
 
 
 def _setup(n_prompts=20, seed=0, with_comments=False, with_negatives=False,
-           d_model=24, dtype=np.float32):
+           d_model=24, dtype=np.float32, dropout=0.0):
     stories = make_preference_corpus(n_prompts=n_prompts, seed=seed)
     pairs = build_pairs(stories)
     splits = split_by_prompt(pairs, seed=seed)
@@ -39,7 +40,7 @@ def _setup(n_prompts=20, seed=0, with_comments=False, with_negatives=False,
     vocab = build_vocab(texts, size=400, n_aspects=10)
     config = ModelConfig(vocab_size=len(vocab), d_model=d_model,
                          n_enc_layers=1, n_dec_layers=1, n_heads=2, window=8,
-                         max_len=96, n_aspects=10, dropout=0.0)
+                         max_len=96, n_aspects=10, dropout=dropout)
     model = Model(config, vocab, rng=rng_mod.stream(seed, "init"), dtype=dtype)
     negatives = {}
     if with_negatives:
@@ -382,3 +383,25 @@ class TestOnePassStep:
         for name, t in params.items():
             assert np.max(np.abs(t.data - ref_params[name].data)) <= 1e-10, name
         assert not np.array_equal(params["w_ps"].data, start["w_ps"])
+
+
+def test_the_model_builds_exactly_the_tape_ops(monkeypatch):
+    """A joint step (aspects, comments, negatives, dropout 0.1), a
+    discrimination step and a comment search build every op ``autodiff``
+    declares and no other."""
+    built, real_node = set(), ad._node
+
+    def spy(data, parents, backward, name):
+        built.add(name)
+        return real_node(data, parents, backward, name)
+
+    monkeypatch.setattr(ad, "_node", spy)
+    model, data, _ = _setup(with_comments=True, with_negatives=True, dropout=0.1)
+    batch = data.train_pairs[:8]
+    for objective in ("rank", "discrimination"):
+        cfg = TrainConfig(batch_size=8, epochs=1, seed=0, objective=objective,
+                          use_aspects=True, use_comments=True, use_negatives=True)
+        Trainer(model, data, cfg).train_step(batch)
+    story = tokenize(data.stories[batch[0].high_id].text, model.vocab, model.config.max_len)
+    model.generate_comments([story, story], [0, 3], max_new_tokens=3, beam=2)
+    assert built == tape_ops()
