@@ -13,9 +13,10 @@ The tape holds sixteen ops: ``add``, ``mul``, ``linear``, ``reshape``,
 ``embedding``, ``token_nll``, ``layer_norm``, ``window_attention``,
 ``attention`` and ``dropout``.  Every weight product is ``linear``: one
 node, one 2-D GEMM per operand each way, the bias folded in.  There is no
-``matmul`` op and no ``@`` on tensors; the attention ops multiply their
-own arrays.  ``Tensor[rows]`` is an ``embedding`` gather of whole rows by
-an integer array, the one indexing the tensors support.  The encoder's
+``matmul`` op and no ``@`` on tensors; both attention ops run their own
+arrays through one softmax-dropout-V kernel, ``_attend``/``_attend_grads``.
+``Tensor[rows]`` is an ``embedding`` gather of whole rows by an int or an
+integer array, the one indexing the tensors support.  The encoder's
 ``window_attention`` takes and returns packed rows, only the real tokens
 of a padded batch, so every op around it runs on (N, d) rows.  The losses
 use two ops of their own: the fused ``token_nll`` and a clamped ``log``.
@@ -167,6 +168,9 @@ class Tensor:
         return mul(self, -1.0)
 
     def __getitem__(self, rows):
+        if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer, list, np.ndarray))
+                or np.asarray(rows).dtype.kind not in "iu"):
+            raise ContractViolation(f"tensors index by integer rows only, got {rows!r}")
         return embedding(self, rows)
 
     def sum(self, axis=None):
@@ -394,13 +398,13 @@ class WindowLayout:
     ``ti[r]`` of sequence ``bi[r]``.  Row i may read key j when
     |i - j| <= window or either one is row 0, the global [CLS] token, and
     j < its sequence's length.  Queries are split into chunks of ``window``
-    rows; chunk n reads the span of three chunks centred on it, keys
-    n*window - window ... n*window + 2*window - 1, from zero-padded keys.
-    When the sequence fits in one span (T <= 3*window) the layout is one
-    chunk of all T rows over all T keys.  Every row also reads the global
-    key as a second segment of the same softmax, so the band masks it
-    out; the global row attends densely.  Built once per batch, it is
-    shared by every layer.
+    rows; chunk n reads the [CLS] key, then the span of three chunks
+    centred on it, keys n*window - window ... n*window + 2*window - 1, from
+    zero-padded keys.  When the sequence fits in one span (T <= 3*window)
+    the layout is one chunk of all T rows over all T keys.  ``band`` opens
+    the leading [CLS] column for every row and masks key 0 inside the span,
+    so each row reads [CLS] once; the global row attends densely over
+    ``global_rows``.  Built once per batch, it is shared by every layer.
     """
 
     def __init__(self, lengths: np.ndarray, seq_len: int, window: int, dtype):
@@ -415,27 +419,33 @@ class WindowLayout:
         j = starts + np.arange(c * self.n_seg) - self.left         # (n, span) key rows
         near = np.abs(i[:, :, None] - j[:, None, :]) <= window
         key_ok = (j >= 1) & (j[None] < lengths[:, None, None])     # (B, n, span)
-        band = near[None] & key_ok[:, :, None, :]
-        self.band = np.where(band, 0.0, NEG_INF).astype(dtype)[:, None]   # (B,1,n,c,span)
+        band = np.ones((len(lengths), n, c, 1 + j.shape[1]), bool)
+        band[..., 1:] = near[None] & key_ok[:, :, None, :]
+        self.band = np.where(band, 0.0, NEG_INF).astype(dtype)[:, None]  # (B,1,n,c,1+span)
         key_pad = np.where(np.arange(t) < lengths[:, None], 0.0, NEG_INF).astype(dtype)
         self.global_rows = key_pad[:, None, None, :]               # (B,1,1,T)
 
 
-def _spans(x: np.ndarray, chunk: int, n_chunks: int, span: int) -> np.ndarray:
-    """Read-only (B,H,n_chunks,span,dk) view of (B,H,Tp,dk): chunk n is rows n*chunk ..."""
+def _windows(x: np.ndarray, layout: WindowLayout) -> np.ndarray:
+    """(B,H,n,1+span,dk) blocks of padded (B,H,rows,dk): [CLS], then chunk n's span."""
     b, h, _, dk = x.shape
-    s = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (b, h, n_chunks, span, dk), (s[0], s[1], chunk * s[2], s[2], s[3]),
-        writeable=False)
+    c, n, left = layout.chunk, layout.n_chunks, layout.left
+    s, span = x.strides, c * layout.n_seg
+    out = np.empty((b, h, n, 1 + span, dk), x.dtype)
+    out[:, :, :, 0] = x[:, :, left, None]
+    out[:, :, :, 1:] = np.lib.stride_tricks.as_strided(
+        x, (b, h, n, span, dk), (s[0], s[1], c * s[2], s[2], s[3]), writeable=False)
+    return out
 
 
-def _fold(dst: np.ndarray, win: np.ndarray, chunk: int, n_seg: int) -> None:
-    """Add window grads (B,H,n,span,dk) into padded rows: one shifted add per segment."""
+def _fold(dst: np.ndarray, win: np.ndarray, layout: WindowLayout) -> None:
+    """Add block grads (B,H,n,1+span,dk) into padded rows: [CLS], then one add per segment."""
     b, h, n, _, dk = win.shape
-    rows = dst.reshape(b, h, n + n_seg - 1, chunk, dk)
-    for s in range(n_seg):
-        rows[:, :, s: s + n] += win[:, :, :, s * chunk: (s + 1) * chunk]
+    c, ns = layout.chunk, layout.n_seg
+    dst[:, :, layout.left] += win[:, :, :, 0].sum(2)
+    rows = dst.reshape(b, h, n + ns - 1, c, dk)
+    for s in range(ns):
+        rows[:, :, s: s + n] += win[:, :, :, 1 + s * c: 1 + (s + 1) * c]
 
 
 def _drop(p: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray | None]:
@@ -443,6 +453,27 @@ def _drop(p: np.ndarray, rate: float, rng) -> tuple[np.ndarray, np.ndarray | Non
         return p, None
     keep = (rng.random(p.shape) >= rate).astype(p.dtype) / (1.0 - rate)
     return p * keep, keep
+
+
+def _attend(s: np.ndarray, v: np.ndarray, rate: float, rng):
+    """drop(softmax(s)) @ v over s's last axis, overwriting the masked
+    scores s; returns the output and what ``_attend_grads`` reads."""
+    s -= s.max(-1)[..., None]
+    p = np.exp(s, out=s)
+    p /= p.sum(-1)[..., None]
+    d, keep = _drop(p, rate, rng)
+    return d @ v, (p, d, keep)
+
+
+def _attend_grads(go, o, q, k, v, saved):
+    """(dq, dk, dv) of ``_attend`` on scores q k^T: dS = P * (dP - rowsum(dO * O))."""
+    p, d, keep = saved
+    ds = go @ v.swapaxes(-1, -2)
+    if keep is not None:
+        ds *= keep
+    ds -= (go * o).sum(-1)[..., None]
+    ds *= p
+    return ds @ k, ds.swapaxes(-1, -2) @ q, d.swapaxes(-1, -2) @ go
 
 
 def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
@@ -453,13 +484,14 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
     layout's batch.  They are scattered into zero-filled (B,H,rows,dk)
     buffers, so the band maths runs on contiguous padded blocks, and the
     result and the three gradients are gathered back at the real rows.
+    Every chunk's rows read one key block, the [CLS] key then the span,
+    in one softmax; the [CLS] row's dense pass replaces its band row.
     ``rate`` > 0 applies inverted dropout to the attention probabilities.
-    The backward reuses the stored exponentials: with P = E / z,
-    dS = P * (dP - rowsum(dO * O)).
+    The backward re-derives the key blocks from the padded keys.
     """
     _, h, dk = q.shape
     b, t, bi, ti = layout.band.shape[0], layout.seq_len, layout.bi, layout.ti
-    c, n, ns, left = layout.chunk, layout.n_chunks, layout.n_seg, layout.left
+    c, n, left = layout.chunk, layout.n_chunks, layout.left
     rows, dtype, scale = n * c, q.dtype, 1.0 / float(np.sqrt(dk))
 
     def heads_first(x, pad_before, n_rows):
@@ -469,66 +501,33 @@ def window_attention(q: Tensor, k: Tensor, v: Tensor, layout: WindowLayout,
 
     qp = heads_first(q.data, 0, rows)
     qp *= scale
-    kp = heads_first(k.data, left, (n + ns - 1) * c)
-    vp = heads_first(v.data, left, (n + ns - 1) * c)
-    kw, vw = (_spans(x, c, n, c * ns) for x in (kp, vp))
+    kp = heads_first(k.data, left, (n + layout.n_seg - 1) * c)
+    vp = heads_first(v.data, left, kp.shape[2])
     kt, vt = kp[:, :, left: left + t], vp[:, :, left: left + t]
-    kg, vg = kt[:, :, :1], vt[:, :, :1]
     qc = qp.reshape(b, h, n, c, dk)
-    # every row: its band segment (B,H,n,c,span) and its global-key segment
-    # (B,H,rows,1) share one softmax, kept unnormalised as E; z is its sum;
-    # the global key is a sequence's first token, so it is never padding
-    e_band = qc @ kw.swapaxes(-1, -2)
-    e_band += layout.band
-    e_glob = qp @ kg.swapaxes(-1, -2)
-    top = np.maximum(e_band.max(-1).reshape(b, h, rows, 1),
-                     e_glob.max(-1, initial=NEG_INF)[..., None])
-    e_band -= top.reshape(b, h, n, c, 1)
-    e_glob -= top
-    np.exp(e_band, out=e_band)
-    np.exp(e_glob, out=e_glob)
-    z = e_band.sum(-1).reshape(b, h, rows, 1) + e_glob.sum(-1)[..., None]
-    d_band, keep_band = _drop(e_band, rate, rng)
-    d_glob, keep_glob = _drop(e_glob, rate, rng)
-    o = (d_band @ vw).reshape(b, h, rows, dk)
-    o += d_glob @ vg
-    o /= z
-    # the global row attends densely over all keys
+    s = qc @ _windows(kp, layout).swapaxes(-1, -2)                # (B,H,n,c,1+span)
+    s += layout.band
+    o, saved = _attend(s, _windows(vp, layout), rate, rng)
+    o = o.reshape(b, h, rows, dk)
     s_rows = qp[:, :, :1] @ kt.swapaxes(-1, -2) + layout.global_rows
-    p_rows = np.exp(s_rows - s_rows.max(-1)[..., None])
-    p_rows /= p_rows.sum(-1)[..., None]
-    d_rows, keep_rows = _drop(p_rows, rate, rng)
-    o[:, :, :1] = d_rows @ vt
+    o[:, :, :1], saved_rows = _attend(s_rows, vt, rate, rng)
 
     def backward(grad):
         go = heads_first(grad, 0, rows)
-        dot = (go * o).sum(-1)[..., None]                          # rowsum(dP * P)
-        go_rows, dot_rows = go[:, :, :1].copy(), dot[:, :, :1].copy()
+        go_rows = go[:, :, :1].copy()
         go[:, :, :1] = 0.0
-        dot[:, :, :1] = 0.0
-        go /= z                                                    # P = E / z
-        dot /= z
-        goc = go.reshape(b, h, n, c, dk)
-        dp_band = goc @ vw.swapaxes(-1, -2)
-        dp_glob = go @ vg.swapaxes(-1, -2)
-        dp_rows = go_rows @ vt.swapaxes(-1, -2)
-        for dp, keep in ((dp_band, keep_band), (dp_glob, keep_glob), (dp_rows, keep_rows)):
-            if keep is not None:
-                dp *= keep
-        ds_band = e_band * (dp_band - dot.reshape(b, h, n, c, 1))
-        ds_glob = e_glob * (dp_glob - dot)
-        ds_rows = p_rows * (dp_rows - dot_rows)
-        dq = (ds_band @ kw).reshape(b, h, rows, dk) + ds_glob @ kg
-        dq[:, :, :1] += ds_rows @ kt
+        dq, dkw, dvw = _attend_grads(go.reshape(b, h, n, c, dk), o.reshape(b, h, n, c, dk), qc,
+                                     _windows(kp, layout), _windows(vp, layout), saved)
+        dq = dq.reshape(b, h, rows, dk)
         dkp, dvp = np.zeros_like(kp), np.zeros_like(vp)
-        _fold(dkp, ds_band.swapaxes(-1, -2) @ qc, c, ns)
-        _fold(dvp, d_band.swapaxes(-1, -2) @ goc, c, ns)
-        dkt, dvt = dkp[:, :, left: left + t], dvp[:, :, left: left + t]
-        dkt[:, :, :1] += ds_glob.swapaxes(-1, -2) @ qp
-        dvt[:, :, :1] += d_glob.swapaxes(-1, -2) @ go
-        dkt += ds_rows.swapaxes(-1, -2) @ qp[:, :, :1]
-        dvt += d_rows.swapaxes(-1, -2) @ go_rows
-        return dq[bi, :, ti] * scale, dkt[bi, :, ti], dvt[bi, :, ti]
+        _fold(dkp, dkw, layout)
+        _fold(dvp, dvw, layout)
+        dq_rows, dk_rows, dv_rows = _attend_grads(go_rows, o[:, :, :1], qp[:, :, :1], kt, vt,
+                                                  saved_rows)
+        dq[:, :, :1] += dq_rows
+        dkp[:, :, left: left + t] += dk_rows
+        dvp[:, :, left: left + t] += dv_rows
+        return dq[bi, :, ti] * scale, dkp[bi, :, ti + left], dvp[bi, :, ti + left]
 
     return _node(o[bi, :, ti], (q, k, v), backward, "window_attention")
 
@@ -544,8 +543,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = 
     causal self-attention and a single query row reads every key.  The
     matmuls read k and v through (B,H,dk,Tk) and (B,H,Tk,dk) views, so
     keys kept in that layout (a decoder cache) are never copied.
-    ``rate`` > 0 applies inverted dropout to the probabilities; the
-    backward uses dS = P * (dP - rowsum(dO * O)).
+    ``rate`` > 0 applies inverted dropout to the probabilities.
     """
     b, tq, h, dk = q.shape
     tk = k.shape[1]
@@ -553,27 +551,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, key_lengths: np.ndarray | None = 
     qh = q.data.transpose(0, 2, 1, 3) * scale                      # (B,H,Tq,dk)
     kt, vh = k.data.transpose(0, 2, 3, 1), v.data.transpose(0, 2, 1, 3)
     s = qh @ kt                                                    # (B,H,Tq,Tk)
-    hidden = np.zeros((1, tk), dtype=bool)
-    if key_lengths is not None:
-        hidden = np.arange(tk) >= np.asarray(key_lengths)[:, None]
-    hidden = hidden[:, None, None, :]
+    lengths = np.reshape(tk if key_lengths is None else key_lengths, (-1, 1))
+    hidden = (np.arange(tk) >= lengths)[:, None, None, :]
     if causal:
         hidden = hidden | (np.arange(tk) > np.arange(tq)[:, None] + (tk - tq))
     s += np.where(hidden, NEG_INF, 0.0).astype(s.dtype)
-    s -= s.max(-1)[..., None]
-    p = np.exp(s, out=s)
-    p /= p.sum(-1)[..., None]
-    d, keep = _drop(p, rate, rng)
-    o = d @ vh                                                     # (B,H,Tq,dk)
+    o, saved = _attend(s, vh, rate, rng)                           # (B,H,Tq,dk)
 
     def backward(grad):
         go = grad.transpose(0, 2, 1, 3)
-        dp = go @ vh.swapaxes(-1, -2)
-        if keep is not None:
-            dp *= keep
-        ds = p * (dp - (go * o).sum(-1)[..., None])
-        return tuple(gx.transpose(0, 2, 1, 3) for gx in (
-            (ds @ kt.swapaxes(-1, -2)) * scale, ds.swapaxes(-1, -2) @ qh, d.swapaxes(-1, -2) @ go))
+        dq, dk_, dv = _attend_grads(go, o, qh, kt.swapaxes(-1, -2), vh, saved)
+        return tuple(gx.transpose(0, 2, 1, 3) for gx in (dq * scale, dk_, dv))
 
     return _node(np.ascontiguousarray(o.transpose(0, 2, 1, 3)), (q, k, v), backward,
                  "attention")

@@ -163,11 +163,16 @@ def _parse_flag(args, name: str, parse):
         raise ConfigError(f"--{name.replace('_', '-')} cannot read '{text}'") from None
 
 
-def _check_flag(args, name: str, low: int, high: float = np.inf) -> None:
-    """Flag ``name`` must lie in [low, high]; outside, it is a config error."""
+def _check_flag(args, name: str, low: float, high: float = np.inf, *,
+                flag: str | None = None, open_low: bool = False) -> None:
+    """Flag ``name`` (given on the command line as ``flag``, by default
+    --name) must lie in [low, high], or in (low, high] with ``open_low``;
+    outside, it is a config error."""
     value = getattr(args, name)
-    if not low <= value <= high:
-        raise ConfigError(f"--{name.replace('_', '-')} {value} must be in [{low}, {high}]")
+    above = value > low if open_low else value >= low
+    if not (above and value <= high):
+        raise ConfigError(f"{flag or '--' + name.replace('_', '-')} {value} must be in "
+                          f"{'(' if open_low else '['}{low}, {high}]")
 
 
 def _override(cfg: dict, preset: dict, key: str, value) -> None:
@@ -361,6 +366,13 @@ def cmd_extract_aspects(args) -> int:
 # -- augment-comments --------------------------------------------------------
 
 def cmd_augment(args) -> int:
+    _check_flag(args, "epochs", 1)
+    _check_flag(args, "lr", 0, open_low=True)
+    _check_flag(args, "confidence", 0, 1)
+    _check_flag(args, "max_words", args.min_words)
+    _check_flag(args, "n_aspects", 1)
+    if args.per_aspect_cap is not None:
+        _check_flag(args, "per_aspect_cap", 0, flag="--cap")
     crowd = _load_comment_records(args.crowd, _crowd_record)
     raw = _nonempty_records(args.raw, {"text": str})
     n_aspects = len(AspectTaxonomy.load(args.taxonomy)) if args.taxonomy else args.n_aspects
@@ -465,6 +477,10 @@ def cmd_train(args) -> int:
 def _load_model(checkpoint_path, vocab_path) -> Model:
     ck = load_checkpoint(checkpoint_path, optimizer=False)
     vocab = Vocabulary.load(vocab_path)
+    have, want = (len(vocab), vocab.n_aspects), (ck.config.vocab_size, ck.config.n_aspects)
+    if have != want:
+        raise DataError(f"{vocab_path}: {have[0]} tokens and {have[1]} aspects do not fit "
+                        f"{checkpoint_path} ({want[0]} tokens, {want[1]} aspects)")
     return Model(ck.config, vocab, params=ck.params)
 
 

@@ -187,6 +187,20 @@ def test_embedding_scatter_adds_duplicate_rows():
     assert np.array_equal(table.grad, expected)
 
 
+@pytest.mark.parametrize("index", [
+    slice(0, 1), 1.0, np.array([0.0, 2.0]), np.array([True, False, True]), (0, 1),
+    [0, 1.5], True, None, "0",
+], ids=["slice", "float", "float_array", "bool_mask", "tuple", "mixed_list", "bool", "none",
+        "str"])
+def test_getitem_takes_integer_rows_only(index):
+    # numpy would slice, read one element or mask; the tape gathers whole rows
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with pytest.raises(ContractViolation, match="integer rows only, got"):
+        t[index]
+    assert np.array_equal(t[np.int64(2)].data, [4.0, 5.0])
+    assert np.array_equal(t[[2, 0]].data, [[4.0, 5.0], [0.0, 1.0]])
+
+
 def _scaled_err(got: np.ndarray, want: np.ndarray) -> float:
     """Largest difference relative to the largest entry of ``want``."""
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))

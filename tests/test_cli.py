@@ -625,8 +625,16 @@ def _corrupt_model_file(smoke, tmp_path, fault) -> tuple[Path, Path, Path]:
     ckpt, vocab = tmp_path / "model.ckpt", tmp_path / "vocab.txt"
     shutil.copy(smoke / "run" / "model.ckpt", ckpt)
     shutil.copy(smoke / "run" / "vocab.txt", vocab)
-    if fault == "vocab_reserved_tokens":
-        vocab.write_text("hello\nworld\n", encoding="utf-8")
+    if fault.startswith("vocab_"):
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        if fault == "vocab_short":          # the last word dropped
+            lines = lines[:-1]
+        elif fault == "vocab_aspects":      # the last <aspect_k> token renamed
+            last = max(i for i, w in enumerate(lines) if w.startswith("<aspect_"))
+            lines[last] = "zzzz"
+        else:
+            lines = ["hello", "world"]
+        vocab.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return ckpt, vocab, vocab
     blob = bytearray(ckpt.read_bytes())
     nl = blob.find(b"\n")
@@ -650,12 +658,14 @@ def _corrupt_model_file(smoke, tmp_path, fault) -> tuple[Path, Path, Path]:
 
 class TestCorruptModelFiles:
     """A checkpoint of the old format, of the wrong manifest shape or with
-    a damaged array, and a vocabulary without its reserved tokens, exit 3
-    naming the file, never with a traceback."""
+    a damaged array, a vocabulary without its reserved tokens, and one
+    that does not fit the checkpoint, exit 3 naming the file, never with a
+    traceback."""
 
     @pytest.mark.parametrize("fault", ["v1", "no_config", "unknown_config_key",
                                        "array_manifest", "bad_dtype", "bad_shape",
-                                       "flipped_byte", "vocab_reserved_tokens"])
+                                       "flipped_byte", "vocab_reserved_tokens",
+                                       "vocab_short", "vocab_aspects"])
     @pytest.mark.parametrize("command", ["score", "compare", "evaluate"])
     def test_exits_3_naming_the_file(self, smoke, tmp_path, capsys, command, fault):
         ckpt, vocab, bad = _corrupt_model_file(smoke, tmp_path, fault)
@@ -672,6 +682,8 @@ class TestCorruptModelFiles:
             assert "storyeval-checkpoint-v1" in err
         if fault in ("bad_dtype", "bad_shape"):     # the first array, by name
             assert "array param.dec0.cross.wk" in err
+        if fault in ("vocab_short", "vocab_aspects"):
+            assert str(ckpt) in err
 
 
 class TestMissingField:
@@ -900,6 +912,24 @@ class TestMalformedSettings:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--epochs", 0], "--epochs 0 must be in [1, inf]"),
+        (["--epochs", -1], "--epochs -1 must be in [1, inf]"),
+        (["--confidence", 1.5], "--confidence 1.5 must be in [0, 1]"),
+        (["--cap", -1], "--cap -1 must be in [0, inf]"),
+        (["--lr", -1], "--lr -1.0 must be in (0, inf]"),
+        (["--min-words", 60, "--max-words", 10], "--max-words 10 must be in [60, inf]"),
+        (["--n-aspects", 0], "--n-aspects 0 must be in [1, inf]"),
+    ], ids=["epochs_0", "epochs_neg", "confidence", "cap", "lr", "max_words", "n_aspects"])
+    def test_augment_comments_flags(self, tmp_path, capsys, flags, named):
+        # checked before any input is read: the inputs do not exist
+        argv = ["augment-comments", "--crowd", tmp_path / "no_crowd.jsonl",
+                "--raw", tmp_path / "no_raw.jsonl", "--out-dir", tmp_path / "out", *flags]
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
