@@ -302,11 +302,15 @@ def select_num_topics(docs: list[np.ndarray], vocab: list[str], candidates,
 
 # -- comment filters --------------------------------------------------------
 
+FILTER_BATCH = 16      # comments per step of a filter's training
+
+
 def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epochs: int,
-                      lr: float, batch_size: int, seed: int) -> Model:
+                      lr: float, seed: int) -> Model:
     """A compact ``Model`` whose aspect head is an ``n_classes``-way text
     classifier, trained with the joint trainer's confidence loss on one-hot
-    targets; the decoder and the other heads stay untouched."""
+    targets in batches of ``FILTER_BATCH``; the decoder and the other heads
+    stay untouched."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(texts) != len(labels):
         raise ContractViolation("texts and labels differ in length")
@@ -328,13 +332,13 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
     one_hot = np.eye(n_classes)[labels]
     order_rng = rng_mod.stream(seed, "classifier_shuffle")
     n = len(seqs)
-    total_steps = epochs * steps_per_epoch(n, batch_size)
+    total_steps = epochs * steps_per_epoch(n, FILTER_BATCH)
     sched = LrSchedule(peak_lr=lr, warmup_steps=0, total_steps=total_steps)
     step = 0
     for _ in range(epochs):
         order = order_rng.permutation(n)
-        for start in range(0, n, batch_size):
-            chunk = order[start: start + batch_size]
+        for start in range(0, n, FILTER_BATCH):
+            chunk = order[start: start + FILTER_BATCH]
             v_s, _, _ = model.encode_stories([seqs[i] for i in chunk])
             loss = confidence_loss(predict_aspects(model.params, v_s)[0], one_hot[chunk])
             ad.forward_backward(loss, trainable)
@@ -344,23 +348,21 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
 
 
 def train_aspect_classifier(records: list[CommentRecord], n_aspects: int = 10,
-                            epochs: int = 30, lr: float = 3e-3, batch_size: int = 16,
-                            seed: int = 0) -> Model:
+                            epochs: int = 30, lr: float = 3e-3, seed: int = 0) -> Model:
     """K-way aspect classifier over crowd-labeled comments."""
     crowd = [r for r in records if r.source == "crowd"]
     return _train_classifier([r.text for r in crowd], [r.aspect for r in crowd],
-                             n_aspects, epochs, lr, batch_size, seed)
+                             n_aspects, epochs, lr, seed)
 
 
 def train_sentiment_scorer(records: list[CommentRecord], epochs: int = 30,
-                           lr: float = 3e-3, batch_size: int = 16,
-                           seed: int = 0) -> Model:
+                           lr: float = 3e-3, seed: int = 0) -> Model:
     """5-way sentiment scorer; head class c - 1 stands for the rating
     ``rating_from_class(c)``."""
     crowd = [r for r in records if r.source == "crowd"]
     return _train_classifier([r.text for r in crowd],
                              [class_from_rating(r.rating) - 1 for r in crowd],
-                             5, epochs, lr, batch_size, seed)
+                             5, epochs, lr, seed)
 
 
 # -- augmentation -----------------------------------------------------------

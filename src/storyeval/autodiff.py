@@ -18,8 +18,9 @@ arrays through one softmax-dropout-V kernel, ``_attend``/``_attend_grads``.
 ``Tensor[rows]`` is an ``embedding`` gather of whole rows by an int or an
 integer array, the one indexing the tensors support.  The encoder's
 ``window_attention`` takes and returns packed rows, only the real tokens
-of a padded batch, so every op around it runs on (N, d) rows.  The losses
-use two ops of their own: the fused ``token_nll`` and a clamped ``log``.
+of a padded batch, so every op around it runs on (N, d) rows.  The comment
+NLL is one fused ``token_nll`` node (``Model.encoded_comment_nll``); the
+other losses' cross-entropies use a clamped ``log``.
 ``forward_backward`` drops the parameters' old gradients before it
 backpropagates, so a training step never resets them itself.
 

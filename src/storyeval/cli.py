@@ -276,6 +276,11 @@ def _check_aspects(path, aspect_ids: list, n_aspects: int) -> None:
 
 def cmd_prepare(args) -> int:
     ratios = _parse_flag(args, "ratios", lambda text: tuple(float(x) for x in text.split(",")))
+    if len(ratios) != 3 or not min(ratios) >= 0 or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ConfigError(f"--ratios {args.ratios} must be three numbers >= 0 summing to 1")
+    if args.max_pairs_per_prompt is not None:
+        _check_flag(args, "max_pairs_per_prompt", 1)
+    _check_flag(args, "max_words", args.min_words)
     for name in ("exclude_from", "exclude_to"):
         _parse_flag(args, name, lambda text: text and date.fromisoformat(text))
     stories, bad = parse_stories(data_records(args.input))
@@ -333,6 +338,13 @@ def cmd_make_negatives(args) -> int:
 
 def cmd_extract_aspects(args) -> int:
     _check_flag(args, "top_words", 1)
+    _check_flag(args, "iterations", 1)
+    if args.topics is not None:
+        _check_flag(args, "topics", 1)
+    else:
+        candidates = _parse_flag(args, "candidates", lambda text: [int(c) for c in text.split(",")])
+        if min(candidates) < 1:
+            raise ConfigError(f"--candidates {args.candidates} must list counts >= 1")
     texts = [r["text"] for r in data_records(args.input, {"text": str})]
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
@@ -341,7 +353,6 @@ def cmd_extract_aspects(args) -> int:
         model = lda_fit(docs, words, args.topics, iterations=args.iterations,
                         seed=args.seed)
     else:
-        candidates = _parse_flag(args, "candidates", lambda text: [int(c) for c in text.split(",")])
         model = select_num_topics(docs, words, candidates, seed=args.seed,
                                   iterations=args.iterations)
     n_topics = model.n_topics

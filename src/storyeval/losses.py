@@ -1,8 +1,10 @@
-"""Training objectives: ranking hinges, aspect losses, comment MLE, joint sum.
+"""Training objectives: ranking hinges, aspect losses, joint sum.
 
 All functions build autodiff graph nodes, so they accept Tensors from the
 model heads (floats and numpy arrays are wrapped as constants).  Batched
 inputs are averaged over the batch; single items pass through unchanged.
+The comment loss, the decoder's teacher-forced NLL, is
+``Model.encoded_comment_nll``, one ``autodiff.token_nll`` node.
 
 Cross-entropies clamp probabilities at 1e-12 before the log.
 """
@@ -70,32 +72,6 @@ def rating_loss(a_r, y_a_r, mask) -> Tensor:
     y_t = Tensor(y.astype(a_r.data.dtype))
     m_t = Tensor(mask.astype(a_r.data.dtype))
     return -(m_t * _bce(a_r, y_t)).sum(axis=-1).mean()
-
-
-def sequence_nll(logits: Tensor, targets: np.ndarray, mask: np.ndarray | None = None,
-                 reduce: str = "mean") -> Tensor:
-    """Teacher-forced negative log-likelihood of ``targets`` under ``logits``.
-
-    ``mean`` divides by the number of unmasked target tokens (token-level,
-    not per-sequence); ``sum`` leaves the total for perplexity bookkeeping.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.shape[:-1] != targets.shape:
-        raise ContractViolation("logits and targets disagree on shape")
-    if targets.size == 0:
-        raise ContractViolation("empty target sequence")
-    if mask is None:
-        mask = np.ones(targets.shape, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    n_tokens = float(mask.sum())
-    if n_tokens == 0:
-        raise ContractViolation("mask removes every target token")
-    total = ad.token_nll(logits, targets, mask)
-    if reduce == "sum":
-        return total
-    if reduce == "mean":
-        return total / n_tokens
-    raise ContractViolation(f"unknown reduce '{reduce}'")
 
 
 def discrimination_loss(p_s, label) -> Tensor:

@@ -6,8 +6,8 @@ permutation; a point statistic is the identity permutation's score.
 The significance test is a seeded two-sided permutation test, because
 the desk-scale samples are small enough to make parametric p-values
 shaky, and it scores every permutation at once.
-Perplexity sums ``Model.comment_nll`` under ``autodiff.no_grad`` over the
-``model.token_chunks`` of its stories' lengths, ``INFER_TOKENS`` each.
+Perplexity is one summed ``Model.comment_nll`` under ``autodiff.no_grad``,
+which batches the comments itself.
 """
 
 import math
@@ -20,7 +20,6 @@ from scipy import stats as _scipy_stats
 from . import autodiff as ad
 from . import rng as rng_mod
 from .errors import ContractViolation, UndefinedCorrelationError
-from . import model as model_mod
 
 SIGNIFICANCE_LEVEL = 0.01
 
@@ -220,14 +219,10 @@ def corpus_perplexity(model, items) -> float:
     items = list(items)
     if not items:
         raise ContractViolation("empty comment corpus")
-    total_nll = 0.0
+    stories, aspects, comments = zip(*items)
     with ad.no_grad():
-        for run in model_mod.token_chunks([len(s) for s, _, _ in items], model_mod.INFER_TOKENS):
-            stories, aspects, comments = zip(*(items[i] for i in run))
-            total_nll += float(model.comment_nll(stories, aspects, comments,
-                                                 reduce="sum").data)
-    total_tokens = sum(len(comment_ids) - 1 for _, _, comment_ids in items)
-    return math.exp(total_nll / total_tokens)
+        total = float(model.comment_nll(stories, aspects, comments, reduce="sum").data)
+    return math.exp(total / sum(len(c) - 1 for c in comments))
 
 
 @dataclass

@@ -16,9 +16,9 @@ serves its heads and its comments on every aspect.
 ``token_chunks`` is the one batching rule of inference: length-sorted runs
 of at most a budget of padded tokens, so long stories are encoded with little
 padding and with per-layer temporaries near cache size.  ``Model.infer``, the
-one inference path for the heads, ``metrics.corpus_perplexity`` (through
-``Model.comment_nll``) and ``Model.generate_comments``, the one search, all
-batch by it.
+one inference path for the heads, ``Model.comment_nll``, the one sequence NLL
+outside the training step (``metrics.corpus_perplexity`` calls it once), and
+``Model.generate_comments``, the one search, all batch by it.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -30,7 +30,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, WindowLayout
 from .errors import ConfigError, ContractViolation
-from .losses import sequence_nll
 from .vocab import Vocabulary, pad_batch
 
 # padded tokens (rows x longest row) per Model.infer chunk.  Scoring 64
@@ -69,6 +68,11 @@ def distinct(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     return [seqs[i] for i in np.unique(picks, return_index=True)[1]], picks
 
 
+def _check_reduce(reduce: str) -> None:
+    if reduce not in ("sum", "mean"):
+        raise ContractViolation(f"unknown reduce '{reduce}'")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -96,9 +100,12 @@ class ModelConfig:
 
 def init_params(config: ModelConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict[str, Tensor]:
-    """Fresh parameter dict: weights N(0, 0.02), norms identity, biases 0."""
+    """Fresh parameter dict: weights N(0, 0.02), norms identity, biases 0.
+
+    Sub-layer j of a block is ``ln{j}`` followed by its mixer's weights, the
+    encoder's ``attn`` or the decoder's ``self`` then ``cross``; the last
+    sub-layer's mixer is ``ff``."""
     d, v, k = config.d_model, config.vocab_size, config.n_aspects
-    h = 4 * d
     params: dict[str, Tensor] = {}
 
     def w(name, *shape):
@@ -107,44 +114,26 @@ def init_params(config: ModelConfig, rng: np.random.Generator,
     def zeros(name, *shape):
         params[name] = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
-    def ones(name, *shape):
-        params[name] = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+    def norm(name):
+        params[f"{name}.g"] = Tensor(np.ones(d, dtype=dtype), requires_grad=True)
+        zeros(f"{name}.b", d)
 
     w("tok_emb", v, d)
     w("pos_emb", config.max_len, d)
     w("dec_pos_emb", config.max_len, d)
-    for i in range(config.n_enc_layers):
-        p = f"enc{i}"
-        ones(f"{p}.ln1.g", d)
-        zeros(f"{p}.ln1.b", d)
-        for m in ("wq", "wk", "wv", "wo"):
-            w(f"{p}.attn.{m}", d, d)
-        ones(f"{p}.ln2.g", d)
-        zeros(f"{p}.ln2.b", d)
-        w(f"{p}.ff.w1", d, h)
-        zeros(f"{p}.ff.b1", h)
-        w(f"{p}.ff.w2", h, d)
-        zeros(f"{p}.ff.b2", d)
-    ones("enc_ln.g", d)
-    zeros("enc_ln.b", d)
-    for i in range(config.n_dec_layers):
-        p = f"dec{i}"
-        ones(f"{p}.ln1.g", d)
-        zeros(f"{p}.ln1.b", d)
-        for m in ("wq", "wk", "wv", "wo"):
-            w(f"{p}.self.{m}", d, d)
-        ones(f"{p}.ln2.g", d)
-        zeros(f"{p}.ln2.b", d)
-        for m in ("wq", "wk", "wv", "wo"):
-            w(f"{p}.cross.{m}", d, d)
-        ones(f"{p}.ln3.g", d)
-        zeros(f"{p}.ln3.b", d)
-        w(f"{p}.ff.w1", d, h)
-        zeros(f"{p}.ff.b1", h)
-        w(f"{p}.ff.w2", h, d)
-        zeros(f"{p}.ff.b2", d)
-    ones("dec_ln.g", d)
-    zeros("dec_ln.b", d)
+    for stack, n_layers, mixers in (("enc", config.n_enc_layers, ("attn",)),
+                                    ("dec", config.n_dec_layers, ("self", "cross"))):
+        for p in (f"{stack}{i}" for i in range(n_layers)):
+            for j, mixer in enumerate(mixers, 1):
+                norm(f"{p}.ln{j}")
+                for m in ("wq", "wk", "wv", "wo"):
+                    w(f"{p}.{mixer}.{m}", d, d)
+            norm(f"{p}.ln{len(mixers) + 1}")
+            w(f"{p}.ff.w1", d, 4 * d)
+            zeros(f"{p}.ff.b1", 4 * d)
+            w(f"{p}.ff.w2", 4 * d, d)
+            zeros(f"{p}.ff.b2", d)
+        norm(f"{stack}_ln")
     w("w_ps", d, 1)
     w("w_ac", d, k)
     w("w_ar", d, k)
@@ -340,12 +329,20 @@ class Model:
 
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                     comment_seqs: list[np.ndarray], reduce: str = "mean", rng=None) -> Tensor:
-        """``encoded_comment_nll`` of (story, aspect, comment) triples, each
-        distinct story encoded once."""
-        seqs, picks = distinct(story_id_seqs)
-        _, states, lengths = self.encode_stories(seqs, rng=rng)
-        return self.encoded_comment_nll(states, lengths, picks, aspect_ks, comment_seqs,
-                                        reduce=reduce, rng=rng)
+        """``encoded_comment_nll`` of (story, aspect, comment) triples, summed over
+        the ``token_chunks`` of ``INFER_TOKENS`` story tokens, each chunk's distinct
+        stories encoded once; ``mean`` divides by every predicted token."""
+        _check_reduce(reduce)
+        total = None
+        for run in token_chunks([len(s) for s in story_id_seqs], INFER_TOKENS):
+            seqs, picks = distinct([story_id_seqs[i] for i in run])
+            _, states, lengths = self.encode_stories(seqs, rng=rng)
+            part = self.encoded_comment_nll(states, lengths, picks, [aspect_ks[i] for i in run],
+                                            [comment_seqs[i] for i in run], "sum", rng)
+            total = part if total is None else total + part
+        if total is None:
+            raise ContractViolation("no comments to score")
+        return total if reduce == "sum" else total / sum(len(c) - 1 for c in comment_seqs)
 
     def encoded_comment_nll(self, states: Tensor, lengths: np.ndarray, picks,
                             aspect_ks: list[int], comment_seqs: list[np.ndarray],
@@ -354,6 +351,7 @@ class Model:
         ``aspect_ks[i]`` of story ``picks[i]`` of packed ``states`` (stories of
         ``lengths``): the decoder reads <aspect_k> w1 ... wn.  Padded targets are
         masked out, so ``mean`` divides by the predicted tokens of the batch."""
+        _check_reduce(reduce)
         comment_seqs = [np.asarray(c, dtype=np.int64) for c in comment_seqs]
         if any(len(c) < 2 or c[0] != self.vocab.bos_id or c[-1] != self.vocab.eos_id
                for c in comment_seqs):
@@ -367,7 +365,8 @@ class Model:
         logits = decoder_logits(self.params, self.config, inputs, comment_lengths,
                                 ad.embedding(states, story_rows(lengths, picks)),
                                 lengths[picks], rng=rng)
-        return sequence_nll(logits, targets, mask, reduce=reduce)
+        total = ad.token_nll(logits, targets, mask)
+        return total if reduce == "sum" else total / float(comment_lengths.sum())
 
     def generate_comments(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                           max_new_tokens: int = 40, beam: int = 1) -> list[np.ndarray]:

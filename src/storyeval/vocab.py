@@ -75,14 +75,14 @@ class Vocabulary:
             fh.write("\n".join(self.tokens) + "\n")
 
     @classmethod
-    def load(cls, path: str | Path, n_aspects: int | None = None) -> "Vocabulary":
+    def load(cls, path: str | Path) -> "Vocabulary":
+        """A saved vocabulary; its aspect count is its number of <aspect_k> tokens."""
         lines = read_text(path).splitlines()
         if not lines:
             raise DataError(f"empty vocabulary file: {path}")
-        if n_aspects is None:
-            n_aspects = 0
-            while aspect_token(n_aspects) in lines[6:]:
-                n_aspects += 1
+        n_aspects = 0
+        while aspect_token(n_aspects) in lines[6:]:
+            n_aspects += 1
         try:
             return cls(lines, n_aspects)
         except ContractViolation as exc:

@@ -122,7 +122,7 @@ class TestPrepareGolden:
 
     def test_no_pairs_is_data_error(self, tmp_path):
         assert run(["prepare-pairs", FIXTURE, "--out-dir", tmp_path,
-                    "--min-words", 5000]) == cli.EXIT_DATA
+                    "--min-words", 5000, "--max-words", 6000]) == cli.EXIT_DATA
 
 
 class TestMakeNegatives:
@@ -866,7 +866,7 @@ class TestMalformedSettings:
         ("prepare-pairs", ["--ratios", "a,b"], "--ratios cannot read 'a,b'"),
         ("prepare-pairs", ["--exclude-from", "notadate"], "--exclude-from cannot read 'notadate'"),
         ("extract-aspects", ["--candidates", "a"], "--candidates cannot read 'a'"),
-        ("extract-aspects", ["--topics", "0"], "n_topics must be >= 1"),
+        ("extract-aspects", ["--topics", "0"], "--topics 0 must be in [1, inf]"),
         ("set", "model.n_enc_layers=-1", "n_enc_layers -1 must be >= 1"),
         ("set", "model.dropout=1.5", "dropout 1.5 must be in [0, 1)"),
         ("set", "model.max_len=0", "max_len 0 must be >= 1"),
@@ -926,6 +926,30 @@ class TestMalformedSettings:
         # checked before any input is read: the inputs do not exist
         argv = ["augment-comments", "--crowd", tmp_path / "no_crowd.jsonl",
                 "--raw", tmp_path / "no_raw.jsonl", "--out-dir", tmp_path / "out", *flags]
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flags,named", [
+        ("prepare-pairs", ["--ratios", "0.5,0.5"], "--ratios 0.5,0.5 must be three numbers"),
+        ("prepare-pairs", ["--ratios", "0.4,0.3,0.2,0.1"], "--ratios 0.4,0.3,0.2,0.1 must be"),
+        ("prepare-pairs", ["--ratios", "1.2,-0.1,-0.1"], "--ratios 1.2,-0.1,-0.1 must be"),
+        ("prepare-pairs", ["--ratios", "0.5,0.6,0.1"], "--ratios 0.5,0.6,0.1 must be"),
+        ("prepare-pairs", ["--max-pairs-per-prompt", 0], "--max-pairs-per-prompt 0 must be in"),
+        ("prepare-pairs", ["--max-pairs-per-prompt", -1], "--max-pairs-per-prompt -1 must be"),
+        ("prepare-pairs", ["--min-words", 60, "--max-words", 10],
+         "--max-words 10 must be in [60, inf]"),
+        ("extract-aspects", ["--iterations", 0], "--iterations 0 must be in [1, inf]"),
+        ("extract-aspects", ["--iterations", -3], "--iterations -3 must be in [1, inf]"),
+        ("extract-aspects", ["--topics", -2], "--topics -2 must be in [1, inf]"),
+        ("extract-aspects", ["--candidates", "0,2"], "--candidates 0,2 must list counts >= 1"),
+    ], ids=["ratios_two", "ratios_four", "ratios_negative", "ratios_sum", "max_pairs_0",
+            "max_pairs_neg", "max_words", "iterations_0", "iterations_neg", "topics",
+            "candidates"])
+    def test_input_command_flags(self, tmp_path, capsys, command, flags, named):
+        # checked before any input is read: the input does not exist
+        argv = [command, tmp_path / "missing.jsonl", "--out-dir", tmp_path / "out", *flags]
         assert run(argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and named in err

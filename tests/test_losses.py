@@ -14,7 +14,6 @@ from storyeval.losses import (
     joint_loss,
     margin_rank_loss,
     rating_loss,
-    sequence_nll,
 )
 from storyeval.model import Model, ModelConfig, predict_aspects, predict_preference
 from storyeval.vocab import build_vocab, tokenize
@@ -141,36 +140,35 @@ class TestRating:
 
 
 class TestSequenceNll:
+    """The comment loss's op, ``autodiff.token_nll``: the summed NLL of the
+    unmasked targets, which ``Model.encoded_comment_nll`` divides by their
+    count for ``mean``."""
+
     def test_hand_evaluated_two_token_mean(self):
         logits = Tensor(np.log(np.array([[[0.5, 0.5], [0.25, 0.75]]])))
-        got = val(sequence_nll(logits, np.array([[0, 0]])))
+        got = val(ad.token_nll(logits, np.array([[0, 0]]), np.ones((1, 2)))) / 2.0
         assert abs(got - (np.log(2.0) + np.log(4.0)) / 2.0) < TOL
         assert abs(got - 1.0397) < 1e-4
 
     def test_uniform_is_log_vocab(self):
         logits = Tensor(np.zeros((1, 5, 16)))
-        got = val(sequence_nll(logits, np.zeros((1, 5), dtype=np.int64)))
-        assert abs(got - np.log(16.0)) < TOL
+        got = val(ad.token_nll(logits, np.zeros((1, 5), dtype=np.int64), np.ones((1, 5))))
+        assert abs(got - 5.0 * np.log(16.0)) < TOL
 
     def test_confident_model_near_zero(self):
         logits = np.full((1, 3, 8), -50.0)
         for t, tok in enumerate([2, 5, 1]):
             logits[0, t, tok] = 50.0
-        got = val(sequence_nll(Tensor(logits), np.array([[2, 5, 1]])))
+        got = val(ad.token_nll(Tensor(logits), np.array([[2, 5, 1]]), np.ones((1, 3))))
         assert got < 1e-9
 
     def test_mask_and_sum_variant(self):
         logits = Tensor(np.zeros((2, 3, 4)))
         targets = np.zeros((2, 3), dtype=np.int64)
-        mask = np.array([[1, 1, 0], [1, 0, 0]], dtype=np.float64)
-        mean = val(sequence_nll(logits, targets, mask))
-        total = val(sequence_nll(logits, targets, mask, reduce="sum"))
-        assert abs(mean - np.log(4.0)) < TOL
+        mask = np.array([[1, 1, 0], [1, 0, 0]], dtype=bool)
+        total = val(ad.token_nll(logits, targets, mask))
         assert abs(total - 3.0 * np.log(4.0)) < TOL
-
-    def test_empty_targets_rejected(self):
-        with pytest.raises(ContractViolation):
-            sequence_nll(Tensor(np.zeros((1, 0, 4))), np.zeros((1, 0), dtype=np.int64))
+        assert abs(total / mask.sum() - np.log(4.0)) < TOL
 
 
 class TestJoint:

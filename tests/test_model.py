@@ -436,6 +436,47 @@ def test_batched_perplexity_matches_per_item_nll(setup, monkeypatch):
         assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
 
 
+def test_comment_nll_sums_its_token_chunks(setup, monkeypatch):
+    """Triples whose stories fall into three chunks of INFER_TOKENS, one story
+    repeated, give the one-chunk sum and mean and the same parameter
+    gradients; an unknown reduce is refused."""
+    model, vocab, _ = setup
+    stories = [story_ids(vocab, t) for t in (TEXTS[0], "a child", TEXTS[1], TEXTS[2], TEXTS[2])]
+    words = [vocab.id_of(w) for w in "the rain fell on the key".split()]
+    comments = [np.asarray([vocab.bos_id] + words[: 1 + i] + [vocab.eos_id]) for i in range(5)]
+    aspects = [0, 1, 2, 0, 2]
+
+    def nll_and_grads(reduce):
+        loss = model.comment_nll(stories, aspects, comments, reduce=reduce)
+        ad.forward_backward(loss, model.params)
+        return float(loss.data), {n: p.grad.copy() for n, p in model.params.items()}
+
+    want = {r: nll_and_grads(r) for r in ("sum", "mean")}
+    budget = 2 * max(len(s) for s in stories)
+    chunks = model_mod.token_chunks([len(s) for s in stories], budget)
+    assert len(chunks) >= 3
+    encoded, real_encode = [], model_mod.encode
+
+    def encode_spy(params, config, ids, lengths, **kw):
+        encoded.append(ids.shape[0])
+        return real_encode(params, config, ids, lengths, **kw)
+
+    monkeypatch.setattr(model_mod, "encode", encode_spy)
+    monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
+    for reduce, (want_nll, want_grads) in want.items():
+        got_nll, got_grads = nll_and_grads(reduce)
+        assert abs(got_nll - want_nll) <= 1e-12
+        assert all(np.max(np.abs(got_grads[n] - g)) <= 1e-12 for n, g in want_grads.items())
+    # each chunk's distinct stories, encoded once per call; the repeat shares a chunk
+    per_call = [len({stories[i].tobytes() for i in chunk}) for chunk in chunks]
+    assert encoded == 2 * per_call and sum(per_call) < len(stories)
+    with pytest.raises(ContractViolation, match="unknown reduce 'max'"):
+        model.comment_nll(stories, aspects, comments, reduce="max")
+    _, states, lengths = model.encode_stories(stories[:1])
+    with pytest.raises(ContractViolation, match="unknown reduce 'max'"):
+        model.encoded_comment_nll(states, lengths, [0], [0], comments[:1], reduce="max")
+
+
 def eos_prone(model, vocab, scale=6.0):
     """A copy of ``model`` whose <eos> logit is scaled up, so hypotheses
     finish at different steps."""
