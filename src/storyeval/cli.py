@@ -68,7 +68,7 @@ from .metrics import (
     score_distance,
     spearman,
 )
-from .model import Model, ModelConfig
+from .model import DECODE_TOKENS, INFER_TOKENS, Model, ModelConfig
 from .training import TrainConfig, TrainData, Trainer, pair_scores, score_texts
 from .vocab import Vocabulary, build_vocab, tokenize, words
 
@@ -512,17 +512,17 @@ def cmd_score(args) -> int:
         except (ContractViolation, DataError) as exc:
             out["error"] = f"{type(exc).__name__}: {exc}"
         outputs.append(out)
-    scored = [out for out in outputs if "error" not in out]
-    p_s, a_c, a_r = model.infer(seqs)
-    jobs = [(i, k) for i, conf in enumerate(a_c)
-            for k in np.argsort(-conf, kind="stable")[: args.top_aspects].tolist()]
-    toks = model.generate_comments([seqs[i] for i, _ in jobs], [k for _, k in jobs],
-                                   args.max_new_tokens, args.beam)
-    for i, out in enumerate(scored):
-        out.update(p_s=float(p_s[i]), a_c=[float(x) for x in a_c[i]],
-                   a_r=[float(x) for x in a_r[i]], comments={})
-    for (i, k), ids in zip(jobs, toks):
-        scored[i]["comments"][str(k)] = model.vocab.decode(ids)
+    scored, top = [out for out in outputs if "error" not in out], args.top_aspects
+    # one encode per story; a decode batch holds at most DECODE_TOKENS tokens of pairs
+    for group, (p_s, a_c, a_r), states, lengths, picks in model.encoded(
+            seqs, DECODE_TOKENS // top if top else INFER_TOKENS):
+        ks = np.argsort(-a_c, axis=1, kind="stable")[:, :top]
+        toks = model.search(states, lengths, np.repeat(picks, ks.shape[1]), ks.reshape(-1),
+                            args.max_new_tokens, args.beam)
+        for i, p, c, r in zip(group, p_s, a_c, a_r):
+            scored[i].update(p_s=float(p), a_c=c.tolist(), a_r=r.tolist(), comments={})
+        for i, k, ids in zip(np.repeat(group, ks.shape[1]), ks.reshape(-1), toks):
+            scored[i]["comments"][str(k)] = model.vocab.decode(ids)
     failures = sum("error" in out for out in outputs)
     write_artifact_jsonl(args.out, outputs, {**_meta(args), "failures": failures})
     print(f"scored {len(outputs) - failures}/{len(records)} stories -> {args.out}")

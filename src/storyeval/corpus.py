@@ -169,13 +169,15 @@ def build_pairs(stories: list[Story], high_min: int = 50, low_max: int = 0,
 
 def split_by_prompt(pairs: list[RankedPair], ratios=(0.8, 0.1, 0.1),
                     seed: int = 0) -> dict[str, list[RankedPair]]:
-    """Partition prompts into train/val/test by seeded shuffle.
+    """Partition prompts into train/val/test (train/val for two ``ratios``)
+    by seeded shuffle.
 
-    Split sizes follow largest-remainder rounding of ``ratios``.  Pair
+    Split sizes follow largest-remainder rounding of ``ratios``, two or
+    three shares >= 0 summing to 1.  Pair
     lists are sorted, so the result depends only on (pairs-as-set, seed).
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ContractViolation(f"ratios must sum to 1, got {sum(ratios)}")
+    if len(ratios) not in (2, 3) or not min(ratios) >= 0 or not abs(sum(ratios) - 1) <= 1e-9:
+        raise ContractViolation(f"ratios must be 2 or 3 numbers >= 0 summing to 1, got {ratios}")
     names = ("train", "val", "test")[: len(ratios)]
     prompts = sorted({p.prompt_id for p in pairs})
     if len(prompts) < len(ratios):

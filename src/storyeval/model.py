@@ -15,10 +15,10 @@ serves its heads and its comments on every aspect.
 
 ``token_chunks`` is the one batching rule of inference: length-sorted runs
 of at most a budget of padded tokens, so long stories are encoded with little
-padding and with per-layer temporaries near cache size.  ``Model.infer``, the
-one inference path for the heads, ``Model.comment_nll``, the one sequence NLL
-outside the training step (``metrics.corpus_perplexity`` calls it once), and
-``Model.generate_comments``, the one search, all batch by it.
+padding and with per-layer temporaries near cache size.  ``Model.comment_nll``,
+the one sequence NLL, and ``Model.encoded``, the one no-grad encode walk, batch
+by it.  ``Model.infer`` walks groups of ``INFER_TOKENS``, ``generate_comments``
+of ``DECODE_TOKENS``, and ``score`` reads each group's heads and comments at once.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -314,17 +314,31 @@ class Model:
         v_s, states = encode(self.params, self.config, ids, lengths, rng=rng)
         return v_s, states, lengths
 
+    def encoded(self, id_seqs: list[np.ndarray], budget: int):
+        """The no-grad encode walk of inference: each ``token_chunks`` group of
+        ``budget`` tokens has its distinct stories encoded once, in chunks of
+        ``INFER_TOKENS``.  Yields the group's input indices, their heads (p_s, a_c,
+        a_r) as numpy arrays, and the packed states, lengths and per-input picks
+        that ``search`` reads.  Copies of a story in one group are encoded once."""
+        for group in token_chunks([len(s) for s in id_seqs], budget):
+            seqs, picks = distinct([id_seqs[i] for i in group])
+            lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
+            with ad.no_grad():
+                # the chunks of a length-sorted group are consecutive runs of its stories
+                states = np.concatenate([self.encode_stories([seqs[i] for i in chunk])[1].data
+                                         for chunk in token_chunks(lengths, INFER_TOKENS)])
+                v_s = Tensor(states[(np.cumsum(lengths) - lengths)[picks]])
+                heads = predict_preference(self.params, v_s), *predict_aspects(self.params, v_s)
+            yield group, [h.data for h in heads], Tensor(states), lengths, picks
+
     def infer(self, id_seqs: list[np.ndarray]):
         """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order, as
-        numpy arrays; ``token_chunks`` of ``INFER_TOKENS`` are encoded without a graph."""
+        numpy arrays, walked in groups of ``INFER_TOKENS``."""
         n, k, dtype = len(id_seqs), self.config.n_aspects, self.params["w_ps"].dtype
         out = np.zeros(n, dtype), np.zeros((n, k), dtype), np.zeros((n, k), dtype)
-        with ad.no_grad():
-            for run in token_chunks([len(s) for s in id_seqs], INFER_TOKENS):
-                v_s, _, _ = self.encode_stories([id_seqs[i] for i in run])
-                heads = predict_preference(self.params, v_s), *predict_aspects(self.params, v_s)
-                for part, head in zip(out, heads):
-                    part[run] = head.data
+        for group, heads, *_ in self.encoded(id_seqs, INFER_TOKENS):
+            for part, head in zip(out, heads):
+                part[group] = head
         return out
 
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
@@ -371,39 +385,29 @@ class Model:
     def generate_comments(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                           max_new_tokens: int = 40, beam: int = 1) -> list[np.ndarray]:
         """Beam-search comment ids per (story, aspect) pair, <aspect_k>/<eos> stripped,
-        decoded in ``token_chunks`` of ``DECODE_TOKENS`` encoder tokens; each group's
-        distinct stories are encoded once, in ``INFER_TOKENS`` chunks."""
+        walked in groups of ``DECODE_TOKENS`` encoder tokens."""
+        ks, results = np.asarray(aspect_ks, dtype=np.int64), {}
+        for group, _, *encoded in self.encoded(story_id_seqs, DECODE_TOKENS):
+            results.update(zip(group, self.search(*encoded, ks[group], max_new_tokens, beam)))
+        return [results[i] for i in range(len(ks))]
+
+    @ad.no_grad()
+    def search(self, states: Tensor, lengths: np.ndarray, picks, aspect_ks,
+               max_new_tokens: int, beam: int) -> list:
+        """Beam search of a comment about aspect ``aspect_ks[i]`` of story ``picks[i]``
+        of packed ``states`` (stories of ``lengths``).  Each step feeds every hypothesis
+        of every unfinished pair one position through a ``DecoderCache``; a pair whose
+        hypotheses have all emitted <eos> leaves the batch.  Tokens are ranked by
+        logits, not by float32 log-probabilities that can round distinct logits into
+        ties; scores add up in float64 and equal scores keep the expansion order, so
+        width 1 is exactly argmax."""
         if beam < 1:
             raise ContractViolation("beam width must be >= 1")
-        starts = np.asarray([self.vocab.aspect_id(k) for k in aspect_ks], dtype=np.int64)
-        lengths = np.asarray([len(s) for s in story_id_seqs], dtype=np.int64)
-        results = {}
-        with ad.no_grad():
-            for group in token_chunks(lengths, DECODE_TOKENS):
-                seqs, picks = distinct([story_id_seqs[i] for i in group])
-                seq_lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
-                states = np.empty((seq_lengths.sum(), self.config.d_model),
-                                  self.params["tok_emb"].dtype)
-                for chunk in token_chunks(seq_lengths, INFER_TOKENS):
-                    _, part, _ = self.encode_stories([seqs[i] for i in chunk])
-                    states[story_rows(seq_lengths, chunk)] = part.data
-                results.update(zip(group, self._search(
-                    Tensor(states[story_rows(seq_lengths, picks)]), lengths[group],
-                    starts[group], max_new_tokens, beam)))
-        return [results[i] for i in range(len(lengths))]
-
-    def _search(self, states: Tensor, enc_lengths, starts, max_new_tokens: int,
-                beam: int) -> list:
-        """Beam search from first inputs ``starts`` over packed states, one story per
-        pair.  Each step feeds every hypothesis of every unfinished pair one position
-        through a ``DecoderCache``; a pair whose hypotheses have all emitted <eos> leaves
-        the batch.  Tokens are ranked by logits, not by float32 log-probabilities that
-        can round distinct logits into ties; scores add up in float64 and equal scores
-        keep the expansion order, so width 1 is exactly argmax."""
+        seqs = np.asarray([self.vocab.aspect_id(k) for k in aspect_ks], np.int64).reshape(-1, 1, 1)
+        states, enc_lengths = Tensor(states.data[story_rows(lengths, picks)]), lengths[picks]
         n, eos = len(enc_lengths), self.vocab.eos_id
         live, results = np.arange(n), [None] * n      # state row of each decoding pair
         scores, done = np.zeros((n, 1)), np.zeros((n, 1), dtype=bool)
-        seqs = np.asarray(starts).reshape(n, 1, 1)
         # states are read once, by the first step, which caches the cross K/V
         cache = DecoderCache(max_new_tokens)
         while cache.length < max_new_tokens and live.size:

@@ -8,7 +8,9 @@ for batched inference, dense masked attention for banded window
 attention and for the fused decoder attention, the numpy-array Gibbs
 sampler and pair-scan UMass coherence for the list-based LDA, the
 full-prefix decoding loops (greedy and per-hypothesis beam search) for
-cached, batched comment generation, ``reference_train_step``, the
+cached, batched comment generation, ``reference_score``, ``Model.infer``
+then ``generate_comments``, for ``score``'s one encode walk,
+``reference_train_step``, the
 three-pass train step (preferred, rejected and negative stories each
 encoded on their own, and the comment loss's stories encoded again) for
 the one-pass ``Trainer.train_step``, and
@@ -440,6 +442,25 @@ def reference_beam(model, story_ids, aspect_k: int, max_new_tokens: int = 40,
     if body and body[-1] == vocab.eos_id:
         body = body[:-1]
     return np.asarray(body, dtype=np.int64)
+
+
+def reference_score(model, id_seqs, top_aspects: int, max_new_tokens: int,
+                    beam: int) -> list[dict]:
+    """``score``'s heads and comment ids per story, from two calls: ``Model.infer``
+    for the heads, then ``generate_comments`` over every (story, top aspect) job.
+
+    This is the composition, each story encoded twice, that ``score``'s walk
+    over ``Model.encoded`` replaced.
+    """
+    p_s, a_c, a_r = model.infer(id_seqs)
+    jobs = [(i, k) for i, conf in enumerate(a_c)
+            for k in np.argsort(-conf, kind="stable")[:top_aspects].tolist()]
+    toks = model.generate_comments([id_seqs[i] for i, _ in jobs], [k for _, k in jobs],
+                                   max_new_tokens, beam)
+    records = [{"p_s": p, "a_c": c, "a_r": r, "comments": {}} for p, c, r in zip(p_s, a_c, a_r)]
+    for (i, k), ids in zip(jobs, toks):
+        records[i]["comments"][str(k)] = ids
+    return records
 
 
 def reference_train_step(trainer, batch):

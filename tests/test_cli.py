@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from storyeval import aspects, cli
+from storyeval import model as model_mod
 from storyeval.aspects import AspectTaxonomy
 from storyeval.checkpoint import load_checkpoint, save_checkpoint
 from storyeval.errors import DataError
 from storyeval.jsonl import dumps, read_jsonl, write_json, write_jsonl
 from storyeval.model import Model, ModelConfig
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
-from storyeval.vocab import Vocabulary, build_vocab
+from storyeval.vocab import Vocabulary, build_vocab, tokenize
+
+from helpers import reference_score
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "prepare"
@@ -362,6 +365,133 @@ class TestScore:
             assert rec["comments"] == {}
 
 
+def score_inputs(smoke, tmp_path, n: int = 6) -> tuple[Path, list[dict]]:
+    """``n`` prepared stories with the second one given again under a new id and
+    an empty one among them, as a ``score`` input file, and its records."""
+    stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl") if "meta" not in r][:n]
+    stories.insert(3, {**stories[1], "id": "again"})
+    stories.insert(2, {"id": "broken", "text": ""})
+    write_jsonl(tmp_path / "stories.jsonl", stories)
+    return tmp_path / "stories.jsonl", stories
+
+
+def score_argv(smoke, tmp_path, stories, *flags) -> list:
+    return ["score", "--checkpoint", smoke / "run" / "model.ckpt",
+            "--vocab", smoke / "run" / "vocab.txt", "--stories", stories,
+            "--out", tmp_path / "scores.jsonl", *flags]
+
+
+def small_budgets(monkeypatch, infer: int, decode: int) -> None:
+    """Token budgets small enough that the smoke stories (at most 96 tokens)
+    fall into several groups and chunks."""
+    for module in (model_mod, cli):
+        monkeypatch.setattr(module, "INFER_TOKENS", infer)
+        monkeypatch.setattr(module, "DECODE_TOKENS", decode)
+
+
+class TestScoreWalk:
+    """``score`` walks ``Model.encoded`` once: each distinct story is encoded
+    once, its heads choose the aspects, and its states decode their comments."""
+
+    @pytest.mark.parametrize("small", [False, True], ids=["default_budgets", "small_budgets"])
+    @pytest.mark.parametrize("beam", [1, 2])
+    def test_records_equal_the_two_call_oracle(self, smoke, tmp_path, monkeypatch, beam, small):
+        path, stories = score_inputs(smoke, tmp_path)
+        if small:
+            small_budgets(monkeypatch, 150, 400)
+        encoded, real_encode = [], Model.encode_stories
+
+        def encode_spy(model, id_seqs, rng=None):
+            encoded.extend(s.tobytes() for s in id_seqs)
+            return real_encode(model, id_seqs, rng=rng)
+
+        monkeypatch.setattr(Model, "encode_stories", encode_spy)
+        # the comments hold their ids, so the records show them exactly
+        monkeypatch.setattr(Vocabulary, "decode", lambda vocab, ids: " ".join(map(str, ids)))
+        assert run(score_argv(smoke, tmp_path, path, "--top-aspects", 2,
+                              "--max-new-tokens", 6, "--beam", beam)) == 0
+        monkeypatch.setattr(Model, "encode_stories", real_encode)
+        body = read_jsonl(tmp_path / "scores.jsonl")[1:]
+        assert [r["id"] for r in body] == [r["id"] for r in stories]
+        model = cli._load_model(smoke / "run" / "model.ckpt", smoke / "run" / "vocab.txt")
+        seqs = [tokenize(r["text"], model.vocab, model.config.max_len)
+                for r in stories if r["text"]]
+        assert len({s.tobytes() for s in seqs}) == len(seqs) - 1
+        # one encode per distinct story: its copies share a group here
+        assert sorted(encoded) == sorted({s.tobytes() for s in seqs})
+        want = reference_score(model, seqs, 2, 6, beam)
+        got = [r for r in body if "error" not in r]
+        assert len(got) == len(want) == len(seqs)
+        for rec, ref in zip(got, want):
+            for head in ("p_s", "a_c", "a_r"):
+                assert np.max(np.abs(np.asarray(rec[head]) - ref[head])) <= 1e-5
+            assert rec["comments"] == {k: " ".join(map(str, ids))
+                                       for k, ids in ref["comments"].items()}
+            assert len(rec["comments"]) == 2
+
+    def test_zero_top_aspects_walks_infer_groups_and_decodes_nothing(
+            self, smoke, tmp_path, monkeypatch):
+        path, _ = score_inputs(smoke, tmp_path)
+        small_budgets(monkeypatch, 150, 400)
+        chunks, groups, encoded, decoded = [], [], set(), []
+        real_encode, real_search, real_logits = (Model.encode_stories, Model.search,
+                                                 model_mod.decoder_logits)
+
+        def encode_spy(model, id_seqs, rng=None):
+            chunks.append((len(id_seqs), max(len(s) for s in id_seqs)))
+            encoded.update(s.tobytes() for s in id_seqs)
+            return real_encode(model, id_seqs, rng=rng)
+
+        def search_spy(model, states, lengths, picks, *args):
+            groups.append((len(lengths), lengths.max(), len(picks)))
+            return real_search(model, states, lengths, picks, *args)
+
+        def logits_spy(*args, **kwargs):
+            decoded.append(args)
+            return real_logits(*args, **kwargs)
+
+        monkeypatch.setattr(Model, "encode_stories", encode_spy)
+        monkeypatch.setattr(Model, "search", search_spy)
+        monkeypatch.setattr(model_mod, "decoder_logits", logits_spy)
+        assert run(score_argv(smoke, tmp_path, path, "--top-aspects", 0)) == 0
+        # groups of INFER_TOKENS: each one chunk, as in Model.infer
+        assert all(rows * t <= 150 or rows == 1 for rows, t in chunks)
+        assert [(rows, t) for rows, t, _ in groups] == chunks
+        assert len(chunks) > 1 and max(rows for rows, _ in chunks) > 1
+        assert len(encoded) == 6 and not decoded and not any(pairs for *_, pairs in groups)
+        body = read_jsonl(tmp_path / "scores.jsonl")[1:]
+        assert all(r["comments"] == {} for r in body if "error" not in r)
+
+    def test_three_aspects_decode_within_decode_tokens(self, smoke, tmp_path, monkeypatch):
+        path, _ = score_inputs(smoke, tmp_path)
+        small_budgets(monkeypatch, 150, 450)
+        batches, real_search = [], Model.search
+
+        def search_spy(model, states, lengths, picks, aspect_ks, *args):
+            batches.append((len(picks), lengths[picks].max(), len(set(picks.tolist()))))
+            return real_search(model, states, lengths, picks, aspect_ks, *args)
+
+        monkeypatch.setattr(Model, "search", search_spy)
+        assert run(score_argv(smoke, tmp_path, path, "--top-aspects", 3,
+                              "--max-new-tokens", 4)) == 0
+        # a decode batch's (story, aspect) pairs times its longest story fit
+        # DECODE_TOKENS, unless it reads one story, longer than DECODE_TOKENS // 3
+        assert all(pairs * t <= 450 or stories == 1 for pairs, t, stories in batches)
+        assert len(batches) > 1 and max(stories for _, _, stories in batches) > 1
+        assert sum(pairs for pairs, _, _ in batches) == 3 * 7
+        body = read_jsonl(tmp_path / "scores.jsonl")[1:]
+        assert all(len(r["comments"]) == 3 for r in body if "error" not in r)
+
+    def test_every_record_failing_exits_0_with_error_records(self, smoke, tmp_path):
+        write_jsonl(tmp_path / "stories.jsonl", [{"id": "empty", "text": ""},
+                                                 {"id": "numeric", "text": 5}, {"id": "none"}])
+        assert run(score_argv(smoke, tmp_path, tmp_path / "stories.jsonl",
+                              "--top-aspects", 2)) == 0
+        records = read_jsonl(tmp_path / "scores.jsonl")
+        assert records[0]["meta"]["failures"] == 3
+        assert [sorted(r) for r in records[1:]] == [["error", "id"]] * 3
+
+
 class TestCompare:
     def _sides(self, smoke, tmp_path):
         stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
@@ -593,28 +723,37 @@ class TestEvaluate:
                     "--vocab", smoke / "run" / "vocab.txt"]) == cli.EXIT_CONFIG
 
 
+# each command that reads JSONL: one such input, as READ_FAULTS names it, and
+# the artifact_inputs file whose first line leads the malformed copy
+JSONL_INPUTS = {
+    "prepare-pairs": ("raw.jsonl", "raw.jsonl"),
+    "make-negatives": ("stories.jsonl", "stories.jsonl"),
+    "extract-aspects": ("comments.jsonl", "comments.jsonl"),
+    "augment-comments": ("crowd.jsonl", "crowd.jsonl"),
+    "train": ("data:stories", "stories.jsonl"),
+    "score": ("stories.jsonl", "stories.jsonl"),
+    "compare": ("a.jsonl", "a.jsonl"),
+    "evaluate": ("spec:pairs", "val_pairs.jsonl"),
+}
+
+
 class TestMalformedJsonl:
-    @pytest.mark.parametrize("line", ['{"id": "a"', "[1, 2]", "5"],
-                             ids=["bad_json", "array", "number"])
-    @pytest.mark.parametrize("command", ["prepare-pairs", "make-negatives",
-                                         "evaluate"])
-    def test_exits_with_data_error_naming_the_line(self, smoke, tmp_path, capsys,
-                                                   command, line):
+    """A second line that is not a JSON object, or a last line cut short with
+    no newline, exits 3 naming ``path:2``, never with a traceback."""
+
+    @pytest.mark.parametrize("line", ['{"id": "a"', "[1, 2]", "5", None],
+                             ids=["bad_json", "array", "number", "truncated"])
+    @pytest.mark.parametrize("command", sorted(JSONL_INPUTS))
+    def test_exits_with_data_error_naming_the_line(self, smoke, artifact_inputs, tmp_path,
+                                                   monkeypatch, capsys, command, line):
+        monkeypatch.chdir(artifact_inputs)
+        name, source = JSONL_INPUTS[command]
+        first = (artifact_inputs / source).read_text(encoding="utf-8").splitlines()[0]
         bad = tmp_path / "bad.jsonl"
-        if command == "evaluate":
-            first = json.dumps({"prompt_id": "p", "high_id": "a", "low_id": "b"})
-            write_json(tmp_path / "spec.json", {
-                "stories": str(smoke / "prep" / "stories.jsonl"), "pairs": str(bad)})
-            argv = ["evaluate", tmp_path / "spec.json",
-                    "--checkpoint", smoke / "run" / "model.ckpt",
-                    "--vocab", smoke / "run" / "vocab.txt"]
-        else:
-            first = FIXTURE.read_text(encoding="utf-8").splitlines()[0]
-            out = ["--out-dir", tmp_path / "out"] if command == "prepare-pairs" \
-                else ["--out", tmp_path / "neg.jsonl"]
-            argv = [command, bad, *out]
-        bad.write_text(f"{first}\n{line}\n", encoding="utf-8")
-        assert run(argv) == cli.EXIT_DATA
+        # truncated: one whole record, then half of it with no trailing newline
+        bad.write_text(f"{first}\n{first[: len(first) // 2]}" if line is None
+                       else f"{first}\n{line}\n", encoding="utf-8")
+        assert run(read_fault_argv(smoke, tmp_path, command, name, bad)) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err
         assert "Traceback" not in err

@@ -165,6 +165,19 @@ class TestSplit:
         with pytest.raises(ContractViolation):
             split_by_prompt(self.make_pairs(10), ratios=(0.5, 0.2), seed=0)
 
+    @pytest.mark.parametrize("ratios", [(0.4, 0.3, 0.2, 0.1), (1.2, -0.1, -0.1), (1.0,),
+                                        (0.5, float("nan"), 0.5)],
+                             ids=["four", "negative", "one", "nan"])
+    def test_ratios_other_than_two_or_three_shares_rejected(self, ratios):
+        # four once ended in a KeyError, and negative shares in a train-only split
+        with pytest.raises(ContractViolation, match="2 or 3 numbers >= 0 summing to 1"):
+            split_by_prompt(self.make_pairs(12), ratios=ratios, seed=0)
+
+    def test_two_ratios_split_train_and_val(self):
+        splits = split_by_prompt(self.make_pairs(12), ratios=(0.75, 0.25), seed=0)
+        assert list(splits) == ["train", "val"]
+        assert [len({p.prompt_id for p in ps}) for ps in splits.values()] == [9, 3]
+
     def test_every_pair_lands_exactly_once(self):
         pairs = self.make_pairs(9, per_prompt=3)
         splits = split_by_prompt(pairs, seed=11)

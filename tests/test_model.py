@@ -17,6 +17,7 @@ from storyeval.model import (
     init_params,
     predict_aspects,
     predict_preference,
+    story_rows,
 )
 from storyeval.vocab import build_vocab, pad_batch, tokenize
 
@@ -248,7 +249,8 @@ def test_padding_does_not_change_heads(setup, monkeypatch):
 def test_infer_chunks_within_the_token_budget(setup, monkeypatch):
     """Stories of mixed lengths, in shuffled order, scored in length-sorted
     chunks of at most INFER_TOKENS padded tokens, equal the per-story
-    oracle in input order; a story longer than the budget is a chunk alone."""
+    oracle in input order; a story longer than the budget is a chunk alone,
+    and a story given twice is encoded once."""
     _, vocab, _ = setup
     cfg = ModelConfig(vocab_size=len(vocab), d_model=32, n_enc_layers=2,
                       n_dec_layers=1, n_heads=2, window=4, max_len=64,
@@ -272,10 +274,39 @@ def test_infer_chunks_within_the_token_budget(setup, monkeypatch):
     for part, ref in zip(got, reference_heads(model, seqs)):
         assert part.shape == ref.shape
         assert np.max(np.abs(part - ref)) <= 1e-5
-    assert sum(rows for rows, _ in chunks) == len(seqs)
+    # the two 3-word stories are one story
+    assert sum(rows for rows, _ in chunks) == len({s.tobytes() for s in seqs}) == 7
     assert all(rows * t <= budget or rows == 1 for rows, t in chunks)
     assert max(rows for rows, _ in chunks) > 1
     assert any(rows == 1 and t > budget for rows, t in chunks)
+
+
+def test_encode_walk_yields_each_input_once(setup, monkeypatch):
+    """``Model.encoded`` walks the inputs in length-sorted groups of at most
+    ``budget`` padded tokens; each group's distinct stories are encoded once,
+    their packed states equal each story's own encoding, and the heads of
+    each input equal the per-story oracle's."""
+    model, vocab, cfg = setup
+    words = " ".join(TEXTS * 2).split()
+    counts = np.random.default_rng(2).permutation([1, 3, 3, 6, 11, 17, 25, 47])
+    seqs = [story_ids(vocab, " ".join(words[:n])) for n in counts]
+    monkeypatch.setattr(model_mod, "INFER_TOKENS", 36)
+    want, seen, shared = reference_heads(model, seqs), [], []
+    for group, heads, states, lengths, picks in model.encoded(seqs, 80):
+        seen.append(group.tolist())
+        shared.append(len(lengths) < len(group))
+        assert len(group) * max(len(seqs[i]) for i in group) <= 80 or len(group) == 1
+        assert states.shape == (lengths.sum(), cfg.d_model) and len(lengths) == picks.max() + 1
+        for j, i in enumerate(group):
+            assert lengths[picks[j]] == len(seqs[i])
+            alone = model.encode_stories([seqs[i]])[1].data
+            assert np.max(np.abs(states.data[story_rows(lengths, picks[[j]])] - alone)) <= 1e-5
+        for got, ref in zip(heads, want):
+            assert np.max(np.abs(got - ref[group])) <= 1e-5
+    assert sorted(sum(seen, [])) == list(range(len(seqs))) and len(seen) > 1
+    # the two 3-word stories are one story, encoded once for both inputs
+    assert sum(shared) == 1
+    assert list(model.encoded([], 80)) == []
 
 
 def test_zero_preference_head_gives_half(setup):
@@ -659,7 +690,7 @@ def test_generation_chunks_within_the_token_budgets(setup, monkeypatch, beam):
     monkeypatch.setattr(model_mod, "DECODE_TOKENS", decode_budget)
     for m in (model, eos_prone(model, vocab)):
         chunks, groups, projected = [], [], []
-        real_encode, real_search, real_heads = (m.encode_stories, m._search,
+        real_encode, real_search, real_heads = (m.encode_stories, m.search,
                                                 model_mod._heads)
 
         def encode_spy(id_seqs):
@@ -667,17 +698,17 @@ def test_generation_chunks_within_the_token_budgets(setup, monkeypatch, beam):
             chunks.append((len(lengths), lengths.max()))
             return v_s, states, lengths
 
-        def search_spy(states, enc_lengths, *args):
-            groups.append((len(enc_lengths), enc_lengths.max()))
-            assert states.shape == (enc_lengths.sum(), cfg.d_model)
-            return real_search(states, enc_lengths, *args)
+        def search_spy(states, lengths, picks, *args):
+            groups.append((len(picks), lengths[picks].max()))
+            assert states.shape == (lengths.sum(), cfg.d_model)
+            return real_search(states, lengths, picks, *args)
 
         def heads_spy(params, name, x, n_heads):
             projected.append(name)
             return real_heads(params, name, x, n_heads)
 
         monkeypatch.setattr(m, "encode_stories", encode_spy)
-        monkeypatch.setattr(m, "_search", search_spy)
+        monkeypatch.setattr(m, "search", search_spy)
         monkeypatch.setattr(model_mod, "_heads", heads_spy)
         got = m.generate_comments(seqs, aspects, max_new_tokens=8, beam=beam)
         # the two 3-word stories are one story, encoded once for both pairs
