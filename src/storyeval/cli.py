@@ -650,9 +650,12 @@ def cmd_evaluate(args) -> int:
             recs = _nonempty_records(path, {"story_id": str, "aspect": int, "text": str})
             refs_by_key: dict[tuple, list[str]] = {}
             for r in recs:
-                if not words(r["text"]):
-                    raise DataError(f"{path}: empty reference text for story "
-                                    f"'{r['story_id']}' aspect {r['aspect']}")
+                n, where = len(words(r["text"])), f"story '{r['story_id']}' aspect {r['aspect']}"
+                if not n:
+                    raise DataError(f"{path}: empty reference text for {where}")
+                if n >= model.config.max_len:
+                    raise DataError(f"{path}: reference text for {where} has {n} words, "
+                                    f"over max_len - 1 = {model.config.max_len - 1}")
                 _check_aspects(path, [r["aspect"]], model.config.n_aspects)
                 refs_by_key.setdefault((r["story_id"], r["aspect"]), []).append(r["text"])
             keys = sorted(refs_by_key)

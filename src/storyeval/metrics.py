@@ -6,8 +6,8 @@ permutation; a point statistic is the identity permutation's score.
 The significance test is a seeded two-sided permutation test, because
 the desk-scale samples are small enough to make parametric p-values
 shaky, and it scores every permutation at once.
-Perplexity is one summed ``Model.comment_nll`` under ``autodiff.no_grad``,
-which batches the comments itself.
+Perplexity sums ``Model.encoded_comment_nll`` in float64 over the groups of
+``Model.encoded``, the no-grad walk that encodes a group's distinct stories once.
 """
 
 import math
@@ -220,8 +220,12 @@ def corpus_perplexity(model, items) -> float:
     if not items:
         raise ContractViolation("empty comment corpus")
     stories, aspects, comments = zip(*items)
+    total = 0.0
     with ad.no_grad():
-        total = float(model.comment_nll(stories, aspects, comments, reduce="sum").data)
+        for group, _, states, lengths, picks in model.encoded(stories):
+            total += float(model.encoded_comment_nll(
+                states, lengths, picks, [aspects[i] for i in group],
+                [comments[i] for i in group], "sum").data)
     return math.exp(total / sum(len(c) - 1 for c in comments))
 
 

@@ -15,10 +15,10 @@ serves its heads and its comments on every aspect.
 
 ``token_chunks`` is the one batching rule of inference: length-sorted runs
 of at most a budget of padded tokens, so long stories are encoded with little
-padding and with per-layer temporaries near cache size.  ``Model.comment_nll``,
-the one sequence NLL, and ``Model.encoded``, the one no-grad encode walk, batch
-by it.  ``Model.infer`` walks groups of ``INFER_TOKENS``, ``generate_comments``
-of ``DECODE_TOKENS``, and ``score`` reads each group's heads and comments at once.
+padding and with per-layer temporaries near cache size.  Only ``Model.encoded``,
+the one no-grad encode walk, batches by it: ``infer`` and the perplexity walk
+groups of ``INFER_TOKENS``, ``generate_comments`` of ``DECODE_TOKENS``, and
+``score`` reads each group's heads and comments at once.
 
 Heads are bias-free linear maps so each one is a single named tensor.
 """
@@ -66,11 +66,6 @@ def distinct(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     picks = np.asarray([index.setdefault(np.asarray(s, np.int64).tobytes(), len(index))
                         for s in seqs], dtype=np.int64)
     return [seqs[i] for i in np.unique(picks, return_index=True)[1]], picks
-
-
-def _check_reduce(reduce: str) -> None:
-    if reduce not in ("sum", "mean"):
-        raise ContractViolation(f"unknown reduce '{reduce}'")
 
 
 @dataclass
@@ -314,13 +309,13 @@ class Model:
         v_s, states = encode(self.params, self.config, ids, lengths, rng=rng)
         return v_s, states, lengths
 
-    def encoded(self, id_seqs: list[np.ndarray], budget: int):
+    def encoded(self, id_seqs: list[np.ndarray], budget: int | None = None):
         """The no-grad encode walk of inference: each ``token_chunks`` group of
-        ``budget`` tokens has its distinct stories encoded once, in chunks of
-        ``INFER_TOKENS``.  Yields the group's input indices, their heads (p_s, a_c,
-        a_r) as numpy arrays, and the packed states, lengths and per-input picks
-        that ``search`` reads.  Copies of a story in one group are encoded once."""
-        for group in token_chunks([len(s) for s in id_seqs], budget):
+        ``budget`` tokens (``INFER_TOKENS`` by default) has its distinct stories
+        encoded once, in chunks of ``INFER_TOKENS``.  Yields the group's input
+        indices, their heads (p_s, a_c, a_r) as numpy arrays, and the packed states,
+        lengths and per-input picks that ``search`` and ``encoded_comment_nll`` read."""
+        for group in token_chunks([len(s) for s in id_seqs], budget or INFER_TOKENS):
             seqs, picks = distinct([id_seqs[i] for i in group])
             lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
             with ad.no_grad():
@@ -336,27 +331,19 @@ class Model:
         numpy arrays, walked in groups of ``INFER_TOKENS``."""
         n, k, dtype = len(id_seqs), self.config.n_aspects, self.params["w_ps"].dtype
         out = np.zeros(n, dtype), np.zeros((n, k), dtype), np.zeros((n, k), dtype)
-        for group, heads, *_ in self.encoded(id_seqs, INFER_TOKENS):
+        for group, heads, *_ in self.encoded(id_seqs):
             for part, head in zip(out, heads):
                 part[group] = head
         return out
 
     def comment_nll(self, story_id_seqs: list[np.ndarray], aspect_ks: list[int],
                     comment_seqs: list[np.ndarray], reduce: str = "mean", rng=None) -> Tensor:
-        """``encoded_comment_nll`` of (story, aspect, comment) triples, summed over
-        the ``token_chunks`` of ``INFER_TOKENS`` story tokens, each chunk's distinct
-        stories encoded once; ``mean`` divides by every predicted token."""
-        _check_reduce(reduce)
-        total = None
-        for run in token_chunks([len(s) for s in story_id_seqs], INFER_TOKENS):
-            seqs, picks = distinct([story_id_seqs[i] for i in run])
-            _, states, lengths = self.encode_stories(seqs, rng=rng)
-            part = self.encoded_comment_nll(states, lengths, picks, [aspect_ks[i] for i in run],
-                                            [comment_seqs[i] for i in run], "sum", rng)
-            total = part if total is None else total + part
-        if total is None:
-            raise ContractViolation("no comments to score")
-        return total if reduce == "sum" else total / sum(len(c) - 1 for c in comment_seqs)
+        """``encoded_comment_nll`` of (story, aspect, comment) triples on the graph,
+        their distinct stories encoded once, in one batch."""
+        seqs, picks = distinct(story_id_seqs)
+        _, states, lengths = self.encode_stories(seqs, rng=rng)
+        return self.encoded_comment_nll(states, lengths, picks, aspect_ks, comment_seqs,
+                                        reduce, rng)
 
     def encoded_comment_nll(self, states: Tensor, lengths: np.ndarray, picks,
                             aspect_ks: list[int], comment_seqs: list[np.ndarray],
@@ -365,7 +352,8 @@ class Model:
         ``aspect_ks[i]`` of story ``picks[i]`` of packed ``states`` (stories of
         ``lengths``): the decoder reads <aspect_k> w1 ... wn.  Padded targets are
         masked out, so ``mean`` divides by the predicted tokens of the batch."""
-        _check_reduce(reduce)
+        if reduce not in ("sum", "mean"):
+            raise ContractViolation(f"unknown reduce '{reduce}'")
         comment_seqs = [np.asarray(c, dtype=np.int64) for c in comment_seqs]
         if any(len(c) < 2 or c[0] != self.vocab.bos_id or c[-1] != self.vocab.eos_id
                for c in comment_seqs):

@@ -277,6 +277,7 @@ class Trainer:
             self.best_val_acc = float(ck.extra.get("best_val_acc", -1.0))
             self.best_step = int(ck.extra.get("best_step", -1))
         pairs = list(self.data.train_pairs)
+        every = self.config.eval_every or steps_per_epoch(len(pairs), self.config.batch_size)
         validated = (-1, float("nan"))   # (step, accuracy) of the last validation
         log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
         try:
@@ -292,13 +293,9 @@ class Trainer:
                     self.train_step(batch)
                     if log_fh:
                         log_fh.write(self.rows[-1].csv_line() + "\n")
-                    if self.config.eval_every and \
-                            self.step % self.config.eval_every == 0:
+                    if self.step % every == 0:
                         validated = (self.step, self.validation_accuracy())
                         self._maybe_checkpoint(checkpoint_path, validated[1])
-                if not self.config.eval_every:
-                    validated = (self.step, self.validation_accuracy())
-                    self._maybe_checkpoint(checkpoint_path, validated[1])
         finally:
             if log_fh:
                 log_fh.close()

@@ -700,6 +700,8 @@ class TestEvaluate:
         ("aspect_annotations", [{"aspects": [0, 10]}], "aspect id 10 outside [0, 10)"),
         ("comment_references", [{"aspect": 10, "text": "a fine ending"}],
          "aspect id 10 outside [0, 10)"),
+        ("comment_references", [{"aspect": 0, "text": "word " * 96}],
+         "reference text for story"),
     ])
     def test_empty_evaluation_input_is_data_error(self, smoke, tmp_path, capsys,
                                                   section, records, message):
@@ -715,6 +717,74 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'recs.jsonl'}: {message}" in err
         assert "Traceback" not in err
+
+    def test_reference_longer_than_the_decoder_is_data_error(self, smoke, tmp_path,
+                                                            capsys, monkeypatch):
+        """The decoder reads <aspect_k> and the words, so max_len (96) allows 95
+        words: 95 score, and 96 are refused while the references are read,
+        before any story is encoded, naming the file, the story and the aspect."""
+        known = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                 if "meta" not in r][0]["id"]
+        encoded, real_encode = [], Model.encode_stories
+
+        def encode_spy(model, id_seqs, rng=None):
+            encoded.append(len(id_seqs))
+            return real_encode(model, id_seqs, rng=rng)
+
+        monkeypatch.setattr(Model, "encode_stories", encode_spy)
+        codes = []
+        for n in (95, 96):
+            write_jsonl(tmp_path / "refs.jsonl",
+                        [{"story_id": known, "aspect": 2, "text": "word " * n}])
+            write_json(tmp_path / "spec.json", {
+                "stories": str(smoke / "prep" / "stories.jsonl"),
+                "comment_references": str(tmp_path / "refs.jsonl")})
+            encoded.clear()
+            codes.append(run(["evaluate", tmp_path / "spec.json",
+                              "--checkpoint", smoke / "run" / "model.ckpt",
+                              "--vocab", smoke / "run" / "vocab.txt",
+                              "--max-new-tokens", 2]))
+        assert codes == [cli.EXIT_OK, cli.EXIT_DATA] and not encoded
+        err = capsys.readouterr().err
+        assert (f"{tmp_path / 'refs.jsonl'}: reference text for story '{known}' aspect 2 "
+                f"has 96 words, over max_len - 1 = 95") in err
+        assert "Traceback" not in err
+
+    def test_perplexity_equals_the_per_reference_oracle(self, smoke, tmp_path, monkeypatch):
+        """Two references on one story, walked in two groups of INFER_TOKENS:
+        ``ppl`` is exp of their per-reference ``comment_nll`` sums over their
+        predicted tokens."""
+        comment = [r for r in read_jsonl(smoke / "comments.jsonl")][0]
+        refs = [(comment["aspect"], comment["text"]), (0, "the ending felt rushed")]
+        write_jsonl(tmp_path / "refs.jsonl", [{"story_id": comment["story_id"], "aspect": k,
+                                               "text": t} for k, t in refs])
+        write_json(tmp_path / "spec.json", {
+            "stories": str(smoke / "prep" / "stories.jsonl"),
+            "comment_references": str(tmp_path / "refs.jsonl")})
+        model = cli._load_model(smoke / "run" / "model.ckpt", smoke / "run" / "vocab.txt")
+        story = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                 if r.get("id") == comment["story_id"]][0]
+        ids = tokenize(story["text"], model.vocab, model.config.max_len)
+        comments = [model.vocab.comment_ids(t) for _, t in refs]
+        total = sum(float(model.comment_nll([ids], [k], [c], "sum").data)
+                    for (k, _), c in zip(refs, comments))
+        want = np.exp(total / sum(len(c) - 1 for c in comments))
+        # a budget of one story's tokens puts each reference in a group of its own
+        monkeypatch.setattr(model_mod, "INFER_TOKENS", len(ids))
+        groups, real_nll = [], Model.encoded_comment_nll
+
+        def nll_spy(model, states, lengths, picks, *args, **kwargs):
+            groups.append(len(picks))
+            return real_nll(model, states, lengths, picks, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "encoded_comment_nll", nll_spy)
+        assert run(["evaluate", tmp_path / "spec.json",
+                    "--checkpoint", smoke / "run" / "model.ckpt",
+                    "--vocab", smoke / "run" / "vocab.txt",
+                    "--out", tmp_path / "report.json", "--max-new-tokens", 4]) == 0
+        assert groups == [1, 1]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert abs(report["ppl"] - want) <= 1e-6
 
     def test_bad_spec_is_config_error(self, smoke, tmp_path):
         (tmp_path / "spec.json").write_text("{not json", encoding="utf-8")

@@ -311,10 +311,17 @@ class TestRouge:
 
 
 class _FixedNllModel:
+    """Every predicted token costs ``per_token_nll``; the encode walk yields
+    one group holding every item."""
+
     def __init__(self, per_token_nll):
         self.per_token_nll = per_token_nll
 
-    def comment_nll(self, story_seqs, aspect_ks, comment_seqs, reduce="mean"):
+    def encoded(self, story_seqs):
+        yield np.arange(len(story_seqs)), None, None, None, None
+
+    def encoded_comment_nll(self, states, lengths, picks, aspect_ks, comment_seqs,
+                            reduce="mean"):
         assert reduce == "sum"
         n_tokens = sum(len(c) - 1 for c in comment_seqs)
         return Tensor(np.array(self.per_token_nll * n_tokens))

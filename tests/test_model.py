@@ -1,5 +1,7 @@
 """Encoder-decoder behavior: shapes, heads, masking, decoding."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -432,6 +434,12 @@ def test_nll_requires_bos_eos(setup):
         model.comment_nll([ids], [0], [np.array([vocab.id_of("the")])])
     with pytest.raises(ContractViolation):
         model.comment_nll([ids], [0], [np.array([vocab.bos_id, vocab.unk_id])])
+    comment = np.array([vocab.bos_id, vocab.eos_id])
+    with pytest.raises(ContractViolation, match="unknown reduce 'max'"):
+        model.comment_nll([ids], [0], [comment], reduce="max")
+    _, states, lengths = model.encode_stories([ids])
+    with pytest.raises(ContractViolation, match="unknown reduce 'max'"):
+        model.encoded_comment_nll(states, lengths, [0], [0], [comment], reduce="max")
 
 
 def test_evaluate_story_output_contract(setup):
@@ -461,51 +469,49 @@ def test_batched_perplexity_matches_per_item_nll(setup, monkeypatch):
     total = sum(float(model.comment_nll([s], [k], [c], reduce="sum").data)
                 for s, k, c in items)
     tokens = sum(len(c) - 1 for _, _, c in items)
-    # one run of the default budget, then runs of at most two stories
-    for budget in (model_mod.INFER_TOKENS, 25):
-        monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
-        assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
-
-
-def test_comment_nll_sums_its_token_chunks(setup, monkeypatch):
-    """Triples whose stories fall into three chunks of INFER_TOKENS, one story
-    repeated, give the one-chunk sum and mean and the same parameter
-    gradients; an unknown reduce is refused."""
-    model, vocab, _ = setup
-    stories = [story_ids(vocab, t) for t in (TEXTS[0], "a child", TEXTS[1], TEXTS[2], TEXTS[2])]
-    words = [vocab.id_of(w) for w in "the rain fell on the key".split()]
-    comments = [np.asarray([vocab.bos_id] + words[: 1 + i] + [vocab.eos_id]) for i in range(5)]
-    aspects = [0, 1, 2, 0, 2]
-
-    def nll_and_grads(reduce):
-        loss = model.comment_nll(stories, aspects, comments, reduce=reduce)
-        ad.forward_backward(loss, model.params)
-        return float(loss.data), {n: p.grad.copy() for n, p in model.params.items()}
-
-    want = {r: nll_and_grads(r) for r in ("sum", "mean")}
-    budget = 2 * max(len(s) for s in stories)
-    chunks = model_mod.token_chunks([len(s) for s in stories], budget)
-    assert len(chunks) >= 3
     encoded, real_encode = [], model_mod.encode
 
     def encode_spy(params, config, ids, lengths, **kw):
-        encoded.append(ids.shape[0])
+        encoded.append(sorted(row[:n].tobytes() for row, n in zip(ids, lengths)))
         return real_encode(params, config, ids, lengths, **kw)
 
     monkeypatch.setattr(model_mod, "encode", encode_spy)
-    monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
-    for reduce, (want_nll, want_grads) in want.items():
-        got_nll, got_grads = nll_and_grads(reduce)
-        assert abs(got_nll - want_nll) <= 1e-12
-        assert all(np.max(np.abs(got_grads[n] - g)) <= 1e-12 for n, g in want_grads.items())
-    # each chunk's distinct stories, encoded once per call; the repeat shares a chunk
-    per_call = [len({stories[i].tobytes() for i in chunk}) for chunk in chunks]
-    assert encoded == 2 * per_call and sum(per_call) < len(stories)
-    with pytest.raises(ContractViolation, match="unknown reduce 'max'"):
-        model.comment_nll(stories, aspects, comments, reduce="max")
-    _, states, lengths = model.encode_stories(stories[:1])
-    with pytest.raises(ContractViolation, match="unknown reduce 'max'"):
-        model.encoded_comment_nll(states, lengths, [0], [0], comments[:1], reduce="max")
+    # one walk group at the default budget, then groups of at most two items
+    for budget in (model_mod.INFER_TOKENS, 25):
+        monkeypatch.setattr(model_mod, "INFER_TOKENS", budget)
+        encoded.clear()
+        assert abs(corpus_perplexity(model, items) - np.exp(total / tokens)) <= 1e-6
+        groups = model_mod.token_chunks([len(s) for s, _, _ in items], budget)
+        # each group is one encode chunk of its distinct stories: 3 for all 7 items
+        # at the default budget
+        assert encoded == [sorted({items[i][0].tobytes() for i in g}) for g in groups]
+    assert len(groups) >= 2
+
+
+def test_token_chunks_runs_only_inside_the_encode_walk(setup, monkeypatch):
+    """``token_chunks`` is the one batching rule, and ``Model.encoded`` its one
+    caller: inference, generation, the graph loss and the perplexity all reach
+    it only through the walk (the loss, one batch, not at all)."""
+    model, vocab, _ = setup
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    comments = [np.array([vocab.bos_id, vocab.id_of("the"), vocab.eos_id])] * len(seqs)
+    callers, real_chunks = [], model_mod.token_chunks
+
+    def chunks_spy(lengths, budget):
+        callers.append(sys._getframe(1).f_code)
+        return real_chunks(lengths, budget)
+
+    monkeypatch.setattr(model_mod, "token_chunks", chunks_spy)
+    calls = {"infer": lambda: model.infer(seqs),
+             "generate_comments": lambda: model.generate_comments(seqs, [0, 1, 2], 2),
+             "comment_nll": lambda: model.comment_nll(seqs, [0, 1, 2], comments),
+             "corpus_perplexity": lambda: corpus_perplexity(model, zip(seqs, [0, 1, 2],
+                                                                       comments))}
+    for name, call in calls.items():
+        callers.clear()
+        call()
+        assert set(callers) <= {Model.encoded.__code__}, name
+        assert bool(callers) == (name != "comment_nll"), name
 
 
 def eos_prone(model, vocab, scale=6.0):
