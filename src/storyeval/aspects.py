@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import autodiff as ad
 from . import rng as rng_mod
@@ -254,21 +253,25 @@ def lda_fit(docs: list[np.ndarray], vocab: list[str], n_topics: int,
 def umass_coherence(model: LdaModel, docs: list[np.ndarray], top_n: int = 10) -> float:
     """Average UMass coherence over topics (higher is better).
 
-    For a topic's top words, the binary doc x word incidence gives the
-    co-document counts as ``inc.T @ inc`` and the document frequencies
+    For a topic's top words, the binary (docs x top words) incidence gives
+    the co-document counts as ``sub.T @ sub`` and the document frequencies
     as its diagonal.  Pairs whose earlier word is in no document are
     skipped.
     """
+    word_ids = np.concatenate(docs)
     doc_ids = np.repeat(np.arange(len(docs)), [len(d) for d in docs])
-    inc = sparse.csc_matrix((np.ones(len(doc_ids)), (doc_ids, np.concatenate(docs))),
-                            shape=(len(docs), model.topic_word.shape[1]))
-    inc.data[:] = 1.0  # construction summed repeated words
+    column = np.full(model.topic_word.shape[1], -1)
     dist = model.topic_word_dist()
     scores = []
     for t in range(model.n_topics):
         top = np.argsort(-dist[t], kind="stable")[:top_n]
-        sub = inc[:, top]
-        co = (sub.T @ sub).toarray()
+        column[top] = np.arange(len(top))
+        cols = column[word_ids]
+        hit = cols >= 0
+        sub = np.zeros((len(docs), len(top)))
+        sub[doc_ids[hit], cols[hit]] = 1.0
+        column[top] = -1
+        co = sub.T @ sub
         i, j = np.tril_indices(len(top), -1)
         denom = np.diag(co)[j]
         keep = denom > 0

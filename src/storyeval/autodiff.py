@@ -32,7 +32,6 @@ inside ``with no_grad():``, where ops compute values but record no graph.
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ContractViolation, NumericFailure
 
@@ -169,10 +168,15 @@ class Tensor:
         return mul(self, -1.0)
 
     def __getitem__(self, rows):
-        if (isinstance(rows, bool) or not isinstance(rows, (int, np.integer, list, np.ndarray))
-                or np.asarray(rows).dtype.kind not in "iu"):
+        try:
+            ids = np.asarray(rows)
+        except ValueError:  # a ragged list
+            ids = np.asarray(None)
+        if isinstance(rows, list) and ids.size == 0:
+            ids = ids.astype(np.intp)  # numpy reads an empty list as float64
+        if not isinstance(rows, (int, np.integer, list, np.ndarray)) or ids.dtype.kind not in "iu":
             raise ContractViolation(f"tensors index by integer rows only, got {rows!r}")
-        return embedding(self, rows)
+        return embedding(self, ids)
 
     def sum(self, axis=None):
         return sum_(self, axis=axis)
@@ -345,11 +349,14 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out_data = table.data[ids]
 
     def backward(g):
+        from scipy import sparse  # loaded at the first backward: inference never needs it
+
         flat = ids.reshape(-1)
         # (rows x positions) one-hot: row r sums the gradients of r's positions
         onehot = sparse.csr_matrix((np.ones(flat.size, g.dtype), (flat, np.arange(flat.size))),
                                    shape=(table.data.shape[0], flat.size))
-        return ((onehot @ g.reshape(flat.size, -1)).reshape(table.data.shape),)
+        width = int(np.prod(table.data.shape[1:]))  # not -1: a gather of no rows has size 0
+        return ((onehot @ g.reshape(flat.size, width)).reshape(table.data.shape),)
 
     return _node(out_data, (table,), backward, "embedding")
 

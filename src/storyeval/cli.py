@@ -21,6 +21,7 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import rng as rng_mod
 from .aspects import (
@@ -120,11 +121,13 @@ def _meta(args, **derived) -> dict:
 
 
 def environment() -> dict:
-    """The interpreter, numpy, BLAS and thread settings a run's numbers came
-    from: BLAS splits large GEMMs across threads, and its summation order
-    moves training results in their last digits."""
+    """The interpreter, numpy, scipy, BLAS and thread settings a run's numbers
+    came from: BLAS splits large GEMMs across threads, and its summation order
+    moves training results in their last digits; training scatters the
+    embedding gradients through scipy's sparse product."""
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "blas_threads": {v: os.environ.get(v) for v in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},

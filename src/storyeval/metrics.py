@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from . import autodiff as ad
 from . import rng as rng_mod
@@ -51,6 +50,8 @@ def _check_corr_inputs(x, y, min_n: int):
         raise ContractViolation("correlation inputs must be equal-length vectors")
     if len(x) < min_n:
         raise ContractViolation(f"need at least {min_n} points, got {len(x)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise UndefinedCorrelationError("non-finite input")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise UndefinedCorrelationError("zero variance input")
     return x, y
@@ -68,9 +69,20 @@ def kendall(x, y) -> float:
     return float(_kendall_perms(x, y, np.arange(len(y))[None])[0])
 
 
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share their run's mean rank."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    counts = np.diff(np.r_[starts, len(x)])
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def _spearman_perms(x, y, perms) -> np.ndarray:
     """Spearman rho of x against y[p] for every row p of ``perms``."""
-    rx, ry = _scipy_stats.rankdata(x), _scipy_stats.rankdata(y)
+    rx, ry = _ranks(x), _ranks(y)
     rx -= rx.mean()
     ry -= ry.mean()
     return ry[perms] @ rx / np.sqrt((rx @ rx) * (ry @ ry))

@@ -1,5 +1,10 @@
 """Gradient correctness of the tensor engine against finite differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -189,9 +194,9 @@ def test_embedding_scatter_adds_duplicate_rows():
 
 @pytest.mark.parametrize("index", [
     slice(0, 1), 1.0, np.array([0.0, 2.0]), np.array([True, False, True]), (0, 1),
-    [0, 1.5], True, None, "0",
+    [0, 1.5], True, None, "0", [[0], [1, 2]],
 ], ids=["slice", "float", "float_array", "bool_mask", "tuple", "mixed_list", "bool", "none",
-        "str"])
+        "str", "ragged_list"])
 def test_getitem_takes_integer_rows_only(index):
     # numpy would slice, read one element or mask; the tape gathers whole rows
     t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
@@ -199,6 +204,15 @@ def test_getitem_takes_integer_rows_only(index):
         t[index]
     assert np.array_equal(t[np.int64(2)].data, [4.0, 5.0])
     assert np.array_equal(t[[2, 0]].data, [[4.0, 5.0], [0.0, 1.0]])
+
+
+def test_getitem_empty_list_gathers_no_rows():
+    t = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = t[[]]
+    assert out.data.shape == (0, 2)
+    assert np.array_equal(out.data, t[np.array([], dtype=int)].data)
+    out.sum().backward()
+    assert np.array_equal(t.grad, np.zeros((3, 2)))
 
 
 def _scaled_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -263,6 +277,34 @@ def test_embedding_backward_equals_add_at():
         np.add.at(want, index, upstream)
         assert table.grad.dtype == np.float64
         assert np.array_equal(table.grad, want)
+
+
+IMPORT_GUARD = """
+import sys
+import numpy as np
+import storyeval.cli
+from storyeval import autodiff as ad
+loaded = [m for m in ("scipy.stats", "scipy.sparse") if m in sys.modules]
+assert not loaded, f"importing storyeval.cli loaded {loaded}"
+rng = np.random.default_rng(3)
+table = ad.Tensor(rng.standard_normal((30, 8)), requires_grad=True)
+ids = rng.integers(0, 10, size=(4, 25))
+upstream = rng.standard_normal((4, 25, 8))
+(ad.embedding(table, ids) * ad.Tensor(upstream)).sum().backward()
+want = np.zeros_like(table.data)
+np.add.at(want, ids, upstream)
+assert np.array_equal(table.grad, want)
+"""
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    """scipy.stats and scipy.sparse cost about 65 MB to import; only a backward
+    loads scipy.sparse, and its first product still equals np.add.at."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ad.__file__).parents[1]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_token_nll_matches_numpy_oracle():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from storyeval import aspects, cli
 from storyeval import model as model_mod
@@ -259,10 +260,11 @@ class TestTrain:
         assert first["meta"]["config_hash"] == second["meta"]["config_hash"]
         assert "environment" not in first["config"]
         env = first["environment"]
-        assert set(env) == {"python", "numpy", "blas", "blas_threads", "cpu_count"}
+        assert set(env) == {"python", "numpy", "scipy", "blas", "blas_threads", "cpu_count"}
         assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                             "MKL_NUM_THREADS"}
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert env["scipy"] == scipy.__version__
 
     def test_seed_override_changes_log(self, smoke, tmp_path):
         assert run(["train", "--config", smoke / "cfg.json", "--seed", 9,
@@ -696,6 +698,8 @@ class TestEvaluate:
                        for i in range(4)], "4 judged records"),
         ("judgments", [{"text": f"story number {i}", "human": 1.0}
                        for i in range(5)], "zero variance input"),
+        ("judgments", [{"text": f"story number {i}", "human": float(i) if i else float("nan")}
+                       for i in range(6)], "non-finite input"),
         ("aspect_annotations", [{"aspects": []}], "empty aspects list"),
         ("aspect_annotations", [{"aspects": [0, 10]}], "aspect id 10 outside [0, 10)"),
         ("comment_references", [{"aspect": 10, "text": "a fine ending"}],

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from storyeval import rng as rng_mod
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation, UndefinedCorrelationError
 from storyeval.metrics import (
     MetricReport,
+    _ranks,
     bleu_avg,
     correlation_pvalue,
     corpus_perplexity,
@@ -62,7 +64,7 @@ def kendall_oracle(x, y):
 
 
 def loop_pvalue(x, y, statistic, n_perm, seed):
-    """One scipy call per shuffle of y: the loop the batched p-value replaced."""
+    """One point-statistic call per shuffle of y: the loop the batched p-value replaced."""
     x = np.asarray(x, dtype=np.float64)
     shuffled = np.asarray(y, dtype=np.float64).copy()
     observed = abs(statistic(x, shuffled))
@@ -146,6 +148,29 @@ class TestKendall:
     def test_zero_variance_raises(self):
         with pytest.raises(UndefinedCorrelationError):
             kendall([2, 2, 2], [1, 2, 3])
+
+
+class TestRanks:
+    def test_equals_rankdata(self):
+        # the p-values stay exact only if the ranks equal scipy's to the bit
+        rng = np.random.default_rng(11)
+        for n in range(1, 201):
+            for x in (rng.standard_normal(n), rng.integers(0, max(1, n // 4), n).astype(float)):
+                assert np.array_equal(_ranks(x), stats.rankdata(x)), n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_non_finite_input_is_undefined(bad, side):
+    """A NaN would otherwise rank somewhere and give a finite, wrong rho, or a
+    NaN statistic that no shuffle reaches and so a 'significant' p-value."""
+    x, y = np.arange(8.0), np.array([2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0, 7.0])
+    (x if side == "x" else y)[3] = bad
+    for call in (lambda: spearman(x, y), lambda: kendall(x, y),
+                 lambda: correlation_pvalue(x, y, "spearman", n_perm=100),
+                 lambda: correlation_pvalue(x, y, "kendall", n_perm=100)):
+        with pytest.raises(UndefinedCorrelationError, match="non-finite"):
+            call()
 
 
 class TestOracleAgreement:
