@@ -698,14 +698,14 @@ class TestEvaluate:
                        for i in range(4)], "4 judged records"),
         ("judgments", [{"text": f"story number {i}", "human": 1.0}
                        for i in range(5)], "zero variance input"),
-        ("judgments", [{"text": f"story number {i}", "human": float(i) if i else float("nan")}
-                       for i in range(6)], "non-finite input"),
         ("aspect_annotations", [{"aspects": []}], "empty aspects list"),
         ("aspect_annotations", [{"aspects": [0, 10]}], "aspect id 10 outside [0, 10)"),
         ("comment_references", [{"aspect": 10, "text": "a fine ending"}],
          "aspect id 10 outside [0, 10)"),
         ("comment_references", [{"aspect": 0, "text": "word " * 96}],
          "reference text for story"),
+        ("judgments", [{"text": f"story number {i}", "human": float(i) if i else float("nan")}
+                       for i in range(6)], "non-finite input"),
     ])
     def test_empty_evaluation_input_is_data_error(self, smoke, tmp_path, capsys,
                                                   section, records, message):

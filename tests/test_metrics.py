@@ -155,7 +155,7 @@ class TestRanks:
         # the p-values stay exact only if the ranks equal scipy's to the bit
         rng = np.random.default_rng(11)
         for n in range(1, 201):
-            for x in (rng.standard_normal(n), rng.integers(0, max(1, n // 4), n).astype(float)):
+            for x in (rng.standard_normal(n), rng.integers(0, max(1, n // 4), n)):
                 assert np.array_equal(_ranks(x), stats.rankdata(x)), n
 
 
