@@ -29,7 +29,6 @@ from .aspects import (
     CommentRecord,
     augment_comments,
     class_from_rating,
-    lda_fit,
     prepare_comment_docs,
     select_num_topics,
     train_aspect_classifier,
@@ -252,9 +251,17 @@ def _load_comment_records(path, parse=CommentRecord.from_record) -> list[Comment
                                     "rating": (int, float)}, parse)
 
 
+def _worded(rec: dict) -> dict:
+    """A record whose 'text' holds a word: as a ``read_jsonl`` parse, a blank
+    text is a data error naming its line."""
+    if not words(rec["text"]):
+        raise ContractViolation("text is empty after normalization")
+    return rec
+
+
 def _crowd_record(rec: dict) -> CommentRecord:
-    """A crowd comment whose rating is one of the sentiment scorer's classes."""
-    record = CommentRecord.from_record(rec)
+    """A crowd comment whose text holds a word and whose rating is a sentiment class."""
+    record = CommentRecord.from_record(_worded(rec))
     class_from_rating(record.rating)
     return record
 
@@ -344,6 +351,7 @@ def cmd_extract_aspects(args) -> int:
     _check_flag(args, "iterations", 1)
     if args.topics is not None:
         _check_flag(args, "topics", 1)
+        candidates = [args.topics]
     else:
         candidates = _parse_flag(args, "candidates", lambda text: [int(c) for c in text.split(",")])
         if min(candidates) < 1:
@@ -352,12 +360,8 @@ def cmd_extract_aspects(args) -> int:
     docs, words = prepare_comment_docs(texts, min_count=args.min_count)
     if not docs:
         raise DataError(f"{args.input}: no usable comments after tokenization")
-    if args.topics is not None:
-        model = lda_fit(docs, words, args.topics, iterations=args.iterations,
-                        seed=args.seed)
-    else:
-        model = select_num_topics(docs, words, candidates, seed=args.seed,
-                                  iterations=args.iterations)
+    # a single candidate is fitted without scoring
+    model = select_num_topics(docs, words, candidates, seed=args.seed, iterations=args.iterations)
     n_topics = model.n_topics
     top = model.top_words(args.top_words)
     coherence = umass_coherence(model, docs, top_n=args.top_words)
@@ -388,7 +392,8 @@ def cmd_augment(args) -> int:
     if args.per_aspect_cap is not None:
         _check_flag(args, "per_aspect_cap", 0, flag="--cap")
     crowd = _load_comment_records(args.crowd, _crowd_record)
-    raw = _nonempty_records(args.raw, {"text": str})
+    # with --min-words >= 1 a blank comment is one the length filter rejects
+    raw = _nonempty_records(args.raw, {"text": str}, _worded if args.min_words < 1 else None)
     n_aspects = len(AspectTaxonomy.load(args.taxonomy)) if args.taxonomy else args.n_aspects
     for rec in crowd:
         _check_aspects(args.crowd, [rec.aspect], n_aspects)
@@ -446,7 +451,7 @@ def cmd_train(args) -> int:
     negatives: dict[str, list[str]] = {}
     if data_cfg.get("negatives"):
         for r in _nonempty_records(data_cfg["negatives"],
-                                   {"source_story_id": str, "text": str}):
+                                   {"source_story_id": str, "text": str}, _worded):
             negatives.setdefault(r["source_story_id"], []).append(r["text"])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -465,8 +470,7 @@ def cmd_train(args) -> int:
                                        negatives=negatives), train_cfg)
     ckpt_path = out / "model.ckpt"
     log_path = out / "train_log.csv"
-    result = trainer.train(checkpoint_path=ckpt_path, log_path=log_path,
-                           resume=args.resume)
+    trainer.train(checkpoint_path=ckpt_path, log_path=log_path, resume=args.resume)
     meta = {"config_hash": digest(cfg), "seed": cfg["seed"]}
     log_body = log_path.read_text(encoding="utf-8")
     with atomic_write(log_path) as fh:
@@ -474,15 +478,15 @@ def cmd_train(args) -> int:
     files = {name: digest((out / name).read_bytes())
              for name in ("model.ckpt", "train_log.csv", "vocab.txt") if (out / name).exists()}
     manifest = {"meta": meta, "steps": trainer.step,
-                "best_val_acc": result.best_val_acc,
-                "best_step": result.best_step,
-                "final_val_acc": result.final_val_acc,
+                "best_val_acc": trainer.best_val_acc,
+                "best_step": trainer.best_step,
+                "final_val_acc": trainer.final_val_acc,
                 "files": files,
                 "config": cfg,
                 "environment": environment()}
     write_json(out / "manifest.json", manifest)
     print(f"trained {trainer.step} steps; best val acc "
-          f"{result.best_val_acc:.4f} at step {result.best_step} -> {out}")
+          f"{trainer.best_val_acc:.4f} at step {trainer.best_step} -> {out}")
     return EXIT_OK
 
 
@@ -502,7 +506,7 @@ def cmd_score(args) -> int:
     model = _load_model(args.checkpoint, args.vocab)
     _check_flag(args, "max_new_tokens", 1, model.config.max_len)
     _check_flag(args, "beam", 1)
-    _check_flag(args, "top_aspects", 0)
+    _check_flag(args, "top_aspects", 0, model.config.n_aspects)
     records = _nonempty_records(args.stories)
     outputs, seqs = [], []
     for rec in records:
@@ -536,7 +540,7 @@ def cmd_score(args) -> int:
 
 def _prompt_texts(path) -> dict[str, str]:
     table = {}
-    for r in _nonempty_records(path, {"prompt_id": str, "text": str}):
+    for r in _nonempty_records(path, {"prompt_id": str, "text": str}, _worded):
         pid = r["prompt_id"]
         if pid in table:
             raise DataError(f"{path}: duplicate prompt_id '{pid}'")
@@ -596,7 +600,11 @@ def cmd_evaluate(args) -> int:
     if not ks or any(type(k) is not int or not 1 <= k <= k_max for k in ks):
         raise ConfigError(f"{args.eval_spec}: field 'recall_ks' must list ints in "
                           f"[1, {k_max}], got {ks}")
-    report = MetricReport()
+    n_perm = spec.get("n_permutations", 2000)
+    if n_perm < 1:
+        raise ConfigError(f"{args.eval_spec}: field 'n_permutations' must be >= 1, "
+                          f"got {n_perm}")
+    metrics: dict = {}      # MetricReport's fields, checked once it is built
     skipped: list[str] = []
     stories = _load_stories(spec["stories"]) if spec.get("stories") else None
 
@@ -606,27 +614,23 @@ def cmd_evaluate(args) -> int:
         else:
             pairs = _load_pairs(spec["pairs"], stories)
             hi, lo = pair_scores(model, stories, pairs)
-            report.acc = pairwise_accuracy(zip(hi, lo))
-            report.dis = score_distance(zip(hi, lo))
+            metrics.update(acc=pairwise_accuracy(zip(hi, lo)), dis=score_distance(zip(hi, lo)))
     elif stories is not None:
         skipped.append("ranking (needs 'pairs')")
 
     if spec.get("judgments"):
         path = spec["judgments"]
-        recs = data_records(path, {"text": str, "human": (int, float)})
+        recs = data_records(path, {"text": str, "human": (int, float)}, _worded)
         if len(recs) < 5:
             raise DataError(f"{path}: {len(recs)} judged records; the permutation "
                             f"test needs at least 5")
         human = np.asarray([float(r["human"]) for r in recs])
         pred = score_texts(model, [r["text"] for r in recs])
-        n_perm = spec.get("n_permutations", 2000)
         try:
-            report.rho = spearman(pred, human)
-            report.tau = kendall(pred, human)
-            report.rho_p = correlation_pvalue(pred, human, statistic="spearman",
-                                              n_perm=n_perm, seed=args.seed)
-            report.tau_p = correlation_pvalue(pred, human, statistic="kendall",
-                                              n_perm=n_perm, seed=args.seed)
+            metrics.update(rho=spearman(pred, human), tau=kendall(pred, human))
+            for key, name in (("rho_p", "spearman"), ("tau_p", "kendall")):
+                metrics[key] = correlation_pvalue(pred, human, statistic=name,
+                                                  n_perm=n_perm, seed=args.seed)
         except UndefinedCorrelationError as exc:
             raise DataError(f"{path}: {exc}") from exc
 
@@ -641,9 +645,9 @@ def cmd_evaluate(args) -> int:
             _, a_c, _ = model.infer([tokenize(_story(stories, r["story_id"], path).text,
                                               model.vocab, model.config.max_len)
                                      for r in recs])
-            report.recall = {k: sum(recall_at_k(c, r["aspects"], k)
-                                    for c, r in zip(a_c, recs)) / len(recs)
-                             for k in ks}
+            metrics["recall"] = {k: sum(recall_at_k(c, r["aspects"], k)
+                                        for c, r in zip(a_c, recs)) / len(recs)
+                                 for k in ks}
 
     if spec.get("comment_references"):
         if stories is None:
@@ -675,10 +679,10 @@ def cmd_evaluate(args) -> int:
                 bleus.append(bleu_avg(hyp, ref_tokens) if hyp else 0.0)
                 rouges.append(max(rouge(hyp, rt) for rt in ref_tokens) if hyp else 0.0)
                 ppl_items += [(story_ids[sid], k, model.vocab.comment_ids(t)) for t in refs]
-            report.bleu = float(np.mean(bleus))
-            report.rouge_l = float(np.mean(rouges))
-            report.ppl = corpus_perplexity(model, ppl_items)
+            metrics.update(bleu=float(np.mean(bleus)), rouge_l=float(np.mean(rouges)),
+                           ppl=corpus_perplexity(model, ppl_items))
 
+    report = MetricReport(**metrics)
     table = render_report(report)
     print(table, end="")
     if skipped:

@@ -10,7 +10,6 @@ Cross-entropies clamp probabilities at 1e-12 before the log.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,34 +81,8 @@ def discrimination_loss(p_s, label) -> Tensor:
     return (-_bce(p_s, t)).mean()
 
 
-@dataclass
-class LossBreakdown:
-    """Per-step components plus their fixed-order total.
-
-    ``L_total`` is always ((L_ps + L_ac) + L_ar) + L_c in 64-bit floats,
-    so recomputing it from a logged row reproduces the stored value
-    bitwise.  ``graph_total`` is the matching autodiff node for backward.
-    """
-
-    L_ps: float
-    L_ac: float
-    L_ar: float
-    L_c: float
-    L_total: float
-    graph_total: Tensor | None = None
-
-    def __post_init__(self):
-        for name in ("L_ps", "L_ac", "L_ar", "L_c"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be non-negative")
-
-
-def joint_loss(l_ps, l_ac=0.0, l_ar=0.0, l_c=0.0) -> LossBreakdown:
-    """Unweighted sum of enabled components (disabled ones pass 0)."""
+def joint_loss(l_ps, l_ac=0.0, l_ar=0.0, l_c=0.0) -> Tensor:
+    """The unweighted sum ((l_ps + l_ac) + l_ar) + l_c; disabled components pass 0."""
     ref = next((p for p in (l_ps, l_ac, l_ar, l_c) if isinstance(p, Tensor)), None)
     parts = [as_tensor(p, ref) for p in (l_ps, l_ac, l_ar, l_c)]
-    graph = ((parts[0] + parts[1]) + parts[2]) + parts[3]
-    f = [float(p.data) for p in parts]
-    total = ((f[0] + f[1]) + f[2]) + f[3]
-    return LossBreakdown(L_ps=f[0], L_ac=f[1], L_ar=f[2], L_c=f[3],
-                         L_total=total, graph_total=graph)
+    return ((parts[0] + parts[1]) + parts[2]) + parts[3]

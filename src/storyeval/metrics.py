@@ -125,8 +125,9 @@ def correlation_pvalue(x, y, statistic, n_perm: int = 10000, seed: int = 0) -> f
     point, batched = _STATISTICS[statistic]
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if len(x) < 5:
-        raise ContractViolation("permutation test needs n >= 5")
+    if len(x) < 5 or n_perm < 1:
+        raise ContractViolation(f"permutation test needs n >= 5 and n_perm >= 1, "
+                                f"got {len(x)} and {n_perm}")
     observed = abs(point(x, y))
     rng = rng_mod.stream(seed, "correlation_pvalue")
     # shuffling an index array in place draws the same permutations as

@@ -24,7 +24,6 @@ from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .corpus import RankedPair, Story
 from .errors import ConfigError, ContractViolation
 from .losses import (
-    LossBreakdown,
     coherence_rank_loss,
     discrimination_loss,
     joint_loss,
@@ -59,8 +58,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.objective not in ("rank", "discrimination"):
             raise ConfigError(f"unknown objective '{self.objective}'")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size >= 1 and epochs >= 0 required")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("peak_lr", 0),
+                          ("comment_max_len", 1), ("eval_every", 0)):
+            if not getattr(self, name) >= low:
+                raise ConfigError(f"{name} {getattr(self, name)} must be >= {low}")
+        if not self.margin > 0:
+            raise ConfigError(f"margin {self.margin} must be > 0")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError("warmup_frac must be in [0, 1]")
         if self.use_comments and not self.use_aspects:
@@ -80,6 +83,9 @@ class TrainData:
 
 @dataclass
 class LogRow:
+    """One step's losses; ``l_total`` is ((l_ps + l_ac) + l_ar) + l_c in
+    float64, so a logged row's total recomputes bitwise."""
+
     step: int
     lr: float
     l_ps: float
@@ -88,18 +94,14 @@ class LogRow:
     l_c: float
     l_total: float
 
+    def __post_init__(self):
+        for name in ("l_ps", "l_ac", "l_ar", "l_c"):
+            if getattr(self, name) < 0:
+                raise ContractViolation(f"{name} must be non-negative")
+
     def csv_line(self) -> str:
         return (f"{self.step},{self.lr!r},{self.l_ps!r},{self.l_ac!r},"
                 f"{self.l_ar!r},{self.l_c!r},{self.l_total!r}")
-
-
-@dataclass
-class TrainResult:
-    rows: list[LogRow]
-    best_val_acc: float
-    best_step: int
-    final_val_acc: float
-    checkpoint_path: str | None = None
 
 
 def score_texts(model: Model, texts: list[str]) -> np.ndarray:
@@ -138,8 +140,7 @@ class Trainer:
         self.data = data
         self.config = config
         self.opt = AdamW(model.params)
-        total = config.epochs * steps_per_epoch(len(data.train_pairs),
-                                                config.batch_size)
+        total = config.epochs * steps_per_epoch(len(data.train_pairs), config.batch_size)
         self.schedule = LrSchedule(peak_lr=config.peak_lr,
                                    warmup_steps=int(round(total * config.warmup_frac)),
                                    total_steps=max(total, 1))
@@ -147,16 +148,14 @@ class Trainer:
         self.step = 0
         self.best_val_acc = -1.0
         self.best_step = -1
+        self.final_val_acc = float("nan")
         self.rows: list[LogRow] = []
         self._shuffle_rng = rng_mod.stream(config.seed, "trainer_shuffle")
         self._pick_rng = rng_mod.stream(config.seed, "trainer_pick")
         self._drop_rng = rng_mod.stream(config.seed, "trainer_dropout")
-        self._ids: dict[str, np.ndarray] = {}
-        for story in data.stories.values():
-            self._ids[story.id] = tokenize(story.text, model.vocab,
-                                           model.config.max_len)
-        self._neg_ids = {sid: [tokenize(t, model.vocab, model.config.max_len)
-                               for t in texts]
+        self._ids = {s.id: tokenize(s.text, model.vocab, model.config.max_len)
+                     for s in data.stories.values()}
+        self._neg_ids = {sid: [tokenize(t, model.vocab, model.config.max_len) for t in texts]
                          for sid, texts in data.negatives.items()}
         self._targets = {sid: self._aspect_targets(recs)
                          for sid, recs in data.comments.items()}
@@ -192,10 +191,11 @@ class Trainer:
                 picks.append(cands[int(self._pick_rng.integers(len(cands)))])
         return picks
 
-    def train_step(self, batch: list[RankedPair]) -> LossBreakdown:
-        """One AdamW step on ``batch``.  The B high stories, the B low stories
-        and one negative per low story that has any are encoded as one batch;
-        each loss, the comment loss too, reads its rows of that batch."""
+    def train_step(self, batch: list[RankedPair]) -> LogRow:
+        """One AdamW step on ``batch``; returns the ``LogRow`` it appends to
+        ``rows``.  The B high stories, the B low stories and one negative per
+        low story that has any are encoded as one batch; each loss, the
+        comment loss too, reads its rows of that batch."""
         cfg, params, b = self.config, self.model.params, len(batch)
         rng = self._drop_rng if self.model.config.dropout > 0 else None
         sids = [p.high_id for p in batch] + [p.low_id for p in batch]
@@ -226,23 +226,21 @@ class Trainer:
         picks = self._comment_picks(batch) if cfg.use_comments else []
         if picks:      # (rows, aspects, comments)
             l_c = self.model.encoded_comment_nll(states, lengths, *zip(*picks), rng=rng)
-        breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
-        lr = lr_at(self.schedule, self.step)
-        ad.forward_backward(breakdown.graph_total, params)
-        self.opt.step(lr=lr)
-        self.rows.append(LogRow(step=self.step, lr=lr, l_ps=breakdown.L_ps,
-                                l_ac=breakdown.L_ac, l_ar=breakdown.L_ar,
-                                l_c=breakdown.L_c, l_total=breakdown.L_total))
+        f = [float(x) for x in (l_ps, l_ac, l_ar, l_c)]
+        row = LogRow(self.step, lr_at(self.schedule, self.step), *f,
+                     ((f[0] + f[1]) + f[2]) + f[3])
+        ad.forward_backward(joint_loss(l_ps, l_ac, l_ar, l_c), params)
+        self.opt.step(lr=row.lr)
+        self.rows.append(row)
         self.step += 1
-        return breakdown
+        return row
 
     # -- full run ------------------------------------------------------------
 
     def validation_accuracy(self) -> float:
         if not self.data.val_pairs:
             return float("nan")
-        return evaluate_pairs(self.model, self.data.stories,
-                              self.data.val_pairs)
+        return evaluate_pairs(self.model, self.data.stories, self.data.val_pairs)
 
     def _save(self, path) -> None:
         if path is not None:
@@ -260,7 +258,9 @@ class Trainer:
         self._save(path)
 
     def train(self, checkpoint_path=None, log_path=None,
-              resume: bool = False) -> TrainResult:
+              resume: bool = False) -> "Trainer":
+        """Run the remaining steps and return the trainer, whose ``rows``,
+        ``best_val_acc``, ``best_step`` and ``final_val_acc`` hold the outcome."""
         if resume:
             if checkpoint_path is None or not Path(checkpoint_path).exists():
                 raise ConfigError("resume requested but checkpoint missing")
@@ -288,11 +288,10 @@ class Trainer:
                 for start in range(0, len(pairs), self.config.batch_size):
                     if self.step >= self.total_steps:
                         break
-                    batch = [pairs[i]
-                             for i in order[start: start + self.config.batch_size]]
-                    self.train_step(batch)
+                    batch = [pairs[i] for i in order[start: start + self.config.batch_size]]
+                    row = self.train_step(batch)
                     if log_fh:
-                        log_fh.write(self.rows[-1].csv_line() + "\n")
+                        log_fh.write(row.csv_line() + "\n")
                     if self.step % every == 0:
                         validated = (self.step, self.validation_accuracy())
                         self._maybe_checkpoint(checkpoint_path, validated[1])
@@ -300,11 +299,9 @@ class Trainer:
             if log_fh:
                 log_fh.close()
         # no step since the last validation: the parameters are the same
-        final_acc = validated[1] if validated[0] == self.step else self.validation_accuracy()
-        self._maybe_checkpoint(checkpoint_path, final_acc)
+        self.final_val_acc = (validated[1] if validated[0] == self.step
+                              else self.validation_accuracy())
+        self._maybe_checkpoint(checkpoint_path, self.final_val_acc)
         if self.best_step < 0:
             self._save(checkpoint_path)
-        return TrainResult(rows=self.rows, best_val_acc=self.best_val_acc,
-                           best_step=self.best_step, final_val_acc=final_acc,
-                           checkpoint_path=str(checkpoint_path)
-                           if checkpoint_path else None)
+        return self

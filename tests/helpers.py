@@ -510,15 +510,14 @@ def reference_train_step(trainer, batch):
         rows, aspects, comments = zip(*picks)
         l_c = model.comment_nll([trainer._ids[sids[r]] for r in rows], aspects, comments,
                                 rng=rng)
-    breakdown = joint_loss(l_ps, l_ac, l_ar, l_c)
-    lr = lr_at(trainer.schedule, trainer.step)
-    ad.forward_backward(breakdown.graph_total, params)
-    trainer.opt.step(lr=lr)
-    trainer.rows.append(LogRow(step=trainer.step, lr=lr, l_ps=breakdown.L_ps,
-                               l_ac=breakdown.L_ac, l_ar=breakdown.L_ar,
-                               l_c=breakdown.L_c, l_total=breakdown.L_total))
+    f = [float(x) for x in (l_ps, l_ac, l_ar, l_c)]
+    row = LogRow(trainer.step, lr_at(trainer.schedule, trainer.step), *f,
+                 ((f[0] + f[1]) + f[2]) + f[3])
+    ad.forward_backward(joint_loss(l_ps, l_ac, l_ar, l_c), params)
+    trainer.opt.step(lr=row.lr)
+    trainer.rows.append(row)
     trainer.step += 1
-    return breakdown
+    return row
 
 
 class TableModel:

@@ -218,7 +218,7 @@ def test_02_loss_gradients_match_finite_differences():
             return losses.joint_loss(
                 margin_rank(), losses.confidence_loss(a_c, y_conf),
                 losses.rating_loss(a_r, y_rate, sel),
-                comment_mle()).graph_total
+                comment_mle())
 
         return [margin_rank, coherence, confidence, rating, comment_mle,
                 discrimination, joint]
@@ -276,7 +276,7 @@ def test_03_loss_spot_values():
          float(losses.rating_loss(np.array([[0.5]]), np.array([[0.8]]),
                                   np.array([[1.0]])).data), math.log(2)),
         ("joint sum",
-         losses.joint_loss(0.3, math.log(10), math.log(2), 1.0).L_total,
+         float(losses.joint_loss(0.3, math.log(10), math.log(2), 1.0)),
          0.3 + math.log(10) + math.log(2) + 1.0),
     ]
     worst = max(abs(got - want) for _, got, want in checks)

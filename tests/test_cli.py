@@ -15,6 +15,7 @@ from storyeval.aspects import AspectTaxonomy
 from storyeval.checkpoint import load_checkpoint, save_checkpoint
 from storyeval.errors import DataError
 from storyeval.jsonl import dumps, read_jsonl, write_json, write_jsonl
+from storyeval.metrics import MetricReport
 from storyeval.model import Model, ModelConfig
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
 from storyeval.vocab import Vocabulary, build_vocab, tokenize
@@ -167,13 +168,30 @@ class TestExtractAspects:
             return real(docs, vocab, n_topics, **kw)
 
         monkeypatch.setattr(aspects, "lda_fit", counting)
-        monkeypatch.setattr(cli, "lda_fit", counting)
         assert run(["extract-aspects", smoke / "comments.jsonl",
                     "--out-dir", tmp_path, "--candidates", "2,3",
                     "--iterations", 5]) == 0
         assert fits == [2, 3]
         report = json.loads((tmp_path / "topics.json").read_text())
         assert report["n_topics"] in (2, 3)
+
+    def test_fixed_topic_count_is_the_single_candidate(self, smoke, tmp_path, monkeypatch):
+        fits, scored = [], []
+        real_fit, real_score = aspects.lda_fit, aspects.umass_coherence
+        monkeypatch.setattr(aspects, "lda_fit",
+                            lambda *a, **kw: fits.append(a[2]) or real_fit(*a, **kw))
+        monkeypatch.setattr(aspects, "umass_coherence",
+                            lambda *a, **kw: scored.append(1) or real_score(*a, **kw))
+        outs = [tmp_path / "topics", tmp_path / "candidates"]
+        for out, flags in zip(outs, (["--topics", 3], ["--candidates", "3"])):
+            assert run(["extract-aspects", smoke / "comments.jsonl", "--out-dir", out,
+                        "--iterations", 5, *flags]) == 0
+        assert fits == [3, 3] and not scored
+        for name in ("topics.json", "taxonomy.json"):
+            reports = [json.loads((out / name).read_text()) for out in outs]
+            for r in reports:
+                r.pop("meta")
+            assert reports[0] == reports[1]
 
     def test_empty_comments_is_data_error(self, tmp_path):
         write_jsonl(tmp_path / "c.jsonl", [{"text": "a 1 2 3"}])
@@ -234,7 +252,62 @@ class TestAugment:
         assert "Traceback" not in err
 
 
+class TestBlankText:
+    """A text of whitespace alone, in any input whose texts are tokenized,
+    exits 3 naming its file and line, never with a traceback."""
+
+    @pytest.mark.parametrize("command", ["compare a", "compare b", "evaluate judgments",
+                                         "train negatives", "augment-comments --raw",
+                                         "augment-comments --crowd"])
+    def test_exits_3_naming_the_line(self, smoke, tmp_path, capsys, command):
+        stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
+                   if "meta" not in r]
+        model = ["--checkpoint", smoke / "run" / "model.ckpt",
+                 "--vocab", smoke / "run" / "vocab.txt"]
+        bad, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+        if command.startswith("compare"):
+            records = [{"prompt_id": s["prompt_id"], "text": s["text"]}
+                       for s in stories if s["id"].endswith("_hi")][:2]
+            write_jsonl(good, records)
+            argv = ["compare", *((bad, good) if command.endswith("a") else (good, bad)), *model]
+        elif command == "evaluate judgments":
+            records = [{"text": f"story number {i}", "human": float(i)} for i in range(6)]
+            write_json(tmp_path / "spec.json", {"judgments": str(bad)})
+            argv = ["evaluate", tmp_path / "spec.json", *model]
+        elif command == "train negatives":
+            records = [{"source_story_id": s["id"], "text": s["text"]} for s in stories[:2]]
+            argv = ["train", "--config", smoke / "cfg.json", "--set", f"data.negatives={bad}",
+                    "--out-dir", tmp_path / "run"]
+        else:
+            records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
+            files = {"--crowd": smoke / "comments.jsonl", "--raw": smoke / "comments.jsonl",
+                     command.split()[1]: bad}
+            argv = ["augment-comments", *[x for kv in files.items() for x in kv],
+                    "--min-words", 0, "--out-dir", tmp_path / "out"]
+        records[1]["text"] = " \t "
+        write_jsonl(bad, records)
+        assert run(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {bad}:2: text is empty after normalization" in err
+        assert "Traceback" not in err
+
+
 class TestTrain:
+    def test_train_returns_the_trainer_the_manifest_reads(self, smoke, tmp_path, monkeypatch):
+        runs, real = [], cli.Trainer.train
+
+        def spy(self, *args, **kw):
+            runs.append((self, real(self, *args, **kw)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli.Trainer, "train", spy)
+        assert run(["train", "--config", smoke / "cfg.json", "--out-dir", tmp_path]) == 0
+        [(trainer, returned)] = runs
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert returned is trainer and manifest["steps"] == len(trainer.rows)
+        assert (manifest["final_val_acc"], manifest["best_val_acc"], manifest["best_step"]) \
+            == (trainer.final_val_acc, trainer.best_val_acc, trainer.best_step)
+
     def test_artifacts(self, smoke):
         run_dir = smoke / "run"
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -563,7 +636,7 @@ class TestEvaluate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert any("aspect" in s for s in report["skipped"])
 
-    def test_full_spec(self, smoke, tmp_path):
+    def test_full_spec(self, smoke, tmp_path, monkeypatch):
         stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
                    if "meta" not in r]
         judgments = [{"text": r["text"],
@@ -590,6 +663,14 @@ class TestEvaluate:
             "recall_ks": [1, 3],
             "n_permutations": 100,
         })
+        built = []
+
+        class Recorded(MetricReport):
+            def __post_init__(self):
+                built.append(self.to_dict())    # the values it was built with
+                super().__post_init__()
+
+        monkeypatch.setattr(cli, "MetricReport", Recorded)
         assert run(["evaluate", tmp_path / "spec.json",
                     "--checkpoint", smoke / "run" / "model.ckpt",
                     "--vocab", smoke / "run" / "vocab.txt",
@@ -600,6 +681,8 @@ class TestEvaluate:
                     "recall@1", "recall@3", "bleu", "rouge_l", "ppl"):
             assert key in report, key
         assert report["ppl"] > 1.0
+        # one report, built with every value, so its range checks see them all
+        assert built == [{k: v for k, v in report.items() if k != "meta"}]
 
     def test_default_recall_ks_stop_at_the_aspect_count(self, tmp_path):
         # recall@5 is undefined for 3 aspects: the default reports @1 and @3
@@ -1089,9 +1172,18 @@ class TestMalformedSettings:
         ("spec", {"recall_ks": []}, "field 'recall_ks' must list ints in [1, 10], got []"),
         ("extract-aspects", ["--top-words", "0"], "--top-words 0 must be in [1, inf]"),
         ("score", ["--beam", "0"], "--beam 0 must be in [1, inf]"),
-        ("score", ["--top-aspects", "-1"], "--top-aspects -1 must be in [0, inf]"),
+        ("score", ["--top-aspects", "-1"], "--top-aspects -1 must be in [0, 10]"),
         ("score", ["--max-new-tokens", "97"], "--max-new-tokens 97 must be in [1, 96]"),
         ("evaluate", ["--max-new-tokens", "97"], "--max-new-tokens 97 must be in [1, 96]"),
+        ("score", ["--top-aspects", "11"], "--top-aspects 11 must be in [0, 10]"),
+        ("spec", {"n_permutations": -1}, "spec.json: field 'n_permutations' must be >= 1, "
+                                         "got -1"),
+        ("spec", {"n_permutations": 0}, "spec.json: field 'n_permutations' must be >= 1, "
+                                        "got 0"),
+        ("set", "train.margin=0", "margin 0 must be > 0"),
+        ("set", "train.peak_lr=-0.01", "peak_lr -0.01 must be >= 0"),
+        ("set", "train.comment_max_len=-1", "comment_max_len -1 must be >= 1"),
+        ("set", "train.eval_every=-2", "eval_every -2 must be >= 0"),
     ])
     def test_exits_2_naming_the_setting(self, smoke, tmp_path, capsys, kind, value, named):
         model = ["--checkpoint", smoke / "run" / "model.ckpt",

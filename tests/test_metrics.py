@@ -222,6 +222,11 @@ class TestPermutationPvalue:
         with pytest.raises(ContractViolation):
             correlation_pvalue([1, 2, 3], [1, 2, 3], "spearman")
 
+    @pytest.mark.parametrize("n_perm", [0, -1])
+    def test_no_permutations_rejected(self, n_perm):
+        with pytest.raises(ContractViolation, match=f"n_perm >= 1, got 6 and {n_perm}"):
+            correlation_pvalue(np.arange(6.0), np.arange(6.0)[::-1], "spearman", n_perm=n_perm)
+
     def test_batched_equals_loop_oracle(self):
         rng = np.random.default_rng(17)
         for trial in range(24):

@@ -117,6 +117,18 @@ class TestLogRows:
         for row in res.rows:
             assert ((row.l_ps + row.l_ac) + row.l_ar) + row.l_c == row.l_total
 
+    def test_negative_component_rejected(self):
+        with pytest.raises(ContractViolation, match="l_ac must be non-negative"):
+            LogRow(step=0, lr=0.0, l_ps=0.1, l_ac=-0.1, l_ar=0.0, l_c=0.0, l_total=0.0)
+
+    def test_step_and_run_return_their_records(self):
+        model, data, _ = _setup()
+        trainer = Trainer(model, data, TrainConfig(batch_size=8, epochs=1, seed=0))
+        row = trainer.train_step(data.train_pairs[:8])
+        assert trainer.rows == [row] and row is trainer.rows[-1] and row.step == 0
+        assert trainer.train() is trainer
+        assert trainer.final_val_acc == trainer.validation_accuracy()
+
 
 class TestDeterminism:
     def test_same_seed_same_log(self, tmp_path):
@@ -322,8 +334,8 @@ class TestOnePassStep:
             calls.clear()
             cfg = TrainConfig(batch_size=8, epochs=1, seed=0, use_aspects=True,
                               use_comments=use_comments, use_negatives=True)
-            breakdown = Trainer(model, data, cfg).train_step(batch)
-            assert (breakdown.L_c > 0.0) == use_comments
+            row = Trainer(model, data, cfg).train_step(batch)
+            assert (row.l_c > 0.0) == use_comments
             assert calls == [2 * len(batch) + n_neg]
 
     def test_shared_row_comment_loss_equals_a_separate_encode(self, monkeypatch):
@@ -345,11 +357,11 @@ class TestOnePassStep:
         trainer = Trainer(model, data, TrainConfig(batch_size=8, epochs=1, seed=0,
                                                    use_aspects=True, use_comments=True,
                                                    use_negatives=True))
-        breakdown = trainer.train_step(batch)
+        row = trainer.train_step(batch)
         [(got, want, n_rows, n_stories)] = seen
         assert model.params["w_out"].dtype == np.float32
         assert n_rows == len(batch) and n_stories > 2 * len(batch)
-        assert got == breakdown.L_c
+        assert got == row.l_c
         assert abs(got - want) <= 1e-6 * abs(want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -377,8 +389,8 @@ class TestOnePassStep:
             runs.append((losses, model.params, start))
         (got, params, start), (want, ref_params, _) = runs
         for g, w in zip(got, want):
-            assert min(w.L_ps, w.L_ac, w.L_ar, w.L_c) > 0.0
-            for name in ("L_ps", "L_ac", "L_ar", "L_c"):
+            assert min(w.l_ps, w.l_ac, w.l_ar, w.l_c) > 0.0
+            for name in ("l_ps", "l_ac", "l_ar", "l_c"):
                 assert abs(getattr(g, name) - getattr(w, name)) <= 1e-10, name
         for name, t in params.items():
             assert np.max(np.abs(t.data - ref_params[name].data)) <= 1e-10, name
