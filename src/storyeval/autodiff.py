@@ -6,7 +6,9 @@ function returns one gradient per input, in the order the op passed its
 inputs.  ``Tensor.backward`` on a scalar loss walks the graph in reverse
 topological order and is the only code that adds those gradients up, so
 ``Tensor.grad`` is a result to read, not a buffer to write into: it may
-share memory with another tensor's gradient.
+share memory with another tensor's gradient.  Only leaves keep it: a node's
+gradient, closure and saved arrays are freed once its backward has run, so
+the walk's peak stays near what the forward left live; a graph is walked once.
 
 The tape holds sixteen ops: ``add``, ``mul``, ``linear``, ``reshape``,
 ``sum``, ``mean``, ``log``, ``relu``, ``sigmoid``, ``softmax``,
@@ -105,11 +107,13 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor with requires_grad.
+        """Populate ``grad`` on every reachable leaf with requires_grad.
 
         A tensor's first gradient is taken as the op returned it; later
         ones are added out of place in the accumulator's dtype, so no
-        gradient array is ever written into and none needs a copy.
+        gradient array is ever written into and none needs a copy.  A node
+        is released once its backward has run (grad, closure and parents),
+        so only leaves keep ``grad`` and a graph is walked once.
         """
         if self.data.shape != ():
             raise ContractViolation(
@@ -131,7 +135,8 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones((), dtype=self.data.dtype)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is None:
                 continue
             for p, g in zip(node._parents, node._backward(node.grad)):
@@ -141,6 +146,7 @@ class Tensor:
                     p.grad = np.asarray(g)
                 else:
                     p.grad = np.asarray(p.grad + g, p.grad.dtype)
+            node.grad, node._backward, node._parents = None, _walked, ()
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -186,6 +192,10 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
+
+
+def _walked(g):
+    raise ContractViolation("backward() already walked this graph; build it again")
 
 
 def as_tensor(x, like: Tensor | None = None) -> Tensor:

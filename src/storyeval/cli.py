@@ -247,8 +247,9 @@ def _load_pairs(path, stories: dict[str, Story]) -> list[RankedPair]:
 
 
 def _load_comment_records(path, parse=CommentRecord.from_record) -> list[CommentRecord]:
+    """``parse`` of each comment record of ``path``, whose text must hold a word."""
     return _nonempty_records(path, {"story_id": str, "text": str, "aspect": int,
-                                    "rating": (int, float)}, parse)
+                                    "rating": (int, float)}, lambda rec: parse(_worded(rec)))
 
 
 def _worded(rec: dict) -> dict:
@@ -260,8 +261,8 @@ def _worded(rec: dict) -> dict:
 
 
 def _crowd_record(rec: dict) -> CommentRecord:
-    """A crowd comment whose text holds a word and whose rating is a sentiment class."""
-    record = CommentRecord.from_record(_worded(rec))
+    """A crowd comment whose rating is a sentiment class."""
+    record = CommentRecord.from_record(rec)
     class_from_rating(record.rating)
     return record
 

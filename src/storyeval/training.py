@@ -64,6 +64,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} {getattr(self, name)} must be >= {low}")
         if not self.margin > 0:
             raise ConfigError(f"margin {self.margin} must be > 0")
+        for name in ("peak_lr", "margin"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} {getattr(self, name)} must be finite")
         if not 0.0 <= self.warmup_frac <= 1.0:
             raise ConfigError("warmup_frac must be in [0, 1]")
         if self.use_comments and not self.use_aspects:

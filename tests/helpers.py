@@ -1,6 +1,8 @@
 """Shared test utilities: the finite-difference gradient oracle, and the
 ``tape_ops``, the op names ``autodiff`` declares, and the
-simple versions that faster code is checked against: the generic
+simple versions that faster code is checked against: ``reference_backward``,
+the walk that keeps every node until it ends, for ``Tensor.backward``, which
+frees each node as it goes; the generic
 broadcasting ``matmul`` node for the fused ``ad.linear`` (and the
 ``swapaxes`` and general-index ``take`` nodes of the dense oracles), the two-pass
 layer norm for the one-pass ``ad.layer_norm``, per-story scoring
@@ -165,6 +167,39 @@ def dense_decoder_logits(params, config, comment_in: np.ndarray,
         x = x + _ff(params, f"{p}.ff", normed)
     states = ad.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
     return matmul(states, params["w_out"])
+
+
+def reference_backward(root: ad.Tensor) -> None:
+    """``Tensor.backward`` as a walk over a list that holds every node, each
+    with its gradient, closure and parents, until the walk ends."""
+    if root.data.shape != ():
+        raise ContractViolation(f"backward() root must be a scalar, got shape {root.data.shape}")
+    order: list[ad.Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[ad.Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones((), dtype=root.data.dtype)
+    for node in reversed(order):
+        if node._backward is None:
+            continue
+        for p, g in zip(node._parents, node._backward(node.grad)):
+            if not p.requires_grad:
+                continue
+            if p.grad is None:
+                p.grad = np.asarray(g)
+            else:
+                p.grad = np.asarray(p.grad + g, p.grad.dtype)
 
 
 def central_diff(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -3,17 +3,21 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from storyeval import autodiff as ad
+from storyeval import rng as rng_mod
 from storyeval.autodiff import Tensor
 from storyeval.errors import ContractViolation, NumericFailure
+from storyeval.model import Model, ModelConfig, predict_preference
+from storyeval.vocab import build_vocab
 
-from helpers import (central_diff, matmul, max_rel_err, reference_layer_norm, swapaxes, take,
-                     tape_ops)
+from helpers import (central_diff, matmul, max_rel_err, reference_backward,
+                     reference_layer_norm, swapaxes, take, tape_ops)
 
 
 def leaf(rng, *shape):
@@ -156,13 +160,53 @@ def test_reused_node_accumulates():
 
 
 def test_gradient_handed_to_two_parents_is_never_written():
-    # add returns one array for both of its inputs; a's second contribution,
-    # from the mul the sweep reaches after the add, must not change m's grad
+    # add returns one array for both of its leaves; a's second contribution,
+    # from the a * 3 the walk reaches after the add, must not change b's grad
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    m = a * 5.0
-    ((a + m) * 2.0).sum().backward()
-    assert np.array_equal(m.grad, [2.0, 2.0])
-    assert np.array_equal(a.grad, [12.0, 12.0])
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    ((a + b) * 2.0 + a * 3.0).sum().backward()
+    assert np.array_equal(b.grad, [2.0, 2.0])
+    assert np.array_equal(a.grad, [5.0, 5.0])
+
+
+def test_second_walk_of_a_graph_is_refused():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    hidden = a * 3.0
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    assert hidden.grad is None and loss.grad is None
+    with pytest.raises(ContractViolation, match="already walked"):
+        loss.backward()
+    with pytest.raises(ContractViolation, match="already walked"):   # through a freed node
+        (hidden * 2.0).sum().backward()
+    assert np.array_equal(a.grad, [18.0, 36.0])
+
+
+def test_backward_peak_stays_near_the_forward_live_memory():
+    """The walk frees each node once its backward has run, so the traced
+    peak of a small encoder's backward stays within 1.3x what its forward
+    left live; the retaining walk reaches about 1.8x."""
+    # embedding's backward imports scipy.sparse on first use: not part of the peak
+    import scipy.sparse  # noqa: F401
+
+    vocab = build_vocab([" ".join(f"w{i}" for i in range(200))], size=300, n_aspects=4)
+    config = ModelConfig(vocab_size=len(vocab), d_model=32, n_enc_layers=2, n_dec_layers=1,
+                         n_heads=2, window=8, max_len=96, n_aspects=4)
+    model = Model(config, vocab, rng=rng_mod.stream(0, "init"))
+    rng = np.random.default_rng(0)
+    seqs = [rng.integers(6, len(vocab), size=n) for n in rng.integers(32, 64, size=16)]
+    tracemalloc.start()
+    try:
+        v_s, _, _ = model.encode_stories(seqs)
+        loss = predict_preference(model.params, v_s).sum()
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.params["enc0.ff.w1"].grad is not None
+    assert peak <= 1.3 * live, f"peak {peak} B against {live} B live after the forward"
 
 
 def test_constant_input_gets_no_gradient():
@@ -459,6 +503,18 @@ def test_primitive_op_gradients(builder, seed):
     rng = np.random.default_rng(seed)
     params, forward = builder(rng)
     check_grads(lambda: forward(params), params)
+
+
+@pytest.mark.parametrize("builder,seed", _op_configs())
+def test_freeing_walk_equals_the_retaining_walk(builder, seed):
+    grads = []
+    for walk in (Tensor.backward, reference_backward):
+        params, forward = builder(np.random.default_rng(seed))
+        walk(forward(params))
+        grads.append({name: p.grad for name, p in params.items()})
+    got, want = grads
+    for name, g in want.items():
+        assert got[name].dtype == g.dtype and got[name].tobytes() == g.tobytes(), name
 
 
 def test_every_node_building_op_has_a_registry_case(monkeypatch):

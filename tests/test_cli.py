@@ -257,8 +257,8 @@ class TestBlankText:
     exits 3 naming its file and line, never with a traceback."""
 
     @pytest.mark.parametrize("command", ["compare a", "compare b", "evaluate judgments",
-                                         "train negatives", "augment-comments --raw",
-                                         "augment-comments --crowd"])
+                                         "train negatives", "train comments",
+                                         "augment-comments --raw", "augment-comments --crowd"])
     def test_exits_3_naming_the_line(self, smoke, tmp_path, capsys, command):
         stories = [r for r in read_jsonl(smoke / "prep" / "stories.jsonl")
                    if "meta" not in r]
@@ -274,10 +274,12 @@ class TestBlankText:
             records = [{"text": f"story number {i}", "human": float(i)} for i in range(6)]
             write_json(tmp_path / "spec.json", {"judgments": str(bad)})
             argv = ["evaluate", tmp_path / "spec.json", *model]
-        elif command == "train negatives":
-            records = [{"source_story_id": s["id"], "text": s["text"]} for s in stories[:2]]
-            argv = ["train", "--config", smoke / "cfg.json", "--set", f"data.negatives={bad}",
-                    "--out-dir", tmp_path / "run"]
+        elif command.startswith("train"):
+            records = ([{"source_story_id": s["id"], "text": s["text"]} for s in stories[:2]]
+                       if command.endswith("negatives")
+                       else read_jsonl(smoke / "comments.jsonl")[:2])
+            argv = ["train", "--config", smoke / "cfg.json",
+                    "--set", f"data.{command.split()[1]}={bad}", "--out-dir", tmp_path / "run"]
         else:
             records = [r for r in read_jsonl(smoke / "comments.jsonl")][:2]
             files = {"--crowd": smoke / "comments.jsonl", "--raw": smoke / "comments.jsonl",
@@ -1184,6 +1186,8 @@ class TestMalformedSettings:
         ("set", "train.peak_lr=-0.01", "peak_lr -0.01 must be >= 0"),
         ("set", "train.comment_max_len=-1", "comment_max_len -1 must be >= 1"),
         ("set", "train.eval_every=-2", "eval_every -2 must be >= 0"),
+        ("set", "train.peak_lr=Infinity", "peak_lr inf must be finite"),
+        ("set", "train.margin=Infinity", "margin inf must be finite"),
     ])
     def test_exits_2_naming_the_setting(self, smoke, tmp_path, capsys, kind, value, named):
         model = ["--checkpoint", smoke / "run" / "model.ckpt",

@@ -22,7 +22,7 @@ from storyeval.training import (
 )
 from storyeval.vocab import build_vocab, tokenize
 
-from helpers import reference_heads, reference_train_step, tape_ops
+from helpers import reference_backward, reference_heads, reference_train_step, tape_ops
 
 
 def _setup(n_prompts=20, seed=0, with_comments=False, with_negatives=False,
@@ -373,6 +373,22 @@ class TestOnePassStep:
                           use_comments=True, use_negatives=True)
         Trainer(model, data, cfg).train_step(data.train_pairs[:8])
         assert {p.grad.dtype for p in model.params.values()} == {np.dtype(dtype)}
+
+    def test_freeing_walk_equals_the_retaining_walk(self, monkeypatch):
+        """A joint step with dropout 0.1 and negatives leaves every parameter
+        the same gradient, to the bit, under either backward walk."""
+        cfg = TrainConfig(batch_size=8, epochs=1, seed=0, use_aspects=True,
+                          use_comments=True, use_negatives=True)
+        runs = []
+        for walk in (ad.Tensor.backward, reference_backward):
+            monkeypatch.setattr(ad.Tensor, "backward", walk)
+            model, data, _ = _setup(with_comments=True, with_negatives=True, dropout=0.1)
+            row = Trainer(model, data, cfg).train_step(data.train_pairs[:8])
+            runs.append((row, {name: t.grad for name, t in model.params.items()}))
+        (row, got), (ref_row, want) = runs
+        assert row == ref_row and min(row.l_ps, row.l_ac, row.l_ar, row.l_c) > 0.0
+        for name, g in want.items():
+            assert got[name].dtype == g.dtype and got[name].tobytes() == g.tobytes(), name
 
     @pytest.mark.parametrize("objective,use_ps", [("rank", True), ("discrimination", True),
                                                   ("rank", False)])
