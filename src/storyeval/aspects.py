@@ -342,7 +342,7 @@ def _train_classifier(texts: list[str], labels: list[int], n_classes: int, epoch
         order = order_rng.permutation(n)
         for start in range(0, n, FILTER_BATCH):
             chunk = order[start: start + FILTER_BATCH]
-            v_s, _, _ = model.encode_stories([seqs[i] for i in chunk])
+            v_s, _, _ = model.encode_stories([seqs[i] for i in chunk], states=False)
             loss = confidence_loss(predict_aspects(model.params, v_s)[0], one_hot[chunk])
             ad.forward_backward(loss, trainable)
             opt.step(lr=lr_at(sched, step))

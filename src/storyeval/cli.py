@@ -523,13 +523,15 @@ def cmd_score(args) -> int:
     scored, top = [out for out in outputs if "error" not in out], args.top_aspects
     # one encode per story; a decode batch holds at most DECODE_TOKENS tokens of pairs
     for group, (p_s, a_c, a_r), states, lengths, picks in model.encoded(
-            seqs, DECODE_TOKENS // top if top else INFER_TOKENS):
-        ks = np.argsort(-a_c, axis=1, kind="stable")[:, :top]
-        toks = model.search(states, lengths, np.repeat(picks, ks.shape[1]), ks.reshape(-1),
-                            args.max_new_tokens, args.beam)
+            seqs, DECODE_TOKENS // top if top else INFER_TOKENS, states=top > 0):
         for i, p, c, r in zip(group, p_s, a_c, a_r):
             scored[i].update(p_s=float(p), a_c=c.tolist(), a_r=r.tolist(), comments={})
-        for i, k, ids in zip(np.repeat(group, ks.shape[1]), ks.reshape(-1), toks):
+        if not top:
+            continue
+        ks = np.argsort(-a_c, axis=1, kind="stable")[:, :top]
+        toks = model.search(states, lengths, np.repeat(picks, top), ks.reshape(-1),
+                            args.max_new_tokens, args.beam)
+        for i, k, ids in zip(np.repeat(group, top), ks.reshape(-1), toks):
             scored[i]["comments"][str(k)] = model.vocab.decode(ids)
     failures = sum("error" in out for out in outputs)
     write_artifact_jsonl(args.out, outputs, {**_meta(args), "failures": failures})

@@ -7,11 +7,12 @@ packed into its real token rows, and the embeddings, layer norms,
 projections, feed-forward layers, dropout and residual adds all run on
 those (N, d) rows.  Each story's first row, its [CLS] state v_s, feeds
 three linear heads: a sigmoid preference score, a softmax over K aspect
-confidences, and K sigmoid ratings.  A causal decoder with
-cross-attention (each an ``autodiff.attention`` node) reads the same
-packed states: the decoder's first input, ``<aspect_k>``, is the control
-code for a comment about aspect k, so one plain encoding of a story
-serves its heads and its comments on every aspect.
+confidences, and K sigmoid ratings; where only they are read, the last layer
+runs for the [CLS] rows alone.  A causal decoder with cross-attention (each
+an ``autodiff.attention`` node) reads the same packed states: the decoder's
+first input, ``<aspect_k>``, is the control code for a comment about aspect
+k, so one plain encoding of a story serves its heads and its comments on
+every aspect.
 
 ``token_chunks`` is the one batching rule of inference: length-sorted runs
 of at most a budget of padded tokens, so long stories are encoded with little
@@ -58,6 +59,12 @@ def story_rows(lengths: np.ndarray, picks) -> np.ndarray:
     n = lengths[picks]
     starts = (np.cumsum(lengths) - lengths)[picks]
     return np.repeat(starts - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def padded_rows(lengths: np.ndarray) -> np.ndarray:
+    """(B, T) packed rows of each story of ``lengths``, padded by repeating its last row."""
+    return (np.cumsum(lengths) - lengths)[:, None] + np.minimum(
+        np.arange(lengths.max()), lengths[:, None] - 1)
 
 
 def distinct(seqs: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -150,11 +157,11 @@ def _window_attention(params, prefix, x: Tensor, layout: WindowLayout,
 
 def _attend(params, prefix, x: Tensor, k: Tensor, v: Tensor, key_lengths,
             causal: bool, n_heads: int, rate: float, rng) -> Tensor:
-    """Decoder attention; x's rows that share k's batch row (a story's beams) query it."""
-    b, t, d = x.shape
-    q = ad.linear(x, params[f"{prefix}.wq"]).reshape(k.shape[0], -1, n_heads, d // n_heads)
+    """Attention of x's rows over their story's k, v (a story's beams, or its [CLS] row)."""
+    q = ad.linear(x, params[f"{prefix}.wq"]).reshape(k.shape[0], -1, n_heads,
+                                                     x.shape[-1] // n_heads)
     ctx = ad.attention(q, k, v, key_lengths, causal, rate, rng)
-    return ad.linear(ctx.reshape(b, t, d), params[f"{prefix}.wo"])
+    return ad.linear(ctx.reshape(x.shape), params[f"{prefix}.wo"])
 
 
 def _ff(params, prefix, x: Tensor) -> Tensor:
@@ -163,14 +170,17 @@ def _ff(params, prefix, x: Tensor) -> Tensor:
 
 
 def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
-           lengths: np.ndarray,
-           rng: np.random.Generator | None = None) -> tuple[Tensor, Tensor]:
-    """Run the encoder; returns (v_s (B,d), token states (N,d)).
+           lengths: np.ndarray, rng: np.random.Generator | None = None,
+           states: bool = True) -> tuple[Tensor, Tensor | None]:
+    """Run the encoder; returns (v_s (B,d), token states (N,d) or None without ``states``).
 
     The states are packed: only the N = lengths.sum() real tokens, story
     by story (``WindowLayout``'s ``bi``, ``ti``), and v_s is each story's
-    first row.  Dropout runs at ``config.dropout`` if and only if ``rng``
-    is given."""
+    first row.  Without ``states`` the last layer runs for the [CLS] rows
+    alone: its K/V are projected from every row and laid out per story, and
+    each [CLS] row reads all of its story's keys, as its dense pass in
+    ``window_attention`` does.  Dropout runs at ``config.dropout`` if and
+    only if ``rng`` is given."""
     if ids.ndim != 2:
         raise ContractViolation("encode expects a (batch, seq) id array")
     t = ids.shape[1]
@@ -178,21 +188,28 @@ def encode(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray,
         raise ContractViolation(f"sequence length {t} exceeds max_len {config.max_len}")
     if np.min(lengths) < 1:
         raise ContractViolation("every sequence needs at least one token")
-    rate = config.dropout if rng is not None else 0.0
+    rate, heads = (config.dropout if rng is not None else 0.0), config.n_heads
     layout = WindowLayout(lengths, t, config.window, params["tok_emb"].dtype)
     x = (ad.embedding(params["tok_emb"], ids[layout.bi, layout.ti])
          + ad.embedding(params["pos_emb"], layout.ti))
     x = ad.dropout(x, rate, rng)
+    cls = np.cumsum(lengths) - lengths
     for i in range(config.n_enc_layers):
         p = f"enc{i}"
         normed = ad.layer_norm(x, params[f"{p}.ln1.g"], params[f"{p}.ln1.b"])
-        x = x + ad.dropout(
-            _window_attention(params, f"{p}.attn", normed, layout, config.n_heads, rate, rng),
-            rate, rng)
+        if states or i + 1 < config.n_enc_layers:
+            mixed = _window_attention(params, f"{p}.attn", normed, layout, heads, rate, rng)
+        else:
+            kv = tuple(ad.embedding(_heads(params, f"{p}.attn.{m}", normed, heads),
+                                    padded_rows(lengths)) for m in ("wk", "wv"))
+            mixed = _attend(params, f"{p}.attn", normed[cls], *kv, lengths, False, heads,
+                            rate, rng)
+            x = x[cls]
+        x = x + ad.dropout(mixed, rate, rng)
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         x = x + ad.dropout(_ff(params, f"{p}.ff", normed), rate, rng)
-    states = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
-    return states[np.cumsum(lengths) - lengths], states
+    out = ad.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+    return (out[cls], out) if states else (out, None)
 
 
 def predict_preference(params: dict[str, Tensor], v_s: Tensor) -> Tensor:
@@ -273,11 +290,9 @@ def decoder_logits(params: dict[str, Tensor], config: ModelConfig,
         normed = ad.layer_norm(x, params[f"{p}.ln2.g"], params[f"{p}.ln2.b"])
         kv = cache.cross.get(p) if cache is not None else None
         if kv is None:
-            # project the packed rows, then lay them out per story (padding repeats a last row)
-            rows = (np.cumsum(enc_lengths) - enc_lengths)[:, None] + np.minimum(
-                np.arange(enc_lengths.max()), enc_lengths[:, None] - 1)
-            kv = tuple(ad.embedding(_heads(params, f"{p}.cross.{m}", enc_states, heads), rows)
-                       for m in ("wk", "wv"))
+            # project the packed rows, then lay them out per story
+            kv = tuple(ad.embedding(_heads(params, f"{p}.cross.{m}", enc_states, heads),
+                                    padded_rows(enc_lengths)) for m in ("wk", "wv"))
             kv = cache.keep_cross(p, *kv) if cache is not None else kv
         x = x + ad.dropout(_attend(params, f"{p}.cross", normed, *kv, enc_lengths,
                                        False, heads, rate, rng), rate, rng)
@@ -304,34 +319,35 @@ class Model:
         self.params = params if params is not None else init_params(
             config, rng or np.random.default_rng(0), dtype=dtype)
 
-    def encode_stories(self, id_seqs: list[np.ndarray], rng=None):
+    def encode_stories(self, id_seqs: list[np.ndarray], rng=None, states: bool = True):
         ids, lengths = pad_batch(id_seqs, self.vocab.pad_id)
-        v_s, states = encode(self.params, self.config, ids, lengths, rng=rng)
-        return v_s, states, lengths
+        return *encode(self.params, self.config, ids, lengths, rng=rng, states=states), lengths
 
-    def encoded(self, id_seqs: list[np.ndarray], budget: int | None = None):
+    def encoded(self, id_seqs: list[np.ndarray], budget: int | None = None, states: bool = True):
         """The no-grad encode walk of inference: each ``token_chunks`` group of
         ``budget`` tokens (``INFER_TOKENS`` by default) has its distinct stories
         encoded once, in chunks of ``INFER_TOKENS``.  Yields the group's input
-        indices, their heads (p_s, a_c, a_r) as numpy arrays, and the packed states,
-        lengths and per-input picks that ``search`` and ``encoded_comment_nll`` read."""
+        indices, their heads (p_s, a_c, a_r) as numpy arrays, and the packed states
+        (None without ``states``), lengths and per-input picks that ``search`` and
+        ``encoded_comment_nll`` read."""
         for group in token_chunks([len(s) for s in id_seqs], budget or INFER_TOKENS):
             seqs, picks = distinct([id_seqs[i] for i in group])
             lengths = np.asarray([len(s) for s in seqs], dtype=np.int64)
             with ad.no_grad():
                 # the chunks of a length-sorted group are consecutive runs of its stories
-                states = np.concatenate([self.encode_stories([seqs[i] for i in chunk])[1].data
-                                         for chunk in token_chunks(lengths, INFER_TOKENS)])
-                v_s = Tensor(states[(np.cumsum(lengths) - lengths)[picks]])
+                v_s, packed, _ = zip(*(self.encode_stories([seqs[i] for i in chunk], states=states)
+                                       for chunk in token_chunks(lengths, INFER_TOKENS)))
+                v_s = Tensor(np.concatenate([v.data for v in v_s])[picks])
                 heads = predict_preference(self.params, v_s), *predict_aspects(self.params, v_s)
-            yield group, [h.data for h in heads], Tensor(states), lengths, picks
+            packed = Tensor(np.concatenate([s.data for s in packed])) if states else None
+            yield group, [h.data for h in heads], packed, lengths, picks
 
     def infer(self, id_seqs: list[np.ndarray]):
         """Head outputs (p_s (N,), a_c (N,K), a_r (N,K)) for N stories, in order, as
         numpy arrays, walked in groups of ``INFER_TOKENS``."""
         n, k, dtype = len(id_seqs), self.config.n_aspects, self.params["w_ps"].dtype
         out = np.zeros(n, dtype), np.zeros((n, k), dtype), np.zeros((n, k), dtype)
-        for group, heads, *_ in self.encoded(id_seqs):
+        for group, heads, *_ in self.encoded(id_seqs, states=False):
             for part, head in zip(out, heads):
                 part[group] = head
         return out

@@ -198,7 +198,8 @@ class Trainer:
         """One AdamW step on ``batch``; returns the ``LogRow`` it appends to
         ``rows``.  The B high stories, the B low stories and one negative per
         low story that has any are encoded as one batch; each loss, the
-        comment loss too, reads its rows of that batch."""
+        comment loss too, reads its rows of that batch.  A batch that draws
+        no comment reads only v_s, so its encode skips the token states."""
         cfg, params, b = self.config, self.model.params, len(batch)
         rng = self._drop_rng if self.model.config.dropout > 0 else None
         sids = [p.high_id for p in batch] + [p.low_id for p in batch]
@@ -209,7 +210,8 @@ class Trainer:
             if cands:
                 neg_of.append(b + i)
                 seqs.append(cands[int(self._pick_rng.integers(len(cands)))])
-        v_s, states, lengths = self.model.encode_stories(seqs, rng=rng)
+        picks = self._comment_picks(batch) if cfg.use_comments else []
+        v_s, states, lengths = self.model.encode_stories(seqs, rng=rng, states=bool(picks))
         p_s = predict_preference(params, v_s)
         p_hi, p_lo = p_s[np.arange(b)], p_s[np.arange(b, 2 * b)]
         l_ps = l_ac = l_ar = l_c = 0.0
@@ -226,7 +228,6 @@ class Trainer:
             y_ac, y_ar = (np.stack(t) for t in zip(*(self._targets[sids[i]] for i in rows)))
             a_c, a_r = predict_aspects(params, v_s[np.asarray(rows)])
             l_ac, l_ar = conf_loss(a_c, y_ac), rating_loss(a_r, y_ar, y_ac)
-        picks = self._comment_picks(batch) if cfg.use_comments else []
         if picks:      # (rows, aspects, comments)
             l_c = self.model.encoded_comment_nll(states, lengths, *zip(*picks), rng=rng)
         f = [float(x) for x in (l_ps, l_ac, l_ar, l_c)]

@@ -17,7 +17,9 @@ three-pass train step (preferred, rejected and negative stories each
 encoded on their own, and the comment loss's stories encoded again) for
 the one-pass ``Trainer.train_step``, and
 ``reference_augment``, the per-comment filter loop, for the two-call
-``augment_comments``; ``TableModel`` stands in for its filters."""
+``augment_comments``; ``TableModel`` stands in for its filters.  The full
+encode's [CLS] rows are the oracle of the heads-only encode, and
+``encode_flags`` records which path each ``model.encode`` call took."""
 
 import inspect
 import re
@@ -26,6 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from storyeval import autodiff as ad
+from storyeval import model as model_mod
 from storyeval import rng as rng_mod
 from storyeval.aspects import CommentRecord, LdaModel, rating_from_class
 from storyeval.autodiff import NEG_INF
@@ -270,6 +273,23 @@ def check_sampled_grads(make_loss, params: dict, rng, n_per_tensor: int = 3,
             assert errors[-1] <= tol, f"{name}[{i}]: rel errs {errors}"
             worst = max(worst, errors[-1])
     return worst
+
+
+def encode_flags(monkeypatch, run) -> list[bool]:
+    """The ``states`` flag of every ``model.encode`` call that ``run()`` makes:
+    True for the full encode, False for the heads-only one."""
+    flags, real = [], model_mod.encode
+
+    def spy(*args, **kw):
+        flags.append(kw.get("states", True))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(model_mod, "encode", spy)
+    try:
+        run()
+    finally:
+        monkeypatch.setattr(model_mod, "encode", real)
+    return flags
 
 
 def reference_heads(model, id_seqs):

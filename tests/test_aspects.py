@@ -23,7 +23,13 @@ from storyeval.errors import ContractViolation, DataError
 from storyeval.model import Model
 from storyeval.vocab import tokenize
 
-from helpers import TableModel, reference_augment, reference_lda_fit, reference_umass_coherence
+from helpers import (
+    TableModel,
+    encode_flags,
+    reference_augment,
+    reference_lda_fit,
+    reference_umass_coherence,
+)
 
 
 class TestTaxonomy:
@@ -359,6 +365,11 @@ class TestClassifiers:
         assert probs.shape == (len(texts), 2)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-5
         assert float(np.mean(np.argmax(probs, axis=1) == labels)) == 1.0
+
+    def test_filter_training_encodes_heads_only(self, monkeypatch):
+        """A filter trains through v_s alone: one heads-only encode per step."""
+        assert encode_flags(monkeypatch, lambda: train_aspect_classifier(
+            _aspect_fixture(), n_aspects=2, epochs=2)) == [False, False]
 
     def test_missing_aspect_rejected(self):
         records = [r for r in _aspect_fixture() if r.aspect == 0]

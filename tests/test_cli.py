@@ -478,9 +478,10 @@ class TestScoreWalk:
             small_budgets(monkeypatch, 150, 400)
         encoded, real_encode = [], Model.encode_stories
 
-        def encode_spy(model, id_seqs, rng=None):
+        def encode_spy(model, id_seqs, rng=None, states=True):
+            assert states
             encoded.extend(s.tobytes() for s in id_seqs)
-            return real_encode(model, id_seqs, rng=rng)
+            return real_encode(model, id_seqs, rng=rng, states=states)
 
         monkeypatch.setattr(Model, "encode_stories", encode_spy)
         # the comments hold their ids, so the records show them exactly
@@ -510,18 +511,19 @@ class TestScoreWalk:
             self, smoke, tmp_path, monkeypatch):
         path, _ = score_inputs(smoke, tmp_path)
         small_budgets(monkeypatch, 150, 400)
-        chunks, groups, encoded, decoded = [], [], set(), []
+        chunks, searched, encoded, decoded = [], [], set(), []
         real_encode, real_search, real_logits = (Model.encode_stories, Model.search,
                                                  model_mod.decoder_logits)
 
-        def encode_spy(model, id_seqs, rng=None):
+        def encode_spy(model, id_seqs, rng=None, states=True):
+            assert not states
             chunks.append((len(id_seqs), max(len(s) for s in id_seqs)))
             encoded.update(s.tobytes() for s in id_seqs)
-            return real_encode(model, id_seqs, rng=rng)
+            return real_encode(model, id_seqs, rng=rng, states=states)
 
-        def search_spy(model, states, lengths, picks, *args):
-            groups.append((len(lengths), lengths.max(), len(picks)))
-            return real_search(model, states, lengths, picks, *args)
+        def search_spy(model, *args):
+            searched.append(args)
+            return real_search(model, *args)
 
         def logits_spy(*args, **kwargs):
             decoded.append(args)
@@ -531,11 +533,10 @@ class TestScoreWalk:
         monkeypatch.setattr(Model, "search", search_spy)
         monkeypatch.setattr(model_mod, "decoder_logits", logits_spy)
         assert run(score_argv(smoke, tmp_path, path, "--top-aspects", 0)) == 0
-        # groups of INFER_TOKENS: each one chunk, as in Model.infer
+        # heads-only chunks of INFER_TOKENS, as in Model.infer, and no search at all
         assert all(rows * t <= 150 or rows == 1 for rows, t in chunks)
-        assert [(rows, t) for rows, t, _ in groups] == chunks
         assert len(chunks) > 1 and max(rows for rows, _ in chunks) > 1
-        assert len(encoded) == 6 and not decoded and not any(pairs for *_, pairs in groups)
+        assert len(encoded) == 6 and not decoded and not searched
         body = read_jsonl(tmp_path / "scores.jsonl")[1:]
         assert all(r["comments"] == {} for r in body if "error" not in r)
 
@@ -816,9 +817,9 @@ class TestEvaluate:
                  if "meta" not in r][0]["id"]
         encoded, real_encode = [], Model.encode_stories
 
-        def encode_spy(model, id_seqs, rng=None):
+        def encode_spy(model, id_seqs, rng=None, states=True):
             encoded.append(len(id_seqs))
-            return real_encode(model, id_seqs, rng=rng)
+            return real_encode(model, id_seqs, rng=rng, states=states)
 
         monkeypatch.setattr(Model, "encode_stories", encode_spy)
         codes = []

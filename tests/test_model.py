@@ -28,6 +28,7 @@ from helpers import (
     dense_decoder_logits,
     dense_encode,
     dense_window_attention,
+    encode_flags,
     greedy_comment,
     mha,
     prefix_step_logits,
@@ -104,6 +105,80 @@ def test_banded_encoder_equals_dense_oracle(dtype, tol):
             assert np.max(np.abs(got.data - want.data)) <= tol
         checked += 1
     assert checked == 3
+
+
+def _cls_layouts(n_layers, dtype, dropout=0.0, seed=11):
+    """Params with O(1) attention scores and the dense-oracle test's batches:
+    window 4, T = 10 (one chunk, T <= 3 * window), 23 and 37 (chunks of 4),
+    each with a one-token story and key padding on most rows."""
+    cfg = ModelConfig(vocab_size=40, d_model=16, n_enc_layers=n_layers, n_dec_layers=1,
+                      n_heads=2, window=4, max_len=40, n_aspects=3, dropout=dropout)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng, dtype=dtype)
+    for name, p in params.items():
+        if ".attn.w" in name:
+            p.data[:] = rng.normal(0.0, 0.4, p.shape)
+    batches = [pad_batch([rng.integers(7, 40, size=n) for n in (t, t - 6, 1, 4, t - 1)], 0)
+               for t in (10, 23, 37)]
+    return cfg, params, batches
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_heads_only_encode_equals_the_full_cls_rows(n_layers):
+    """float32: without states the last layer runs for the [CLS] rows alone,
+    and its v_s equals the full encode's [CLS] rows."""
+    cfg, params, batches = _cls_layouts(n_layers, np.float32)
+    for ids, lengths in batches:
+        want, states = encode(params, cfg, ids, lengths)
+        got, none = encode(params, cfg, ids, lengths, states=False)
+        assert none is None and got.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(want.data, states.data[np.cumsum(lengths) - lengths])
+        assert np.max(np.abs(got.data - want.data)) <= 1e-5
+
+
+def test_heads_only_gradients_equal_the_full_path():
+    """float64: a loss that reads only v_s has the same parameter gradients
+    through the heads-only encode as through the full one."""
+    grads = []
+    for states in (True, False):
+        cfg, params, batches = _cls_layouts(2, np.float64)
+        weights = np.random.default_rng(1)
+        loss = 0.0
+        for ids, lengths in batches:
+            v_s, _ = encode(params, cfg, ids, lengths, states=states)
+            a_c, a_r = predict_aspects(params, v_s)
+            for head in (predict_preference(params, v_s), a_c, a_r):
+                loss = loss + (head * weights.standard_normal(head.shape)).sum()
+        ad.forward_backward(loss, params)
+        grads.append({name: p.grad for name, p in params.items()})
+    full, heads = grads
+    for name, g in full.items():
+        assert np.max(np.abs(heads[name] - g)) <= 1e-12, name
+    assert all(np.any(full[f"enc1.attn.{m}"]) for m in ("wq", "wk", "wv", "wo"))
+
+
+def test_heads_only_dropout_follows_the_generator():
+    """With dropout, two heads-only encodes with equal generators give equal
+    v_s, and dropout does change it."""
+    cfg, params, batches = _cls_layouts(2, np.float32, dropout=0.3)
+    for ids, lengths in batches:
+        runs = [encode(params, cfg, ids, lengths, rng=np.random.default_rng(9),
+                       states=False)[0].data for _ in range(2)]
+        plain = encode(params, cfg, ids, lengths, states=False)[0].data
+        assert np.array_equal(runs[0], runs[1]) and not np.allclose(runs[0], plain)
+
+
+def test_only_state_readers_run_the_full_last_layer(setup, monkeypatch):
+    """``infer`` reads v_s alone, so it encodes heads-only; generation and the
+    perplexity read the token states, so they encode in full."""
+    model, vocab, _ = setup
+    seqs = [story_ids(vocab, t) for t in TEXTS]
+    comment = np.asarray([vocab.bos_id, vocab.id_of("rain"), vocab.eos_id])
+    assert encode_flags(monkeypatch, lambda: model.infer(seqs)) == [False]
+    assert encode_flags(monkeypatch, lambda: model.generate_comments(
+        seqs, [0, 1, 2], max_new_tokens=2)) == [True]
+    assert encode_flags(monkeypatch, lambda: corpus_perplexity(
+        model, [(s, 0, comment) for s in seqs])) == [True]
 
 
 def test_window_attention_equals_dense_oracle_on_random_layouts():
@@ -699,7 +774,8 @@ def test_generation_chunks_within_the_token_budgets(setup, monkeypatch, beam):
         real_encode, real_search, real_heads = (m.encode_stories, m.search,
                                                 model_mod._heads)
 
-        def encode_spy(id_seqs):
+        def encode_spy(id_seqs, states=True):
+            assert states
             v_s, states, lengths = real_encode(id_seqs)
             chunks.append((len(lengths), lengths.max()))
             return v_s, states, lengths

@@ -22,7 +22,13 @@ from storyeval.training import (
 )
 from storyeval.vocab import build_vocab, tokenize
 
-from helpers import reference_backward, reference_heads, reference_train_step, tape_ops
+from helpers import (
+    encode_flags,
+    reference_backward,
+    reference_heads,
+    reference_train_step,
+    tape_ops,
+)
 
 
 def _setup(n_prompts=20, seed=0, with_comments=False, with_negatives=False,
@@ -337,6 +343,28 @@ class TestOnePassStep:
             row = Trainer(model, data, cfg).train_step(batch)
             assert (row.l_c > 0.0) == use_comments
             assert calls == [2 * len(batch) + n_neg]
+
+    def test_only_steps_that_pick_a_comment_encode_states(self, monkeypatch):
+        """Only the comment loss reads token states: a joint step that draws a
+        pick encodes in full, and a preference-only step, or a joint step
+        whose batch has no commented story, encodes heads-only."""
+        model, data, _ = _setup(with_comments=True, with_negatives=True)
+        batch = data.train_pairs[:8]
+        joint = TrainConfig(batch_size=8, epochs=1, seed=0, use_aspects=True,
+                            use_comments=True, use_negatives=True)
+        plain = TrainConfig(batch_size=8, epochs=1, seed=0, use_negatives=True)
+        rows = []
+
+        def step(cfg):
+            rows.append(Trainer(model, data, cfg).train_step(batch))
+
+        assert encode_flags(monkeypatch, lambda: step(joint)) == [True]
+        assert encode_flags(monkeypatch, lambda: step(plain)) == [False]
+        in_batch = {sid for p in batch for sid in (p.high_id, p.low_id)}
+        data.comments = {sid: recs for sid, recs in data.comments.items() if sid not in in_batch}
+        assert data.comments
+        assert encode_flags(monkeypatch, lambda: step(joint)) == [False]
+        assert [row.l_c > 0.0 for row in rows] == [True, False, False]
 
     def test_shared_row_comment_loss_equals_a_separate_encode(self, monkeypatch):
         """float32, dropout 0: the comment loss read from the step's rows
