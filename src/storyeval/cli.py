@@ -2,7 +2,8 @@
 
 Every command is deterministic given its inputs and seed, and every
 artifact embeds the seed and a short hash of the command's flags other
-than its file paths (``train``: of its merged config): JSONL files carry
+than its file paths (``train``: of its merged config; ``evaluate``: and of
+its spec; a file either names enters as set or unset): JSONL files carry
 one leading ``{"meta": ...}`` record, JSON reports a ``meta`` key, the
 training CSV a leading comment line.
 
@@ -472,7 +473,9 @@ def cmd_train(args) -> int:
     ckpt_path = out / "model.ckpt"
     log_path = out / "train_log.csv"
     trainer.train(checkpoint_path=ckpt_path, log_path=log_path, resume=args.resume)
-    meta = {"config_hash": digest(cfg), "seed": cfg["seed"]}
+    hashed = {k: bool(v) if PRESETS[args.preset]["data"][k] is None else v
+              for k, v in data_cfg.items()}     # a data file: set or not, not where
+    meta = {"config_hash": digest({**cfg, "data": hashed}), "seed": cfg["seed"]}
     log_body = log_path.read_text(encoding="utf-8")
     with atomic_write(log_path) as fh:
         fh.write(f"# config_hash={meta['config_hash']} seed={meta['seed']}\n" + log_body)
@@ -692,7 +695,8 @@ def cmd_evaluate(args) -> int:
         print("skipped: " + "; ".join(skipped))
     if args.out:
         payload = report.to_dict()
-        payload["meta"] = _meta(args, eval_spec=spec)
+        payload["meta"] = _meta(args, eval_spec={k: bool(v) if SPEC_FIELDS.get(k) is str else v
+                                                 for k, v in spec.items()})
         if skipped:
             payload["skipped"] = skipped
         write_json(args.out, payload)

@@ -1,9 +1,9 @@
 """Deterministic random-number plumbing.
 
-A run owns a single root seed.  Every consumer (parameter init, dropout,
-data shuffling, ...) gets its own independent stream derived from that
-seed plus a stable name, so adding a new consumer never perturbs the
-streams of existing ones.
+A run owns one root seed, and each consumer draws from its own named
+stream: ``init`` for the parameters, ``trainer_shuffle:{e}`` for epoch e's
+order, ``trainer_step:{s}`` for step s's picks and dropout.  A stream depends
+only on (seed, name): no consumer perturbs another, and any step can be redrawn.
 """
 
 import hashlib

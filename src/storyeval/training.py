@@ -6,12 +6,15 @@ rejected story) in a single encoder pass, and every loss component the
 run enables (preference ranking, coherence hinge, aspect heads, and the
 comment decoder, conditioned by its aspect token) reads its rows of that
 one batch.  One AdamW step follows.
-Everything is deterministic for a fixed seed: batch order, negative and
-comment sampling and dropout all draw from named substreams.
+Every draw is a function of (seed, counter): epoch e's batch order comes
+from the ``trainer_shuffle:{e}`` stream, and step s's negative picks,
+comment picks and dropout, in that order, from ``trainer_step:{s}``.  The
+trainer holds no generator, so a resumed run replays the steps it repeats.
 Validation, ``pair_scores`` and ``score_texts`` score stories through
 ``Model.infer``.
 """
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from .aspects import CommentRecord
 from .checkpoint import config_hash, load_checkpoint, save_checkpoint
 from .corpus import RankedPair, Story
 from .errors import ConfigError, ContractViolation
+from .jsonl import read_text
 from .losses import (
     coherence_rank_loss,
     discrimination_loss,
@@ -153,9 +157,6 @@ class Trainer:
         self.best_step = -1
         self.final_val_acc = float("nan")
         self.rows: list[LogRow] = []
-        self._shuffle_rng = rng_mod.stream(config.seed, "trainer_shuffle")
-        self._pick_rng = rng_mod.stream(config.seed, "trainer_pick")
-        self._drop_rng = rng_mod.stream(config.seed, "trainer_dropout")
         self._ids = {s.id: tokenize(s.text, model.vocab, model.config.max_len)
                      for s in data.stories.values()}
         self._neg_ids = {sid: [tokenize(t, model.vocab, model.config.max_len) for t in texts]
@@ -182,7 +183,7 @@ class Trainer:
 
     # -- single step --------------------------------------------------------
 
-    def _comment_picks(self, batch) -> list[tuple]:
+    def _comment_picks(self, batch, rng) -> list[tuple]:
         """One (story row, aspect, comment ids) draw per pair that has a
         comment on either story; row i is pair i's preferred story and row
         len(batch) + i its rejected one."""
@@ -191,7 +192,7 @@ class Trainer:
             cands = [(row, k, ids) for row, sid in ((i, p.high_id), (len(batch) + i, p.low_id))
                      for k, ids in self._comment_ids.get(sid, [])]
             if cands:
-                picks.append(cands[int(self._pick_rng.integers(len(cands)))])
+                picks.append(cands[int(rng.integers(len(cands)))])
         return picks
 
     def train_step(self, batch: list[RankedPair]) -> LogRow:
@@ -201,7 +202,7 @@ class Trainer:
         comment loss too, reads its rows of that batch.  A batch that draws
         no comment reads only v_s, so its encode skips the token states."""
         cfg, params, b = self.config, self.model.params, len(batch)
-        rng = self._drop_rng if self.model.config.dropout > 0 else None
+        rng = rng_mod.stream(cfg.seed, f"trainer_step:{self.step}")
         sids = [p.high_id for p in batch] + [p.low_id for p in batch]
         seqs = [self._ids[sid] for sid in sids]
         neg_of = []      # the low-story row each negative row is ranked below
@@ -209,8 +210,8 @@ class Trainer:
             cands = self._neg_ids.get(p.low_id) if cfg.use_negatives else None
             if cands:
                 neg_of.append(b + i)
-                seqs.append(cands[int(self._pick_rng.integers(len(cands)))])
-        picks = self._comment_picks(batch) if cfg.use_comments else []
+                seqs.append(cands[int(rng.integers(len(cands)))])
+        picks = self._comment_picks(batch, rng) if cfg.use_comments else []
         v_s, states, lengths = self.model.encode_stories(seqs, rng=rng, states=bool(picks))
         p_s = predict_preference(params, v_s)
         p_hi, p_lo = p_s[np.arange(b)], p_s[np.arange(b, 2 * b)]
@@ -265,14 +266,14 @@ class Trainer:
               resume: bool = False) -> "Trainer":
         """Run the remaining steps and return the trainer, whose ``rows``,
         ``best_val_acc``, ``best_step`` and ``final_val_acc`` hold the outcome."""
+        cfg, pairs = self.config, self.data.train_pairs
         if resume:
             if checkpoint_path is None or not Path(checkpoint_path).exists():
                 raise ConfigError("resume requested but checkpoint missing")
             ck = load_checkpoint(checkpoint_path)
-            want = config_hash(self.model.config)
-            if ck.config_hash != want:
-                raise ConfigError(
-                    f"checkpoint config hash {ck.config_hash} != run config {want}")
+            have, want = (ck.config_hash, ck.seed), (config_hash(self.model.config), cfg.seed)
+            if have != want:
+                raise ConfigError(f"checkpoint config hash and seed {have} != the run's {want}")
             for name, p in ck.params.items():
                 self.model.params[name].data = p.data
             if ck.optimizer is not None:
@@ -280,28 +281,23 @@ class Trainer:
             self.step = ck.step
             self.best_val_acc = float(ck.extra.get("best_val_acc", -1.0))
             self.best_step = int(ck.extra.get("best_step", -1))
-        pairs = list(self.data.train_pairs)
-        every = self.config.eval_every or steps_per_epoch(len(pairs), self.config.batch_size)
+        per_epoch = steps_per_epoch(len(pairs), cfg.batch_size)
+        every = cfg.eval_every or per_epoch
         validated = (-1, float("nan"))   # (step, accuracy) of the last validation
-        log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-        try:
-            if log_fh:
-                log_fh.write(LOG_HEADER + "\n")
+        # a resume keeps the rows before the checkpoint's step (line-buffered: on disk)
+        old = (read_text(log_path).splitlines(True)
+               if resume and log_path and Path(log_path).exists() else [])
+        with open(log_path or os.devnull, "w", encoding="utf-8", buffering=1) as log_fh:
+            log_fh.write(LOG_HEADER + "\n" + "".join(
+                line for line in old if line[:1].isdigit() and int(line.split(",")[0]) < self.step))
             while self.step < self.total_steps:
-                order = self._shuffle_rng.permutation(len(pairs))
-                for start in range(0, len(pairs), self.config.batch_size):
-                    if self.step >= self.total_steps:
-                        break
-                    batch = [pairs[i] for i in order[start: start + self.config.batch_size]]
-                    row = self.train_step(batch)
-                    if log_fh:
-                        log_fh.write(row.csv_line() + "\n")
-                    if self.step % every == 0:
-                        validated = (self.step, self.validation_accuracy())
-                        self._maybe_checkpoint(checkpoint_path, validated[1])
-        finally:
-            if log_fh:
-                log_fh.close()
+                epoch, pos = divmod(self.step, per_epoch)
+                order = rng_mod.stream(cfg.seed, f"trainer_shuffle:{epoch}").permutation(len(pairs))
+                batch = order[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
+                log_fh.write(self.train_step([pairs[i] for i in batch]).csv_line() + "\n")
+                if self.step % every == 0:
+                    validated = (self.step, self.validation_accuracy())
+                    self._maybe_checkpoint(checkpoint_path, validated[1])
         # no step since the last validation: the parameters are the same
         self.final_val_acc = (validated[1] if validated[0] == self.step
                               else self.validation_accuracy())

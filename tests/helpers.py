@@ -524,11 +524,20 @@ def reference_train_step(trainer, batch):
     loss picks encoded once more, by ``Model.comment_nll``.
 
     This is the step that one merged encoder pass replaced.  Its aspect
-    rows, taken from two batches, are joined by 0/1 selection matmuls.
+    rows, taken from two batches, are joined by 0/1 selection matmuls.  It
+    draws the negatives and then the comment picks from the step's own
+    ``trainer_step:{step}`` stream, as the merged step does.
     """
     cfg, model, b = trainer.config, trainer.model, len(batch)
     params = model.params
-    rng = trainer._drop_rng if model.config.dropout > 0 else None
+    rng = rng_mod.stream(cfg.seed, f"trainer_step:{trainer.step}")
+    keep, neg_seqs = [], []
+    for i, p in enumerate(batch):
+        cands = trainer._neg_ids.get(p.low_id) if cfg.use_negatives else None
+        if cands:
+            keep.append(i)
+            neg_seqs.append(cands[int(rng.integers(len(cands)))])
+    picks = trainer._comment_picks(batch, rng) if cfg.use_comments else []
     v_hi, _, _ = model.encode_stories([trainer._ids[p.high_id] for p in batch], rng=rng)
     v_lo, _, _ = model.encode_stories([trainer._ids[p.low_id] for p in batch], rng=rng)
     p_hi, p_lo = predict_preference(params, v_hi), predict_preference(params, v_lo)
@@ -539,18 +548,11 @@ def reference_train_step(trainer, batch):
         l_ps = margin_rank_loss(p_hi, p_lo, cfg.margin)
     if not cfg.use_ps:
         l_ps = 0.0
-    if cfg.use_negatives:
-        keep, neg_seqs = [], []
-        for i, p in enumerate(batch):
-            cands = trainer._neg_ids.get(p.low_id)
-            if cands:
-                keep.append(i)
-                neg_seqs.append(cands[int(trainer._pick_rng.integers(len(cands)))])
-        if neg_seqs:
-            v_neg, _, _ = model.encode_stories(neg_seqs, rng=rng)
-            l_c2 = coherence_rank_loss(p_lo[np.asarray(keep)],
-                                       predict_preference(params, v_neg), cfg.margin)
-            l_ps = l_ps + l_c2 if cfg.use_ps else l_c2
+    if neg_seqs:
+        v_neg, _, _ = model.encode_stories(neg_seqs, rng=rng)
+        l_c2 = coherence_rank_loss(p_lo[np.asarray(keep)],
+                                   predict_preference(params, v_neg), cfg.margin)
+        l_ps = l_ps + l_c2 if cfg.use_ps else l_c2
     l_ac = l_ar = l_c = 0.0
     sids = [p.high_id for p in batch] + [p.low_id for p in batch]
     rows = [i for i, sid in enumerate(sids) if sid in trainer._targets]
@@ -560,7 +562,6 @@ def reference_train_step(trainer, batch):
         y_ac, y_ar = (np.stack(t) for t in zip(*(trainer._targets[sids[i]] for i in rows)))
         a_c, a_r = predict_aspects(params, v_sel)
         l_ac, l_ar = confidence_loss(a_c, y_ac), rating_loss(a_r, y_ar, y_ac)
-    picks = trainer._comment_picks(batch) if cfg.use_comments else []
     if picks:
         rows, aspects, comments = zip(*picks)
         l_c = model.comment_nll([trainer._ids[sids[r]] for r in rows], aspects, comments,

@@ -1314,18 +1314,48 @@ def artifact_hash(command: str, out: str, flags=()) -> str:
         return json.loads(text.splitlines()[0])["meta"]["config_hash"]
 
 
+def located_hash(command: str, root: Path, out: str, flags=()) -> str:
+    """``artifact_hash`` of ``command`` run in ``root``.  ``evaluate-absolute``
+    names its spec's files, and ``train`` its config's, by absolute paths."""
+    if command == "evaluate-absolute":
+        write_json(root / "spec.json", {"stories": str(root / "stories.jsonl"),
+                                        "pairs": str(root / "val_pairs.jsonl")})
+        return artifact_hash("evaluate", out)
+    if command == "train":
+        write_json(root / "cfg.json", {
+            "model": {"d_model": 16, "n_enc_layers": 1, "n_dec_layers": 1, "n_heads": 2,
+                      "window": 8, "max_len": 96},
+            "train": {"epochs": 1, "batch_size": 8},
+            "data": {"stories": str(root / "stories.jsonl"),
+                     "pairs_train": str(root / "val_pairs.jsonl"),
+                     "pairs_val": str(root / "val_pairs.jsonl"), "vocab_size": 200}})
+        assert run(["train", "--config", "cfg.json", "--out-dir", out, *flags]) == 0
+        return json.loads((Path(out) / "manifest.json").read_text())["meta"]["config_hash"]
+    return artifact_hash(command, out)
+
+
 class TestProvenance:
     """``config_hash`` covers every flag but a command's file paths.  The
-    checkpoint path and an eval spec's contents are hashed as written."""
+    checkpoint path is hashed as written.  The eval spec and ``train``'s
+    merged config are hashed as written, except that each file they name
+    (a ``str`` field of the spec, a ``data`` key whose preset is null)
+    enters only as set or unset."""
 
-    @pytest.mark.parametrize("command", sorted(ARTIFACTS))
+    @pytest.mark.parametrize("command", [*sorted(ARTIFACTS), "evaluate-absolute", "train"])
     def test_hash_ignores_where_the_files_sit(self, artifact_inputs, tmp_path, monkeypatch,
                                               command):
         hashes = []
         for where, out in (("here", "out_1"), ("there/deeper", "out_2")):
-            monkeypatch.chdir(shutil.copytree(artifact_inputs, tmp_path / where))
-            hashes.append(artifact_hash(command, out))
+            root = shutil.copytree(artifact_inputs, tmp_path / where)
+            monkeypatch.chdir(root)
+            hashes.append(located_hash(command, root, out))
         assert hashes[0] == hashes[1]
+
+    def test_hash_keeps_whether_a_file_is_set(self, artifact_inputs, tmp_path, monkeypatch):
+        root = shutil.copytree(artifact_inputs, tmp_path / "inputs")
+        monkeypatch.chdir(root)
+        base = located_hash("train", root, "out_1")
+        assert located_hash("train", root, "out_2", ["--set", "data.comments=comments.jsonl"]) != base
 
     @pytest.mark.parametrize("command,flag,value", [
         ("prepare-pairs", "--min-words", 21), ("prepare-pairs", "--max-words", 119),

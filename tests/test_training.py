@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from storyeval import autodiff as ad
+from storyeval import cli
 from storyeval import model as model_mod
 from storyeval import training as training_mod
 from storyeval import rng as rng_mod
+from storyeval.aspects import AspectTaxonomy
 from storyeval.corpus import RankedPair, build_pairs, generate_negative, split_by_prompt
 from storyeval.errors import ConfigError, ContractViolation
+from storyeval.jsonl import write_json, write_jsonl
 from storyeval.model import Model, ModelConfig
 from storyeval.optim import steps_per_epoch
 from storyeval.synthetic import make_aspect_comments, make_preference_corpus
@@ -263,11 +268,123 @@ class TestCheckpointing:
         with pytest.raises(ConfigError, match="hash"):
             Trainer(other, data, cfg).train(checkpoint_path=path, resume=True)
 
+    def test_resume_refuses_seed_mismatch(self, tmp_path):
+        """Every draw depends on the seed, so a checkpoint of seed 0 cannot
+        continue a run of seed 1; the error names both seeds."""
+        model, data, _ = _setup()
+        path = tmp_path / "run.ckpt"
+        Trainer(model, data, TrainConfig(batch_size=8, epochs=1, peak_lr=1e-4, seed=0)).train(
+            checkpoint_path=path)
+        cfg = TrainConfig(batch_size=8, epochs=2, peak_lr=1e-4, seed=1)
+        with pytest.raises(ConfigError, match=r"seed \('\w+', 0\) != the run's \('\w+', 1\)"):
+            Trainer(model, data, cfg).train(checkpoint_path=path, resume=True)
+
     def test_resume_without_checkpoint(self):
         model, data, _ = _setup()
         cfg = TrainConfig(batch_size=8, epochs=1, seed=0)
         with pytest.raises(ConfigError):
             Trainer(model, data, cfg).train(resume=True)
+
+
+class Cut(Exception):
+    """The interruption of a run."""
+
+
+class TestExactResume:
+    """A CLI ``train`` cut after step k and run again with ``--resume``
+    leaves the checkpoint, the log and the manifest of a run never cut: the
+    resume replays from the best checkpoint's step, drawing each step's
+    negatives, comment picks and dropout from (seed, step) as before."""
+
+    @staticmethod
+    def _config(root, eval_every, dropout, peak_lr) -> tuple:
+        """A joint run's config (negatives, comments, aspects) and its steps
+        per epoch.  It validates on the training pairs too, so that the best
+        checkpoint moves as the run learns."""
+        stories = make_preference_corpus(n_prompts=40, seed=0)
+        by_id = {s.id: s for s in stories}
+        splits = split_by_prompt(build_pairs(stories), seed=0)
+        write_jsonl(root / "stories.jsonl", [s.to_record() for s in stories])
+        write_jsonl(root / "train.jsonl", [p.to_record() for p in splits["train"]])
+        write_jsonl(root / "val.jsonl", [p.to_record() for p in splits["train"] + splits["val"]])
+        write_jsonl(root / "comments.jsonl",
+                    [c.to_record() for c in make_aspect_comments(stories, seed=0)])
+        # two negatives per rejected story, so every pick draws
+        write_jsonl(root / "negatives.jsonl", [
+            {"source_story_id": p.low_id,
+             "text": generate_negative(by_id[p.low_id], kind, seed=3).text}
+            for p in splits["train"] for kind in ("shuffle", "repeat")])
+        AspectTaxonomy.default().save(root / "taxonomy.json")
+        write_json(root / "cfg.json", {
+            "seed": 0,
+            "model": {"d_model": 24, "n_enc_layers": 1, "n_dec_layers": 1, "n_heads": 2,
+                      "window": 8, "max_len": 96, "dropout": dropout},
+            "train": {"epochs": 4, "batch_size": 8, "peak_lr": peak_lr, "use_aspects": True,
+                      "use_comments": True, "use_negatives": True, "eval_every": eval_every},
+            "data": {**{key: str(root / f"{key}.jsonl")
+                        for key in ("stories", "comments", "negatives")},
+                     "pairs_train": str(root / "train.jsonl"),
+                     "pairs_val": str(root / "val.jsonl"),
+                     "taxonomy": str(root / "taxonomy.json"), "vocab_size": 400}})
+        return root / "cfg.json", steps_per_epoch(len(splits["train"]), 8)
+
+    @staticmethod
+    def _outputs(out) -> tuple:
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["environment"]
+        return ((out / "model.ckpt").read_bytes(), (out / "train_log.csv").read_bytes(),
+                manifest)
+
+    @pytest.mark.parametrize("eval_every,dropout,peak_lr", [(0, 0.0, 1e-2), (3, 0.1, 2e-2)])
+    def test_cut_and_resumed_run_equals_the_whole_run(self, tmp_path, monkeypatch, capsys,
+                                                      eval_every, dropout, peak_lr):
+        cfg, per_epoch = self._config(tmp_path, eval_every, dropout, peak_lr)
+
+        def train(out, *flags) -> int:
+            return cli.main(["train", "--config", str(cfg), "--out-dir", str(out), *flags])
+
+        assert train(tmp_path / "whole") == 0
+        want = self._outputs(tmp_path / "whole")
+        steps, every = want[2]["steps"], eval_every or per_epoch
+        # resumes start from more than one checkpoint
+        assert steps == 4 * per_epoch and want[2]["best_step"] >= 2 * every
+        real = Trainer.train_step
+
+        def cut_at(k):
+            def step(self, batch):
+                if self.step == k:
+                    raise Cut(k)
+                return real(self, batch)
+            return step
+
+        # every validation boundary, one step past the first, and one step before it
+        for k in sorted({every - 1, every + 1, *range(every, steps, every)}):
+            out = tmp_path / f"cut_{k}"
+            monkeypatch.setattr(Trainer, "train_step", cut_at(k))
+            with pytest.raises(Cut):
+                train(out)
+            monkeypatch.setattr(Trainer, "train_step", real)
+            if k < every:      # no validation yet, so no checkpoint to resume from
+                assert not (out / "model.ckpt").exists()
+                assert train(out, "--resume") == 2
+                continue
+            assert train(out, "--resume") == 0
+            got = self._outputs(out)
+            assert got[0] == want[0], f"model.ckpt after a cut at step {k}"
+            assert got[1] == want[1], f"train_log.csv after a cut at step {k}"
+            assert got[2] == want[2], f"manifest.json after a cut at step {k}"
+        capsys.readouterr()
+        assert train(tmp_path / "whole", "--resume", "--seed", "1") == 2
+        assert "', 0) != the run's (" in capsys.readouterr().err
+
+    def test_trainer_holds_no_generator(self):
+        model, data, _ = _setup(with_comments=True, with_negatives=True, dropout=0.1)
+        trainer = Trainer(model, data, TrainConfig(batch_size=8, epochs=1, seed=0,
+                                                   use_aspects=True, use_comments=True,
+                                                   use_negatives=True))
+        trainer.train_step(data.train_pairs[:8])
+        assert not [name for name, value in vars(trainer).items()
+                    if isinstance(value, np.random.Generator)]
 
 
 class TestEvalHelpers:
